@@ -25,16 +25,9 @@ SPECTRAL_PAD_FRACTION = 0.25
 # Minimum number of samples a test function's support must span per axis.
 MIN_SUPPORT_SPAN = 16
 
-CLOSED_FORM_FAMILIES = ("D", "DaI", "DxDy", "DaIxDaIy")
-GRAMMAR_ONLY_FAMILIES = ("Dgamma", "polyharmonic_log")
-
 
 class OperatorError(Exception):
     """Invalid operator construction or application."""
-
-
-class UnsupportedOperator(OperatorError):
-    """Family is part of the config grammar but not constructible."""
 
 
 class UnsupportedClosedForm(OperatorError):
@@ -62,10 +55,6 @@ class OperatorSpec:
 
     def __post_init__(self):
         fam = self.family
-        if fam in GRAMMAR_ONLY_FAMILIES:
-            raise UnsupportedOperator(
-                f"operator family {fam!r} is in the catalog grammar but not constructible"
-            )
         if fam == "D":
             if self.dim != 1 or self.n < 1:
                 raise OperatorError("D requires dim=1 and n >= 1")

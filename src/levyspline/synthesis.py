@@ -5,10 +5,12 @@ s = p0 + sum_k a_k rho_L(. - x_k) sampled on a window grid, with the
 null-space term pinned (s(lo) = 0 for causal 1-D operators, zero window
 mean for the spectral path).  reference_levy_path draws the limiting
 process exactly for the first-derivative operator.  Closed-form causal
-families are evaluated in O(K + G) with scatter plus cumulative or
-exponential recursions, which equals the Green superposition at the grid
-points; only the n-fold derivative with n >= 2 uses the direct O(K G)
-sum, guarded by a count limit.
+families share one O(K + G) engine: bin each impulse to the first grid
+point at or beyond it, weight it by its offset to that point, scatter the
+weights with one bincount, and run each axis's causal kernel (cumulative
+sums or the one-pole exponential recursion) over the bins.  This equals
+the Green superposition at the grid points; run time-reversed, the same
+kernels give the fast pairing tables in verify.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .operators import (
     spectral_divide,
 )
 
-# Direct Green-summation guard for the n-fold derivative path.
-MAX_DIRECT_IMPULSES = 10_000
 # Relative slack when snapping impulse coordinates to grid bins.
 BIN_SNAP = 1e-9
 
@@ -72,7 +72,7 @@ def _bin_ceil(coords, lo, h, n):
     floating-point jitter, clipped into [0, n-1]."""
     r = (np.asarray(coords, dtype=float) - lo) / h
     idx = np.ceil(r - BIN_SNAP).astype(int)
-    return np.clip(idx, 0, n - 1)
+    return np.minimum(np.maximum(idx, 0), n - 1)
 
 
 def _check_margin(field, op, grid):
@@ -94,16 +94,11 @@ def synthesize_spline(field, op, grid):
     if field.dim != op.dim or grid.dim != op.dim:
         raise SynthesisError("field, operator, and grid dimensions must agree")
     _check_margin(field, op, grid)
-    if op.family == "D" and op.n == 1:
-        samples = _synth_step_1d(field, grid)
-    elif op.family == "D":
-        samples = _synth_poly_1d(field, op, grid)
-    elif op.family == "DaI":
-        samples = _synth_exp_1d(field, op, grid)
-    elif op.family == "DxDy":
-        samples = _synth_step_2d(field, grid)
-    elif op.family == "DaIxDaIy":
-        samples = _synth_exp_2d(field, op, grid)
+    if op.pinned:
+        x, a = _pinned_window_impulses(field, grid)
+        samples = _synth_causal(op, grid, (x,), a)
+    elif op.causal:
+        samples = _synth_causal(op, grid, field.locations.T, field.amplitudes)
     else:
         samples = _synth_spectral(field, op, grid)
     if not np.all(np.isfinite(samples)):
@@ -132,70 +127,85 @@ def _pinned_window_impulses(field, grid):
     return x[keep], field.amplitudes[keep]
 
 
-def _synth_step_1d(field, grid):
-    (n,) = grid.shape
-    x, a = _pinned_window_impulses(field, grid)
-    acc = np.zeros(n)
-    if x.size:
-        idx = _bin_ceil(x, grid.box.lo[0], grid.step, n)
-        np.add.at(acc, idx, a)
-    return np.cumsum(acc)
+def _poly_kernel(m, h):
+    """Causal recursion y[i] = sum_{b <= i} c[b] ((i - b) h)^m / m! along an axis.
+
+    Newton's series i^m = sum_p (Delta^p 0^m) C(i, p), whose weights
+    Delta^p 0^m = p! S(m, p) are Stirling numbers of the second kind, makes
+    it repeated cumulative sums: C(i - b, p) is p + 1 cumulative sums of a
+    unit impulse at b + p.
+    """
+    if m == 0:
+        return np.cumsum
+    weights = [int(np.diff(np.arange(m + 1) ** m, p)[0]) for p in range(m + 1)]
+    scale = h**m / math.factorial(m)
+
+    def run(arr, axis):
+        z = np.moveaxis(arr, axis, -1)
+        out = np.zeros_like(z)
+        for p, c in enumerate(weights):
+            z = np.cumsum(z, axis=-1)
+            out[..., p:] += c * z[..., : z.shape[-1] - p]
+        return np.moveaxis(scale * out, -1, axis)
+
+    return run
 
 
-def _synth_poly_1d(field, op, grid):
-    (n,) = grid.shape
-    x, a = _pinned_window_impulses(field, grid)
-    if x.size > MAX_DIRECT_IMPULSES:
-        raise SynthesisError(
-            f"{x.size} impulses exceed the direct-summation guard "
-            f"({MAX_DIRECT_IMPULSES}) for the n-fold derivative path"
-        )
-    axis = grid.axis(0)
-    out = np.zeros(n)
-    fact = math.factorial(op.n - 1)
-    idx = _bin_ceil(x, grid.box.lo[0], grid.step, n) if x.size else np.zeros(0, int)
-    for xk, ak, i0 in zip(x, a, idx):
-        out[i0:] += ak * (axis[i0:] - xk) ** (op.n - 1) / fact
-    return out
+def _axis_kernels(op, grid):
+    """Causal Green's kernel of each axis as (nodes, moments, filters).
+
+    An impulse of amplitude a at x, binned to the node x_b = x + delta,
+    adds to the nodes i >= b the sum over terms j of filters[j] run over
+    moments(a, delta)[j] placed at b.  D^n expands ((i - b) h + delta)^(n-1)
+    / (n-1)! into the offset moments a delta^j / j! times polynomial kernels
+    of degree n - 1 - j; D + alpha I is a exp(-alpha delta) times the
+    one-pole recursion r^(i - b), r = exp(-alpha h).
+    """
+    h = grid.step
+    if op.family in ("D", "DxDy"):
+        n = op.n if op.family == "D" else 1
+
+        def moments(a, delta):
+            out = [a]
+            for j in range(1, n):
+                out.append(out[-1] * delta / j)
+            return out
+
+        filters = [_poly_kernel(n - 1 - j, h) for j in range(n)]
+    else:
+        r = math.exp(-op.alpha * h)
+
+        def moments(a, delta):
+            return [a * np.exp(-op.alpha * delta)]
+
+        filters = [lambda arr, axis: lfilter([1.0], [1.0, -r], arr, axis=axis)]
+    return [(grid.axis(axis), moments, filters) for axis in range(op.dim)]
 
 
-def _synth_exp_1d(field, op, grid):
-    (n,) = grid.shape
-    x, a = _pinned_window_impulses(field, grid)
-    acc = np.zeros(n)
-    if x.size:
-        idx = _bin_ceil(x, grid.box.lo[0], grid.step, n)
-        axis = grid.axis(0)
-        np.add.at(acc, idx, a * np.exp(-op.alpha * (axis[idx] - x)))
-    r = math.exp(-op.alpha * grid.step)
-    return lfilter([1.0], [1.0, -r], acc)
+def _impulse_terms(kernels, step, coords, amps):
+    """Bins of the impulses at coords (one array per axis) and their
+    (filters, weights) terms, one per product of the axes' kernel terms."""
+    bins, terms = [], [((), amps)]
+    for x, (nodes, moments, filters) in zip(coords, kernels):
+        idx = _bin_ceil(x, nodes[0], step, nodes.size)
+        bins.append(idx)
+        terms = [
+            (fs + (f,), w) for fs, a in terms for f, w in zip(filters, moments(a, nodes[idx] - x))
+        ]
+    return bins, terms
 
 
-def _synth_step_2d(field, grid):
-    n0, n1 = grid.shape
-    acc = np.zeros((n0, n1))
-    if field.count:
-        ix = _bin_ceil(field.locations[:, 0], grid.box.lo[0], grid.step, n0)
-        iy = _bin_ceil(field.locations[:, 1], grid.box.lo[1], grid.step, n1)
-        np.add.at(acc, (ix, iy), field.amplitudes)
-    return np.cumsum(np.cumsum(acc, axis=0), axis=1)
-
-
-def _synth_exp_2d(field, op, grid):
-    n0, n1 = grid.shape
-    acc = np.zeros((n0, n1))
-    if field.count:
-        x = field.locations[:, 0]
-        y = field.locations[:, 1]
-        ix = _bin_ceil(x, grid.box.lo[0], grid.step, n0)
-        iy = _bin_ceil(y, grid.box.lo[1], grid.step, n1)
-        # Offset factors put margin impulses (bin 0) at their true decay.
-        fx = np.exp(-op.alpha * (grid.axis(0)[ix] - x))
-        fy = np.exp(-op.alpha * (grid.axis(1)[iy] - y))
-        np.add.at(acc, (ix, iy), field.amplitudes * fx * fy)
-    r = math.exp(-op.alpha * grid.step)
-    out = lfilter([1.0], [1.0, -r], acc, axis=0)
-    return lfilter([1.0], [1.0, -r], out, axis=1)
+def _synth_causal(op, grid, coords, amps):
+    """Scatter each term's weights into the bins and run its causal filters."""
+    bins, terms = _impulse_terms(_axis_kernels(op, grid), grid.step, coords, amps)
+    flat = np.ravel_multi_index(bins, grid.shape)
+    parts = []
+    for filters, weights in terms:
+        acc = np.bincount(flat, weights, minlength=math.prod(grid.shape)).reshape(grid.shape)
+        for axis, run in enumerate(filters):
+            acc = run(acc, axis)
+        parts.append(acc)
+    return sum(parts[1:], parts[0])
 
 
 def _synth_spectral(field, op, grid):

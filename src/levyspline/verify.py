@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
-from scipy.signal import lfilter
 
 from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
 from .noise import RngStream, sample_impulse_field
 from .operators import apply_adjoint, apply_T, format_operator_config, margin_rule
-from .synthesis import synthesize_spline
+from .synthesis import _axis_kernels, _impulse_terms, synthesize_spline
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -353,22 +352,16 @@ class CFReport:
         return "\n".join(lines)
 
 
-def _causal_suffix_weights(op, wphi, step):
-    """Per-bin right-tail pairing table C with <s, phi> = sum_k a~_k C[bin_k]."""
-    if op.family == "D":
-        return np.flip(np.cumsum(np.flip(wphi), axis=-1))
-    r = math.exp(-op.alpha * step)
-    return np.flip(lfilter([1.0], [1.0, -r], np.flip(wphi)))
-
-
 def _fast_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     """Empirical functionals for one ladder rung without densifying paths.
 
-    For piecewise-exact causal kernels the pairing <s, phi> collapses to a
-    per-impulse lookup against precomputed right-tail tables, which equals
-    the synthesize-then-quadrature pairing term for term.  Draws replicate
-    the sampling pipeline exactly: count, locations, then amplitudes on the
-    margin-extended box.
+    <s, phi> = <w, L^{-1*} phi>: the pairing tables are the adjoint of the
+    synthesis kernels, each kernel term run time-reversed over the
+    quadrature-weighted test functions.  An impulse pairs by looking up its
+    bin in each table and weighting by its bin weights, so the result
+    equals the synthesize-then-quadrature pairing to round-off for every
+    D^n and D + alpha I.  Draws replicate the sampling pipeline
+    exactly: count, locations, then amplitudes on the margin-extended box.
     """
     grid = bank.grid
     h = grid.step
@@ -377,10 +370,10 @@ def _fast_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     margin = margin_rule(op, grid.box)
     field_lo = lo - margin
     field_len = length + margin
-    axis = grid.axis(0)
-    n = axis.size
-    w = grid.trapezoid_weights()[0]
-    tables = np.stack([_causal_suffix_weights(op, w * phi, h) for phi in bank.phis])
+    kernels = _axis_kernels(op, grid)
+    _, _, filters = kernels[0]
+    wphis = np.flip(grid.trapezoid_weights()[0] * np.stack(bank.phis), axis=-1)
+    tables = [np.flip(run(wphis, -1), axis=-1) for run in filters]
     jump_law = poissonize(f, lam).jump_law
     acc = np.zeros(len(bank), dtype=complex)
     for i in range(count):
@@ -389,15 +382,8 @@ def _fast_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
         xs = field_lo + gen.random((k, 1))[:, 0] * field_len
         amps = jump_law.sample(gen, k)
         keep = xs > lo + 1e-9 * h
-        xs = xs[keep]
-        amps = amps[keep]
-        if xs.size:
-            idx = np.clip(np.ceil((xs - lo) / h - 1e-9).astype(int), 0, n - 1)
-            if op.family == "DaI":
-                amps = amps * np.exp(-op.alpha * (axis[idx] - xs))
-            t = tables[:, idx] @ amps
-        else:
-            t = np.zeros(len(bank))
+        (idx,), terms = _impulse_terms(kernels, h, (xs[keep],), amps[keep])
+        t = sum(table[:, idx] @ weights for table, (_, weights) in zip(tables, terms))
         acc += np.exp(1j * t)
     mean = acc / count
     se = np.sqrt(np.maximum(1.0 - np.abs(mean) ** 2, 0.0) / (count - 1))

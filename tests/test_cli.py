@@ -125,6 +125,17 @@ def test_verify_subcommand_pass(tmp_path):
     assert header == "lambda,phi,re_emp,im_emp,se,re_ana,im_ana,abs_err"
 
 
+def test_verify_second_derivative_pass(tmp_path):
+    # the n-fold derivative pairs through its own adjoint tables
+    out = tmp_path / "v2"
+    code = run(
+        "verify", "--operator", "D", "--n", "2", "--exponent", "gaussian",
+        "--ensemble", "5000", "--seed", "1", "--outdir", str(out),
+    )
+    assert code == 0
+    assert "verdict=PASS" in (out / "summary.txt").read_text()
+
+
 def test_verify_noise_floor_exit_code(tmp_path, capsys):
     out = tmp_path / "nf"
     code = run(

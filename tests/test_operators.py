@@ -10,7 +10,6 @@ from levyspline.operators import (
     GridTooCoarse,
     OperatorError,
     UnsupportedClosedForm,
-    UnsupportedOperator,
     apply_adjoint,
     apply_L_samples,
     apply_T,
@@ -60,7 +59,7 @@ def test_operator_validation():
 
 def test_grammar_only_families_are_rejected():
     for fam in ("Dgamma", "polyharmonic_log"):
-        with pytest.raises(UnsupportedOperator):
+        with pytest.raises(OperatorError, match="unknown operator family"):
             make_operator(fam, gamma=1.5)
 
 

@@ -9,7 +9,7 @@ from scipy import stats
 from levyspline.exponents import JumpLaw, cauchy, gaussian, laplace
 from levyspline.grid import Box, Grid
 from levyspline.noise import ImpulseField, RngStream, sample_impulse_field
-from levyspline.operators import apply_L_discrete, make_operator
+from levyspline.operators import apply_L_discrete, green, make_operator, margin_rule
 from levyspline.synthesis import (
     MarginTooSmall,
     SynthesisError,
@@ -188,7 +188,63 @@ def test_discrete_operator_recovers_step_jumps():
     )
 
 
-def test_direct_impulse_guard():
+def green_sum(field, op, grid):
+    """Direct sum of a_k rho_L(x - x_k) over the grid nodes.
+
+    Pinned operators keep only the impulses right of the window start,
+    whose null-space contributions the pinning removes.
+    """
+    locs, amps = field.locations, field.amplitudes
+    if op.pinned:
+        keep = locs[:, 0] > grid.box.lo[0]
+        locs, amps = locs[keep], amps[keep]
+    nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    out = np.zeros(nodes.shape[0])
+    for x, a in zip(locs, amps):
+        offsets = nodes - x if grid.dim == 2 else nodes[:, 0] - x[0]
+        out += a * green(op, offsets)
+    return out.reshape(grid.shape)
+
+
+def assert_matches_green_sum(field, op, grid):
+    direct = green_sum(field, op, grid)
+    samples = synthesize_spline(field, op, grid).samples
+    err = np.max(np.abs(samples - direct))
+    assert err <= 1e-12 * np.max(np.abs(direct)), (op, err)
+
+
+def test_causal_synthesis_equals_green_superposition():
+    # random impulses in the window and the left margin, plus one on a
+    # grid node and one at the window start
+    g2 = Grid(Box.cube(0.0, 10.0, 2), 0.05)
+    gen = np.random.default_rng(7)
+    for op, grid in (
+        (make_operator("D"), GRID1),
+        (make_operator("D", n=2), GRID1),
+        (make_operator("D", n=3), GRID1),
+        (make_operator("DaI", alpha=0.1), GRID1),
+        (make_operator("DxDy"), g2),
+        (make_operator("DaIxDaIy", alpha=0.1), g2),
+    ):
+        dim = grid.dim
+        box = grid.box.expand(max(3.0, margin_rule(op, grid.box)))
+        inside = gen.uniform(0.0, 10.0, (40, dim))
+        margin = gen.uniform(-3.0, 0.0, (6, dim))
+        node = np.array([[grid.axis(a)[37 + 44 * a] for a in range(dim)]])
+        start = np.array([[0.0, 4.2][:dim]])
+        locs = np.concatenate([inside, margin, node, start])
+        field = ImpulseField(
+            dim=dim,
+            box=box,
+            locations=locs,
+            amplitudes=gen.normal(size=locs.shape[0]),
+            rate=1.0,
+            seed=0,
+        )
+        assert_matches_green_sum(field, op, grid)
+
+
+def test_n_fold_derivative_synthesis_has_no_impulse_limit():
     op = make_operator("D", n=2)
     k = 10_001
     gen = np.random.default_rng(0)
@@ -200,8 +256,7 @@ def test_direct_impulse_guard():
         rate=1000.0,
         seed=0,
     )
-    with pytest.raises(SynthesisError):
-        synthesize_spline(field, op, GRID1)
+    assert_matches_green_sum(field, op, GRID1)
 
 
 def test_reference_path_gaussian_statistics():

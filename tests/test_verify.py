@@ -154,11 +154,14 @@ def test_left_inverse_residuals_fine_grid():
 
 
 def test_convergence_study_fast_path_equals_pipeline():
-    # the suffix-table estimator must reproduce the synthesize-then-pair
-    # pipeline to round-off for both step and exponential kernels
+    # the adjoint-table estimator must reproduce the synthesize-then-pair
+    # pipeline to round-off for every n-fold derivative and for the
+    # exponential kernel
     from levyspline.verify import _fast_rung_cf, _generic_rung_cf
 
-    for fam, kw, f in (("D", {}, gaussian(1.0)), ("DaI", {"alpha": 0.1}, cauchy(1.0))):
+    cases = [("D", {"n": n}, f) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
+    cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0)))
+    for fam, kw, f in cases:
         op = make_operator(fam, **kw)
         bank = build_cf_bank(GRID1, op)
         fast, fast_se = _fast_rung_cf(f, op, 4.0, 200, bank, 17, 600)

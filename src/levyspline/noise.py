@@ -3,7 +3,10 @@
 A realization is a finite set of (location, amplitude) impulses: the count
 is Poisson(rate * volume), locations are i.i.d. uniform on the box, and
 amplitudes are i.i.d. from a catalog jump law.  Everything is keyed by an
-explicit (seed, stream) pair so ensembles are reproducible draw for draw.
+explicit (seed, stream) pair.  One stream draws a block of independent
+fields in a fixed order (every count, then every location, then every
+amplitude); a single field is the one-member block, so ensembles drawn in
+blocks of a fixed size are reproducible draw for draw.
 """
 
 from __future__ import annotations
@@ -71,11 +74,49 @@ class ImpulseField:
         return self.amplitudes.shape[0]
 
 
-def sample_impulse_field(dim, box, lam, jumps, rng):
-    """Draw one Poisson impulse field on `box` with rate `lam`.
+@dataclass(frozen=True, eq=False)
+class ImpulseBlock:
+    """Impulses of `members` independent fields drawn from one RngStream.
 
-    Draw order is fixed (count, then locations, then amplitudes) so the
-    same RngStream always reproduces the same field.
+    counts has shape (members,); locations (sum(counts), dim) and
+    amplitudes (sum(counts),) concatenate the fields in member order.
+    """
+
+    dim: int
+    box: Box
+    counts: np.ndarray
+    locations: np.ndarray
+    amplitudes: np.ndarray
+    rate: float
+    seed: int
+    stream: int
+
+    @property
+    def members(self):
+        return self.counts.shape[0]
+
+    def owners(self):
+        """Member index of every impulse."""
+        return np.repeat(np.arange(self.members), self.counts)
+
+    def fields(self):
+        """Split the block into one ImpulseField per member."""
+        ends = np.cumsum(self.counts).tolist()
+        return [
+            ImpulseField(
+                self.dim, self.box, self.locations[a:b], self.amplitudes[a:b],
+                self.rate, self.seed, self.stream,
+            )
+            for a, b in zip([0] + ends, ends)
+        ]
+
+
+def sample_impulse_block(dim, box, lam, jumps, rng, members):
+    """Draw `members` independent Poisson impulse fields on `box` with rate `lam`.
+
+    Draw order is fixed (every count, then every location, then every
+    amplitude) so the same RngStream and member count always reproduce
+    the same block.
     """
     if not lam > 0.0:
         raise NoiseError("rate lam must be positive")
@@ -83,25 +124,38 @@ def sample_impulse_field(dim, box, lam, jumps, rng):
         raise NoiseError("box dimension must match dim")
     if not isinstance(jumps, JumpLaw):
         raise NoiseError("jumps must be a JumpLaw")
+    if members < 1:
+        raise NoiseError("a block needs at least one member")
     mean_count = lam * box.volume
     if mean_count > MAX_EXPECTED_COUNT:
         raise NoiseError(
             f"expected impulse count {mean_count:.3g} exceeds guard {MAX_EXPECTED_COUNT:g}"
         )
     gen = rng.generator()
-    count = int(gen.poisson(mean_count))
+    counts = gen.poisson(mean_count, int(members))
+    total = int(counts.sum())
     lo = np.asarray(box.lo)
     lengths = np.asarray(box.lengths)
-    locations = lo + gen.random((count, dim)) * lengths
-    amplitudes = jumps.sample(gen, count)
-    return ImpulseField(
+    locations = lo + gen.random((total, dim)) * lengths
+    amplitudes = jumps.sample(gen, total)
+    return ImpulseBlock(
         dim=dim,
         box=box,
+        counts=counts,
         locations=locations,
         amplitudes=amplitudes,
         rate=float(lam),
         seed=rng.seed,
         stream=rng.index,
+    )
+
+
+def sample_impulse_field(dim, box, lam, jumps, rng):
+    """Draw one Poisson impulse field on `box` with rate `lam`: the
+    one-member block, so the draw order is count, locations, amplitudes."""
+    block = sample_impulse_block(dim, box, lam, jumps, rng, 1)
+    return ImpulseField(
+        dim, box, block.locations, block.amplitudes, block.rate, block.seed, block.stream
     )
 
 

@@ -143,10 +143,14 @@ def format_operator_config(op):
 
 
 def margin_rule(op, box):
-    """Per-side sampling margin required by the operator's kernel decay."""
-    if op.family in ("D", "DxDy"):
+    """Per-side sampling margin required by the operator's kernel decay.
+
+    Pinned operators need none: pinning cancels every impulse at or left
+    of the window start, so a margin would only be drawn and dropped.
+    """
+    if op.pinned or op.family == "DxDy":
         return 0.0
-    if op.family in ("DaI", "DaIxDaIy"):
+    if op.family == "DaIxDaIy":
         return math.log(1.0 / TRUNCATION_TOL) / op.alpha
     return SPECTRAL_PAD_FRACTION * max(box.lengths)
 

@@ -114,16 +114,20 @@ def synthesize_spline(field, op, grid):
     )
 
 
-def _pinned_window_impulses(field, grid):
-    """Keep impulses strictly right of the window start.
+def _pinned_window_mask(x, grid):
+    """Impulses strictly right of the window start and not beyond its end.
 
     For pinned causal 1-D synthesis an impulse at x_k <= lo contributes a
     pure null-space mode, which the pinning removes exactly, so dropping
     it is algebraically exact rather than a truncation.
     """
     lo, hi = grid.box.lo[0], grid.box.hi[0]
+    return (x > lo + BIN_SNAP * grid.step) & (x <= hi)
+
+
+def _pinned_window_impulses(field, grid):
     x = field.locations[:, 0]
-    keep = (x > lo + BIN_SNAP * grid.step) & (x <= hi)
+    keep = _pinned_window_mask(x, grid)
     return x[keep], field.amplitudes[keep]
 
 

@@ -20,9 +20,9 @@ from scipy import stats
 
 from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
-from .noise import RngStream, sample_impulse_field
+from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, margin_rule
-from .synthesis import _axis_kernels, _impulse_terms, synthesize_spline
+from .synthesis import _axis_kernels, _impulse_terms, _pinned_window_mask, synthesize_spline
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -32,6 +32,10 @@ NOISE_SPLIT = 3.0
 TAIL_LEVEL = 1e-8
 # Soft cap on total jump amplitudes drawn for a compound-sum reference.
 MAX_REFERENCE_VALUES = 10**7
+# Study ensembles are drawn in blocks of members sized so that a block's
+# histogram cells (grid points per member) plus its expected impulses stay
+# near this count, which bounds a rung's working memory at every rate.
+BLOCK_CELLS = 2**16
 
 # Test-function geometry, as fractions of the box length.  The bump
 # amplitudes are tuned so the rate-1 rung sits well inside the nonlinear
@@ -216,14 +220,14 @@ def _extended_embedding(op, grid):
     """Window grid plus the margin demanded by the operator's decay rule.
 
     Returns (domain grid, slices embedding the window, pad counts).
-    Pinned causal one-dimensional operators integrate over the window
-    itself: the pinning cancels every contribution from the left of the
-    window, so no margin enters the analytic functional.
+    Operators without a margin integrate over the window itself; for the
+    pinned ones the pinning cancels every contribution from the left of
+    the window, so no margin enters the analytic functional.
     """
     h = grid.step
-    if op.family in ("D", "DaI", "DxDy"):
-        return grid, tuple(slice(0, n) for n in grid.shape), [0] * grid.dim
     need = margin_rule(op, grid.box)
+    if need == 0.0:
+        return grid, tuple(slice(0, n) for n in grid.shape), [0] * grid.dim
     pad = int(math.ceil(need / h - 1e-9))
     right = pad if not op.causal else 0
     box = grid.box.expand(pad * h, right * h)
@@ -352,62 +356,83 @@ class CFReport:
         return "\n".join(lines)
 
 
+def _block_members(grid, lam, box):
+    """Members per ensemble block, fixed by the grid size and the rung's
+    expected impulse count (never by the seed or the realized counts)."""
+    per_member = math.prod(grid.shape) + math.ceil(lam * box.volume)
+    return max(1, BLOCK_CELLS // per_member)
+
+
+def _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
+    """The rung's `count` members as ImpulseBlocks on the margin-extended box.
+
+    The block starting at member i draws from RngStream(base_seed,
+    stream_offset + i), so rungs with disjoint member ranges never share
+    a stream.
+    """
+    margin = margin_rule(op, grid.box)
+    box = grid.box.expand(margin, 0.0 if op.causal else margin)
+    jumps = poissonize(f, lam).jump_law
+    size = _block_members(grid, lam, box)
+    for start in range(0, count, size):
+        stream = RngStream(base_seed, stream_offset + start)
+        yield sample_impulse_block(grid.dim, box, lam, jumps, stream, min(size, count - start))
+
+
+def _cf_mean_se(acc, count):
+    mean = acc / count
+    se = np.sqrt(np.maximum(1.0 - np.abs(mean) ** 2, 0.0) / (count - 1))
+    return mean, se
+
+
 def _fast_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals for one ladder rung without densifying paths.
+    """Empirical functionals for one ladder rung of a pinned operator
+    without densifying paths.
 
     <s, phi> = <w, L^{-1*} phi>: the pairing tables are the adjoint of the
     synthesis kernels, each kernel term run time-reversed over the
-    quadrature-weighted test functions.  An impulse pairs by looking up its
-    bin in each table and weighting by its bin weights, so the result
-    equals the synthesize-then-quadrature pairing to round-off for every
-    D^n and D + alpha I.  Draws replicate the sampling pipeline
-    exactly: count, locations, then amplitudes on the margin-extended box.
+    quadrature-weighted test functions.  Each block of members is drawn
+    once, pinned with the synthesis window mask and binned once; per
+    kernel term one bincount scatters the impulse weights into a
+    (member, bin) histogram, and one matrix product with the table pairs
+    every member with every test function.  The result equals the
+    synthesize-then-quadrature pairing of the same draws to round-off for
+    every D^n and D + alpha I.
     """
     grid = bank.grid
     h = grid.step
-    lo = grid.box.lo[0]
-    length = grid.box.lengths[0]
-    margin = margin_rule(op, grid.box)
-    field_lo = lo - margin
-    field_len = length + margin
+    (n,) = grid.shape
     kernels = _axis_kernels(op, grid)
     _, _, filters = kernels[0]
     wphis = np.flip(grid.trapezoid_weights()[0] * np.stack(bank.phis), axis=-1)
-    tables = [np.flip(run(wphis, -1), axis=-1) for run in filters]
-    jump_law = poissonize(f, lam).jump_law
+    tables = [np.flip(run(wphis, -1), axis=-1).T for run in filters]
     acc = np.zeros(len(bank), dtype=complex)
-    for i in range(count):
-        gen = RngStream(base_seed, stream_offset + i).generator()
-        k = int(gen.poisson(lam * field_len))
-        xs = field_lo + gen.random((k, 1))[:, 0] * field_len
-        amps = jump_law.sample(gen, k)
-        keep = xs > lo + 1e-9 * h
-        (idx,), terms = _impulse_terms(kernels, h, (xs[keep],), amps[keep])
-        t = sum(table[:, idx] @ weights for table, (_, weights) in zip(tables, terms))
-        acc += np.exp(1j * t)
-    mean = acc / count
-    se = np.sqrt(np.maximum(1.0 - np.abs(mean) ** 2, 0.0) / (count - 1))
-    return mean, se
+    for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
+        xs = block.locations[:, 0]
+        keep = _pinned_window_mask(xs, grid)
+        (idx,), terms = _impulse_terms(kernels, h, (xs[keep],), block.amplitudes[keep])
+        cells = block.owners()[keep] * n + idx
+        t = 0.0
+        for table, (_, weights) in zip(tables, terms):
+            hist = np.bincount(cells, weights, minlength=block.members * n)
+            t = t + hist.reshape(block.members, n) @ table
+        acc += np.exp(1j * t).sum(axis=0)
+    return _cf_mean_se(acc, count)
 
 
 def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
+    """Empirical functionals for one ladder rung by synthesizing every
+    member of the same blocks and pairing by quadrature."""
     grid = bank.grid
-    margin = margin_rule(op, grid.box)
-    two_sided = not op.causal
-    field_box = grid.box.expand(margin, margin if two_sided else 0.0)
-    jump_law = poissonize(f, lam).jump_law
     weights = grid.weight_array()
     weighted = [weights * phi for phi in bank.phis]
     acc = np.zeros(len(bank), dtype=complex)
-    for i in range(count):
-        stream = RngStream(base_seed, stream_offset + i)
-        fld = sample_impulse_field(grid.dim, field_box, lam, jump_law, stream)
-        real = synthesize_spline(fld, op, grid)
-        t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
-        acc += np.exp(1j * t)
-    mean = acc / count
-    se = np.sqrt(np.maximum(1.0 - np.abs(mean) ** 2, 0.0) / (count - 1))
-    return mean, se
+    for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
+        for fld in block.fields():
+            real = synthesize_spline(fld, op, grid)
+            t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
+            acc += np.exp(1j * t)
+    return _cf_mean_se(acc, count)
 
 
 def convergence_study(f, op, ladder, count, bank, base_seed=0):
@@ -433,9 +458,8 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
         raise VerifyError("analytic functional exceeded unit modulus")
     empirical = np.zeros((len(ladder), nphi), dtype=complex)
     se = np.zeros((len(ladder), nphi))
-    fast = op.family in ("D", "DaI") and bank.grid.dim == 1
+    runner = _fast_rung_cf if op.pinned else _generic_rung_cf
     for r, lam in enumerate(ladder):
-        runner = _fast_rung_cf if fast else _generic_rung_cf
         empirical[r], se[r] = runner(f, op, lam, int(count), bank, base_seed, r * int(count))
     abs_err = np.abs(empirical - analytic[None, :])
     mean_err = abs_err.mean(axis=1)

@@ -78,7 +78,7 @@ def test_config_file_round_trip(tmp_path):
     pairs = parse_config_file(out / "run.cfg")
     assert pairs["operator"] == "DaI"
     assert pairs["family"] == "laplace"
-    assert float(pairs["margin"]) > 0.0
+    assert float(pairs["margin"]) == 0.0
 
 
 def test_flags_override_config(tmp_path):

@@ -13,6 +13,7 @@ from levyspline.noise import (
     merge_margin,
     read_impulse_csv,
     restrict_to_box,
+    sample_impulse_block,
     sample_impulse_field,
     write_impulse_csv,
 )
@@ -50,6 +51,39 @@ def test_sample_field_draw_order_is_replayable():
     assert field.count == count
     np.testing.assert_array_equal(field.locations, locs)
     np.testing.assert_array_equal(field.amplitudes, amps)
+
+
+def test_sample_block_draw_order_is_replayable():
+    # every count, then every location, then every amplitude, from one generator
+    box = Box.cube(-1.0, 2.0, 2)
+    block = sample_impulse_block(2, box, 1.5, GAUSS, RngStream(11, 40), 7)
+    gen = RngStream(11, 40).generator()
+    counts = gen.poisson(1.5 * box.volume, 7)
+    total = int(counts.sum())
+    locs = np.asarray(box.lo) + gen.random((total, 2)) * np.asarray(box.lengths)
+    amps = GAUSS.sample(gen, total)
+    np.testing.assert_array_equal(block.counts, counts)
+    np.testing.assert_array_equal(block.locations, locs)
+    np.testing.assert_array_equal(block.amplitudes, amps)
+    assert (block.members, block.seed, block.stream) == (7, 11, 40)
+    fields = block.fields()
+    assert [fld.count for fld in fields] == list(counts)
+    np.testing.assert_array_equal(np.concatenate([fld.amplitudes for fld in fields]), amps)
+    np.testing.assert_array_equal(block.owners(), np.repeat(np.arange(7), counts))
+    with pytest.raises(NoiseError):
+        sample_impulse_block(2, box, 1.5, GAUSS, RngStream(11, 40), 0)
+
+
+def test_sample_field_is_the_one_member_block():
+    box = Box.cube(0.0, 10.0, 1)
+    for index in range(5):
+        field = sample_impulse_field(1, box, 3.0, GAUSS, RngStream(8, index))
+        (same,) = sample_impulse_block(1, box, 3.0, GAUSS, RngStream(8, index), 1).fields()
+        np.testing.assert_array_equal(field.locations, same.locations)
+        np.testing.assert_array_equal(field.amplitudes, same.amplitudes)
+        assert (field.box, field.rate, field.seed, field.stream) == (
+            same.box, same.rate, same.seed, same.stream
+        )
 
 
 def test_sample_field_statistics():

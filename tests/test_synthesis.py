@@ -68,7 +68,8 @@ def test_ramp_synthesis_second_order():
     np.testing.assert_allclose(real.samples, 2.0 * np.clip(x - 3.0, 0.0, None), atol=1e-12)
 
 
-# left margin demanded from any DaI(alpha=0.1) field: log(1e6) / 0.1
+# boxes covering the log(1e6) / 0.1 left margin of DaIxDaIy(alpha=0.1); pinned
+# DaI needs no margin but accepts impulses left of the window
 DAI_BOX = Box.cube(-139.0, 10.0, 1)
 DAI_BOX_2D = Box.cube(-139.0, 10.0, 2)
 

@@ -155,19 +155,31 @@ def test_left_inverse_residuals_fine_grid():
 
 def test_convergence_study_fast_path_equals_pipeline():
     # the adjoint-table estimator must reproduce the synthesize-then-pair
-    # pipeline to round-off for every n-fold derivative and for the
-    # exponential kernel
-    from levyspline.verify import _fast_rung_cf, _generic_rung_cf
+    # pipeline on the same blocks of draws to round-off for every n-fold
+    # derivative and for the exponential kernel; at rate 4 the ensemble
+    # spans three full blocks and ends in a partial one, at rate 0.05 most
+    # members draw no impulse at all
+    from levyspline.verify import _block_members, _fast_rung_cf, _generic_rung_cf, _rung_blocks
 
-    cases = [("D", {"n": n}, f) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
-    cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0)))
-    for fam, kw, f in cases:
+    size = _block_members(GRID1, 4.0, GRID1.box)
+    dense = 3 * size + size // 2
+    cases = [("D", {"n": n}, f, 4.0, dense) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
+    cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 4.0, dense))
+    cases.append(("D", {"n": 1}, gaussian(1.0), 0.05, 300))
+    cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 0.05, 300))
+    for fam, kw, f, lam, count in cases:
         op = make_operator(fam, **kw)
         bank = build_cf_bank(GRID1, op)
-        fast, fast_se = _fast_rung_cf(f, op, 4.0, 200, bank, 17, 600)
-        slow, slow_se = _generic_rung_cf(f, op, 4.0, 200, bank, 17, 600)
+        fast, fast_se = _fast_rung_cf(f, op, lam, count, bank, 17, 600)
+        slow, slow_se = _generic_rung_cf(f, op, lam, count, bank, 17, 600)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
+        blocks = list(_rung_blocks(f, op, lam, count, GRID1, 17, 600))
+        assert sum(b.members for b in blocks) == count
+        if lam == 0.05:
+            assert sum(int(np.sum(b.counts == 0)) for b in blocks) > count // 2
+        else:
+            assert len(blocks) == 4 and blocks[-1].members < size
 
 
 def test_convergence_study_report_contents():

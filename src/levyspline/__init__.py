@@ -7,22 +7,19 @@ converge in law to the matching Levy process as the impulse rate grows.
 """
 
 from .exponents import (
-    InfeasibleBound,
     JumpLaw,
     LevyExponent,
     PoissonizedExponent,
     cauchy,
-    certify_bound,
     compound_poisson,
     evaluate,
     gaussian,
     laplace,
     poissonization_contraction_check,
     poissonize,
-    triplet,
 )
 from .grid import Box, Grid
-from .noise import ImpulseField, RngStream, merge_margin, sample_impulse_field
+from .noise import ImpulseField, RngStream, sample_impulse_field
 from .operators import (
     OperatorSpec,
     apply_L_discrete,
@@ -58,7 +55,6 @@ __all__ = [
     "Grid",
     "GridRealization",
     "ImpulseField",
-    "InfeasibleBound",
     "JumpLaw",
     "LevyExponent",
     "NoiseFloor",
@@ -72,7 +68,6 @@ __all__ = [
     "build_cf_bank",
     "build_identity_bank",
     "cauchy",
-    "certify_bound",
     "compound_poisson",
     "convergence_study",
     "empirical_cf",
@@ -84,12 +79,10 @@ __all__ = [
     "make_operator",
     "marginal_gof",
     "margin_rule",
-    "merge_margin",
     "parse_operator_config",
     "poissonization_contraction_check",
     "poissonize",
     "reference_levy_path",
     "sample_impulse_field",
     "synthesize_spline",
-    "triplet",
 ]

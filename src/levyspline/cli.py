@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .exponents import (
 )
 from .grid import Box, Grid, GridSpecError, fmt17
 from .noise import NoiseError, RngStream, sample_impulse_field, write_impulse_csv
-from .operators import OperatorError, make_operator, margin_rule
+from .operators import OperatorError, make_operator, margin_rule, sampling_box
 from .synthesis import (
     SynthesisError,
     ensemble,
@@ -57,100 +57,83 @@ from .verify import (
 SEED_ENV_VAR = "LEVYSPLINE_SEED"
 SLOPE_BAND = (-1.3, -0.7)
 
-_CONFIG_KEYS = (
-    "command",
-    "operator",
-    "n",
-    "alpha",
-    "gamma",
-    "dim",
-    "family",
-    "sigma2",
-    "c",
-    "lambda",
-    "ladder",
-    "box",
-    "step",
-    "margin",
-    "ensemble",
-    "seed",
-    "threads",
-    "format",
-)
 
-_DEFAULTS = {
-    "operator": "D",
-    "n": 1,
-    "alpha": 0.1,
-    "gamma": 1.5,
-    "dim": None,
-    "family": "gaussian",
-    "sigma2": 1.0,
-    "c": 1.0,
-    "lam": 3.0,
-    "ladder": "1,4,16,64",
-    "box": "0:10",
-    "step": 0.01,
-    "margin": None,
-    "ensemble": 1000,
-    "threads": 1,
-    "fmt": "csv",
-}
+def float_list(text):
+    """Comma-separated floats, as in a rate ladder."""
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+class _Key:
+    """One config key: its run.cfg name, value type, default and flag.
+
+    The RunConfig field is `attr` (default: the key) and the flag is
+    `--<flag or key>`; a config file may name the key by either.  A key
+    without help has no flag: the subcommand sets it.
+    """
+
+    def __init__(self, key, cast, default, help=None, attr=None, flag=None, choices=None):
+        self.key, self.cast, self.default, self.help = key, cast, default, help
+        self.attr = attr or key
+        self.flag = f"--{flag or key}"
+        self.choices = choices
+
+    def text(self, value):
+        if self.cast is float:
+            return fmt17(value)
+        if self.cast is float_list:
+            return ",".join(fmt17(v) for v in value)
+        return str(value)
+
+
+# Every config key, in run.cfg order.  A default of None is resolved in
+# _resolve: dim from the operator, margin from margin_rule, seed from
+# the environment.
+_KEYS = (
+    _Key("command", str, None),
+    _Key("operator", str, "D", "D | DaI | DxDy | DaIxDaIy | frac_laplacian"),
+    _Key("n", int, 1, "derivative order for the D family"),
+    _Key("alpha", float, 0.1, "decay rate for the D+alphaI families"),
+    _Key("gamma", float, 1.5, "fractional Laplacian exponent"),
+    _Key("dim", int, None, "ambient dimension", choices=(1, 2)),
+    _Key("family", str, "gaussian", "gaussian | laplace | cauchy (noise family)", flag="exponent"),
+    _Key("sigma2", float, 1.0, "variance parameter"),
+    _Key("c", float, 1.0, "Cauchy scale parameter"),
+    _Key("lambda", float, 3.0, "impulse rate per unit volume", attr="lam"),
+    _Key("ladder", float_list, (1.0, 4.0, 16.0, 64.0), "comma-separated ascending rate ladder"),
+    _Key("box", str, "0:10", "window as lo:hi, applied on every axis"),
+    _Key("step", float, 0.01, "grid step"),
+    _Key("margin", float, None, "sampling margin per side (default: the operator's rule)"),
+    _Key("ensemble", int, 1000, "ensemble size M"),
+    _Key("seed", int, None, f"root seed (fallback: ${SEED_ENV_VAR}, then 0)"),
+    _Key("threads", int, 1, "worker cap (recorded in run.cfg, no effect yet)"),
+    _Key("format", str, "csv", "realization format", attr="fmt", choices=("csv", "bin")),
+)
+_BY_NAME = {name: row for row in _KEYS for name in (row.key, row.flag[2:])}
 
 
 class ConfigError(Exception):
     """Unusable configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters; serializes losslessly to key=value."""
+def _to_kv(cfg):
+    return "".join(f"{row.key}={row.text(getattr(cfg, row.attr))}\n" for row in _KEYS)
 
-    command: str
-    operator: str
-    n: int
-    alpha: float
-    gamma: float
-    dim: int
-    family: str
-    sigma2: float
-    c: float
-    lam: float
-    ladder: tuple
-    box: str
-    step: float
-    margin: float
-    ensemble: int
-    seed: int
-    threads: int
-    fmt: str
 
-    def to_kv(self):
-        lines = [
-            f"command={self.command}",
-            f"operator={self.operator}",
-            f"n={self.n}",
-            f"alpha={fmt17(self.alpha)}",
-            f"gamma={fmt17(self.gamma)}",
-            f"dim={self.dim}",
-            f"family={self.family}",
-            f"sigma2={fmt17(self.sigma2)}",
-            f"c={fmt17(self.c)}",
-            f"lambda={fmt17(self.lam)}",
-            "ladder=" + ",".join(fmt17(v) for v in self.ladder),
-            f"box={self.box}",
-            f"step={fmt17(self.step)}",
-            f"margin={fmt17(self.margin)}",
-            f"ensemble={self.ensemble}",
-            f"seed={self.seed}",
-            f"threads={self.threads}",
-            f"format={self.fmt}",
-        ]
-        return "\n".join(lines) + "\n"
+RunConfig = make_dataclass(
+    "RunConfig",
+    [row.attr for row in _KEYS],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Fully resolved run parameters; serializes losslessly to key=value.",
+        "to_kv": _to_kv,
+    },
+    frozen=True,
+)
 
 
 def parse_config_file(path):
-    pairs = {}
+    """Typed values of a key=value file, keyed by their run.cfg names."""
+    values = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -159,16 +142,20 @@ def parse_config_file(path):
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key == "exponent":
-                    key = "family"
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                pairs[key] = value.strip()
+                name, text = (part.strip() for part in line.split("=", 1))
+                row = _BY_NAME.get(name)
+                if row is None:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {name!r}")
+                try:
+                    value = row.cast(text)
+                    if row.choices and value not in row.choices:
+                        raise ValueError(f"not one of {row.choices}")
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad value for {name}: {text!r}") from exc
+                values[row.key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return pairs
+    return values
 
 
 def _build_parser():
@@ -182,25 +169,11 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", default=".", help="output directory (default: .)")
-        p.add_argument("--operator", help="D | DaI | DxDy | DaIxDaIy | frac_laplacian")
-        p.add_argument("--n", type=int, help="derivative order for the D family")
-        p.add_argument("--alpha", type=float, help="decay rate for the D+alphaI families")
-        p.add_argument("--gamma", type=float, help="fractional Laplacian exponent")
-        p.add_argument("--dim", type=int, choices=(1, 2), help="ambient dimension")
-        p.add_argument(
-            "--exponent", dest="family", help="gaussian | laplace | cauchy (noise family)"
-        )
-        p.add_argument("--sigma2", type=float, help="variance parameter")
-        p.add_argument("--c", type=float, help="Cauchy scale parameter")
-        p.add_argument("--lambda", dest="lam", type=float, help="impulse rate per unit volume")
-        p.add_argument("--ladder", help="comma-separated ascending rate ladder")
-        p.add_argument("--box", help="window as lo:hi, applied on every axis")
-        p.add_argument("--step", type=float, help="grid step")
-        p.add_argument("--margin", type=float, help="sampling margin per side")
-        p.add_argument("--ensemble", type=int, help="ensemble size M")
-        p.add_argument("--seed", type=int, help=f"root seed (fallback: ${SEED_ENV_VAR}, then 0)")
-        p.add_argument("--threads", type=int, help="worker cap (orchestration is serial)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "bin"), help="realization format")
+        for row in _KEYS:
+            if row.help:
+                p.add_argument(
+                    row.flag, dest=row.attr, type=row.cast, choices=row.choices, help=row.help
+                )
 
     for name, helptext in (
         ("generate", "sample an impulse field and synthesize its L-spline"),
@@ -217,97 +190,57 @@ def _build_parser():
 
 
 def _resolve(ns):
+    """RunConfig from the flags, then the --config file, then the defaults."""
     file_cfg = parse_config_file(ns.config) if ns.config else {}
+    cfg = {}
+    for row in _KEYS:
+        # unset flags are None; argparse always sets the subcommand
+        flag = getattr(ns, row.attr)
+        cfg[row.attr] = file_cfg.get(row.key, row.default) if flag is None else flag
 
-    def pick(flag_name, file_key, cast, default):
-        flag = getattr(ns, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_cfg:
-            try:
-                return cast(file_cfg[file_key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {file_key}: {file_cfg[file_key]!r}") from exc
-        return default
-
-    operator = pick("operator", "operator", str, _DEFAULTS["operator"])
-    n = pick("n", "n", int, _DEFAULTS["n"])
-    alpha = pick("alpha", "alpha", float, _DEFAULTS["alpha"])
-    gamma = pick("gamma", "gamma", float, _DEFAULTS["gamma"])
-    dim = pick("dim", "dim", int, _DEFAULTS["dim"])
+    operator, dim = cfg["operator"], cfg["dim"]
     if operator in ("DxDy", "DaIxDaIy"):
         if dim not in (None, 2):
             raise ConfigError(f"operator {operator} is two dimensional")
-        dim = 2
+        cfg["dim"] = 2
     elif operator in ("D", "DaI"):
         if dim not in (None, 1):
             raise ConfigError(f"operator {operator} is one dimensional")
-        dim = 1
+        cfg["dim"] = 1
     elif dim is None:
-        dim = 1
-    family = pick("family", "family", str, _DEFAULTS["family"])
-    sigma2 = pick("sigma2", "sigma2", float, _DEFAULTS["sigma2"])
-    c = pick("c", "c", float, _DEFAULTS["c"])
-    lam = pick("lam", "lambda", float, _DEFAULTS["lam"])
-    ladder_text = pick("ladder", "ladder", str, _DEFAULTS["ladder"])
-    try:
-        ladder = tuple(float(v) for v in str(ladder_text).split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {ladder_text!r}") from exc
-    box = pick("box", "box", str, _DEFAULTS["box"])
-    step = pick("step", "step", float, _DEFAULTS["step"])
-    margin = pick("margin", "margin", float, _DEFAULTS["margin"])
-    ensemble_size = pick("ensemble", "ensemble", int, _DEFAULTS["ensemble"])
-    threads = pick("threads", "threads", int, _DEFAULTS["threads"])
-    fmt = pick("fmt", "format", str, _DEFAULTS["fmt"])
-    if fmt not in ("csv", "bin"):
-        raise ConfigError(f"format must be csv or bin, got {fmt!r}")
+        cfg["dim"] = 1
 
-    seed = getattr(ns, "seed", None)
-    if seed is None and "seed" in file_cfg:
-        seed = int(file_cfg["seed"])
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
-    if seed is None:
-        seed = 0
+    if cfg["seed"] is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            cfg["seed"] = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
 
+    step = cfg["step"]
     try:
-        op = make_operator(operator, n=n, alpha=alpha, gamma=gamma, dim=dim)
-        grid = _make_grid(box, step, dim)
+        op = make_operator(
+            operator, n=cfg["n"], alpha=cfg["alpha"], gamma=cfg["gamma"], dim=cfg["dim"]
+        )
+        grid = _make_grid(cfg["box"], step, cfg["dim"])
     except (OperatorError, GridSpecError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if margin is None:
-        margin = margin_rule(op, grid.box)
+
+    def snap(margin):
+        """Round a margin up to a whole number of grid bins."""
+        return math.ceil(margin / step - 1e-9) * step
+
+    rule = margin_rule(op, grid.box)
+    margin = rule if cfg["margin"] is None else cfg["margin"]
     if margin < 0:
         raise ConfigError("margin must be nonnegative")
-    # Snap the margin up to a whole number of grid bins.
-    margin = math.ceil(margin / step - 1e-9) * step
-
-    return RunConfig(
-        command=ns.command,
-        operator=operator,
-        n=n,
-        alpha=alpha,
-        gamma=gamma,
-        dim=dim,
-        family=family,
-        sigma2=sigma2,
-        c=c,
-        lam=lam,
-        ladder=ladder,
-        box=box,
-        step=step,
-        margin=margin,
-        ensemble=ensemble_size,
-        seed=int(seed),
-        threads=threads,
-        fmt=fmt,
-    )
+    cfg["margin"] = snap(margin)
+    if ns.command == "verify" and cfg["margin"] != snap(rule):
+        raise ConfigError(
+            f"verify draws with the {operator} margin rule, margin={fmt17(snap(rule))}; "
+            f"it cannot use margin={fmt17(cfg['margin'])}"
+        )
+    return RunConfig(**cfg)
 
 
 def _make_grid(box_text, step, dim):
@@ -332,12 +265,6 @@ def _exponent(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def _field_box(cfg, op, grid):
-    if cfg.margin == 0:
-        return grid.box
-    return grid.box.expand(cfg.margin, 0.0 if op.causal else cfg.margin)
-
-
 def _write_cfg(cfg, outdir):
     with open(os.path.join(outdir, "run.cfg"), "w") as fh:
         fh.write(cfg.to_kv())
@@ -356,7 +283,7 @@ def cmd_generate(cfg, outdir):
     f = _exponent(cfg)
     jump_law = poissonize(f, cfg.lam).jump_law
     field = sample_impulse_field(
-        op.dim, _field_box(cfg, op, grid), cfg.lam, jump_law, RngStream(cfg.seed, 0)
+        op.dim, sampling_box(op, grid.box, cfg.margin), cfg.lam, jump_law, RngStream(cfg.seed, 0)
     )
     real = synthesize_spline(field, op, grid)
     os.makedirs(outdir, exist_ok=True)

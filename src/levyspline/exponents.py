@@ -1,9 +1,9 @@
-"""Levy exponent catalog: evaluation, poissonization, growth bounds, jump laws.
+"""Levy exponent catalog: evaluation, poissonization, jump laws.
 
 A Levy exponent f is the log-characteristic function of an infinitely
 divisible law, f(xi) = log E[exp(i xi X)].  The catalog keeps exponents
-symbolic (family plus parameters) so that poissonization, triplet
-extraction, and analytic characteristic functionals stay exact.
+symbolic (family plus parameters) so that poissonization and analytic
+characteristic functionals stay exact.
 """
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
-# Growth-bound certification grid: log-spaced magnitudes plus negatives.
+# Contraction-check grid: log-spaced magnitudes plus negatives.
 BOUND_GRID_POINTS = 200
 BOUND_GRID_SPAN = (1e-3, 1e3)
 
 
 class ExponentError(Exception):
     """Invalid exponent construction or unsupported operation."""
-
-
-class InfeasibleBound(ExponentError):
-    """No (nu1, nu2) pair satisfies the requested power bound on the grid."""
 
 
 @dataclass(frozen=True)
@@ -151,27 +147,6 @@ class PoissonizedExponent:
         raise ExponentError(f"no jump law for base family {base.family!r}")
 
 
-@dataclass(frozen=True)
-class LevyTriplet:
-    """Drift, Gaussian variance, and a named Levy-measure descriptor."""
-
-    mu: float
-    sigma2: float
-    measure: str
-
-
-@dataclass(frozen=True)
-class ExponentBoundParams:
-    """Certified constants for |f(xi)| <= nu1 |xi|^p_min + nu2 |xi|^p_max."""
-
-    p_min: float
-    p_max: float
-    nu1: float
-    nu2: float
-    p: float
-    q: float
-
-
 def gaussian(sigma2):
     return LevyExponent("gaussian", sigma2=float(sigma2))
 
@@ -219,77 +194,12 @@ def poissonize(f, n):
     return PoissonizedExponent(base=f, lam=float(n), tau=1.0 / float(n))
 
 
-def triplet(f):
-    """Levy-Khintchine triplet of a catalog exponent.
-
-    All catalog families are symmetric, so the drift is zero; compound
-    Poisson families carry measure lam * P.
-    """
-    if isinstance(f, PoissonizedExponent):
-        jl = f.jump_law
-        return LevyTriplet(0.0, 0.0, f"poisson(lam={f.lam:g},jumps={jl.family})")
-    if f.family == "gaussian":
-        return LevyTriplet(0.0, f.sigma2, "zero")
-    if f.family == "laplace":
-        return LevyTriplet(0.0, 0.0, f"laplace(sigma2={f.sigma2:g})")
-    if f.family == "cauchy":
-        return LevyTriplet(0.0, 0.0, f"cauchy(c={f.c:g})")
-    return LevyTriplet(0.0, 0.0, f"poisson(lam={f.lam:g},jumps={f.jumps.family})")
-
-
 def default_xi_grid():
     """Symmetric log-spaced grid covering both signs of [1e-3, 1e3]."""
     mags = np.logspace(
         math.log10(BOUND_GRID_SPAN[0]), math.log10(BOUND_GRID_SPAN[1]), BOUND_GRID_POINTS
     )
     return np.concatenate([-mags[::-1], mags])
-
-
-def certify_bound(f, bounds, xi_grid=None, nu_cap=100.0):
-    """Find nu1, nu2 minimizing nu1 + nu2 with
-    |f(xi)| <= nu1 |xi|^p_min + nu2 |xi|^p_max on the grid.
-
-    The objective g(nu2) = nu2 + max_i ((|f| - nu2 b_i)/a_i)+ is convex and
-    piecewise linear, so a ternary search over nu2 in [0, nu_cap] finds the
-    optimum.  Raises InfeasibleBound when the optimum exceeds nu_cap, which
-    signals that (p_min, p_max) does not match the family's growth.
-    """
-    p_min, p_max = (float(bounds[0]), float(bounds[1]))
-    if not 0.0 < p_min <= 2.0 or not p_min <= p_max <= 2.0:
-        raise ExponentError("require 0 < p_min <= p_max <= 2")
-    xi = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    if xi.size == 0:
-        raise ExponentError("xi grid must be nonempty")
-    mag = np.abs(xi)
-    keep = mag > 0.0
-    a = mag[keep] ** p_min
-    b = mag[keep] ** p_max
-    cval = np.abs(evaluate(f, xi[keep]))
-
-    def nu1_needed(nu2):
-        return float(np.max(np.maximum((cval - nu2 * b) / a, 0.0)))
-
-    def objective(nu2):
-        return nu2 + nu1_needed(nu2)
-
-    lo, hi = 0.0, float(nu_cap)
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) <= objective(m2):
-            hi = m2
-        else:
-            lo = m1
-    nu2 = 0.5 * (lo + hi)
-    nu1 = nu1_needed(nu2)
-    total = nu1 + nu2
-    if total > nu_cap:
-        raise InfeasibleBound(
-            f"bound ({p_min:g},{p_max:g}) needs nu1+nu2 = {total:.3g} > cap {nu_cap:g}"
-        )
-    # Tiny floor keeps both constants strictly positive without moving the bound.
-    tiny = 1e-12
-    return ExponentBoundParams(p_min, p_max, max(nu1, tiny), max(nu2, tiny), p_min, p_max)
 
 
 def poissonization_contraction_check(f, n, xi_grid=None):

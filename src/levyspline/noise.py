@@ -11,7 +11,7 @@ blocks of a fixed size are reproducible draw for draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,27 +159,6 @@ def sample_impulse_field(dim, box, lam, jumps, rng):
     )
 
 
-def merge_margin(field, margin, jumps=None, two_sided=False):
-    """Resample the field on a box enlarged by `margin` per axis.
-
-    Causal operators only need the enlargement on the low side; pass
-    two_sided=True for decaying two-sided kernels.  margin=0 returns the
-    field unchanged.  The point-process law on the enlarged box is the
-    same homogeneous Poisson law, so a fresh draw on the bigger box is an
-    exact construction.
-    """
-    if margin < 0:
-        raise NoiseError("margin must be nonnegative")
-    if margin == 0:
-        return field
-    if jumps is None:
-        raise NoiseError("margin resampling needs the jump law")
-    bigger = field.box.expand(margin, margin if two_sided else 0.0)
-    return sample_impulse_field(
-        field.dim, bigger, field.rate, jumps, RngStream(field.seed, field.stream)
-    )
-
-
 def write_impulse_csv(field, path):
     """Write `# dim=.. box=.. lambda=.. seed=..` header plus x[,y],amplitude rows."""
     lines = [
@@ -214,15 +193,4 @@ def read_impulse_csv(path):
         amplitudes=data[:, dim],
         rate=float(meta["lambda"]),
         seed=int(meta["seed"]),
-    )
-
-
-def restrict_to_box(field, box):
-    """Drop impulses outside `box` (used when cropping margined fields)."""
-    keep = box.contains(field.locations) if field.count else np.zeros(0, dtype=bool)
-    return replace(
-        field,
-        box=box,
-        locations=field.locations[keep],
-        amplitudes=field.amplitudes[keep],
     )

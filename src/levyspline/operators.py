@@ -155,6 +155,14 @@ def margin_rule(op, box):
     return SPECTRAL_PAD_FRACTION * max(box.lengths)
 
 
+def sampling_box(op, box, margin):
+    """Box the impulses are drawn on: `box` widened by `margin` on the left,
+    and on the right too unless the operator is causal."""
+    if margin == 0:
+        return box
+    return box.expand(margin, 0.0 if op.causal else margin)
+
+
 def green(op, x):
     """Closed-form Green's function, Heaviside convention u(0) = 1."""
     if op.inversion != "closed_form":

@@ -21,7 +21,7 @@ from scipy import stats
 from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
 from .noise import RngStream, sample_impulse_block
-from .operators import apply_adjoint, apply_T, format_operator_config, margin_rule
+from .operators import apply_adjoint, apply_T, format_operator_config, margin_rule, sampling_box
 from .synthesis import _axis_kernels, _impulse_terms, _pinned_window_mask, synthesize_spline
 
 # Minimum ensemble size for a trustworthy empirical functional.
@@ -229,9 +229,7 @@ def _extended_embedding(op, grid):
     if need == 0.0:
         return grid, tuple(slice(0, n) for n in grid.shape), [0] * grid.dim
     pad = int(math.ceil(need / h - 1e-9))
-    right = pad if not op.causal else 0
-    box = grid.box.expand(pad * h, right * h)
-    ext = Grid(box, h)
+    ext = Grid(sampling_box(op, grid.box, pad * h), h)
     slices = tuple(slice(pad, pad + n) for n in grid.shape)
     return ext, slices, [pad] * grid.dim
 
@@ -370,8 +368,7 @@ def _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
     stream_offset + i), so rungs with disjoint member ranges never share
     a stream.
     """
-    margin = margin_rule(op, grid.box)
-    box = grid.box.expand(margin, 0.0 if op.causal else margin)
+    box = sampling_box(op, grid.box, margin_rule(op, grid.box))
     jumps = poissonize(f, lam).jump_law
     size = _block_members(grid, lam, box)
     for start in range(0, count, size):
@@ -551,18 +548,3 @@ def marginal_gof(realizations, t, target, reference_draws=10**6, reference_seed=
         ref = compound_marginal_reference(target.lam, target.jumps, t, reference_draws, reference_seed)
         return float(stats.ks_2samp(vals, ref, mode="asymp").pvalue)
     raise VerifyError(f"no marginal law available for family {target.family!r}")
-
-
-def psd_spot_check(f, op, grid, phis):
-    """Smallest eigenvalue of the Gram-like matrix [cf(phi_j - phi_k)].
-
-    The analytic functional of a valid exponent is positive definite, so
-    the matrix must be PSD up to numerical tolerance.
-    """
-    k = len(phis)
-    mat = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            mat[i, j] = analytic_cf(f, op, phis[i] - phis[j], grid)
-    mat = 0.5 * (mat + mat.conj().T)
-    return float(np.linalg.eigvalsh(mat).min())

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from levyspline.cli import RunConfig, main, parse_config_file, write_pgm
+from levyspline.cli import RunConfig, _build_parser, _resolve, main, parse_config_file, write_pgm
 from levyspline.noise import read_impulse_csv
 from levyspline.synthesis import read_realization_binary, read_realization_csv
 
@@ -198,7 +198,7 @@ def test_selftest_subcommand(tmp_path):
     assert "left-inverse[frac_laplacian]" in text
 
 
-def test_usage_and_config_errors(tmp_path):
+def test_usage_and_config_errors(tmp_path, capsys):
     assert run("generate", "--operator", "Q", "--outdir", str(tmp_path)) == 2
     assert run("generate", "--dim", "2", "--operator", "D", "--outdir", str(tmp_path)) == 2
     assert run("generate", "--box", "10", "--outdir", str(tmp_path)) == 2
@@ -210,6 +210,17 @@ def test_usage_and_config_errors(tmp_path):
     cfg.write_text("operator\n")
     assert run("generate", "--config", str(cfg), "--outdir", str(tmp_path)) == 2
     assert run("generate", "--config", str(tmp_path / "missing.cfg")) == 2
+    # config-file values are checked like the matching flags
+    capsys.readouterr()
+    cfg.write_text("seed=abc\n")
+    assert run("generate", "--config", str(cfg), "--outdir", str(tmp_path)) == 2
+    assert "config error: " in capsys.readouterr().err
+    cfg.write_text("dim=3\nbox=0:1\nstep=0.1\n")
+    out = tmp_path / "dim3"
+    assert run("generate", "--config", str(cfg), "--operator", "frac_laplacian",
+               "--outdir", str(out)) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_error_exit_3(tmp_path):
@@ -223,7 +234,27 @@ def test_help_exits_zero():
     assert run("generate", "--help") == 0
 
 
-def test_run_config_kv_is_lossless():
+def test_verify_refuses_a_margin_it_would_ignore(tmp_path, capsys):
+    # verify draws with the operator's margin rule (2.5 for this window)
+    args = (
+        "verify", "--operator", "frac_laplacian", "--gamma", "1.5", "--exponent", "gaussian",
+        "--ladder", "1,4,16", "--ensemble", "100", "--box", "0:10", "--step", "0.05",
+        "--seed", "3",
+    )
+    assert run(*args, "--margin", "5", "--outdir", str(tmp_path / "m")) == 2
+    assert "margin" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    first, again = tmp_path / "a", tmp_path / "b"
+    code = run(*args, "--margin", "2.5", "--outdir", str(first))
+    assert code in (0, 1)
+    assert "margin=2.5\n" in (first / "run.cfg").read_text()
+    # replaying the recorded config reproduces the study
+    assert run("verify", "--config", str(first / "run.cfg"), "--outdir", str(again)) == code
+    for name in ("cfreport.csv", "summary.txt", "run.cfg"):
+        assert filecmp.cmp(first / name, again / name, shallow=False)
+
+
+def test_run_config_kv_is_lossless(tmp_path):
     cfg = RunConfig(
         command="generate", operator="DaI", n=1, alpha=0.1, gamma=1.5, dim=1,
         family="cauchy", sigma2=1.0, c=2.0, lam=3.5, ladder=(1.0, 4.0), box="0:10",
@@ -235,6 +266,16 @@ def test_run_config_kv_is_lossless():
     assert pairs["lambda"] == "3.5"
     assert pairs["ladder"] == "1,4"
     assert pairs["margin"] == "138.16"
+    # every key survives to_kv and --config, also when each is away from its default
+    away = RunConfig(
+        command="generate", operator="DaIxDaIy", n=2, alpha=0.3, gamma=0.7, dim=2,
+        family="laplace", sigma2=2.5, c=0.5, lam=5.25, ladder=(2.0, 8.0, 32.0), box="-1:3",
+        step=0.05, margin=50.0, ensemble=300, seed=7, threads=2, fmt="bin",
+    )
+    for want in (cfg, away):
+        path = tmp_path / "run.cfg"
+        path.write_text(want.to_kv())
+        assert _resolve(_build_parser().parse_args([want.command, "--config", str(path)])) == want
 
 
 def test_write_pgm_constant_field(tmp_path):

@@ -1,4 +1,4 @@
-"""Exponent catalog, poissonization, and certified growth bounds."""
+"""Exponent catalog, poissonization, and jump laws."""
 
 import math
 
@@ -8,10 +8,8 @@ from scipy import stats
 
 from levyspline.exponents import (
     ExponentError,
-    InfeasibleBound,
     JumpLaw,
     cauchy,
-    certify_bound,
     compound_poisson,
     default_xi_grid,
     evaluate,
@@ -21,7 +19,6 @@ from levyspline.exponents import (
     laplace,
     poissonization_contraction_check,
     poissonize,
-    triplet,
 )
 
 
@@ -143,42 +140,6 @@ def test_poissonization_error_decays_like_one_over_n():
         errs.append(np.abs(evaluate(poissonize(f, n), xi) - evaluate(f, xi)).max())
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert -1.1 < slope < -0.9
-
-
-def test_certify_bound_gaussian():
-    b = certify_bound(gaussian(2.0), (2.0, 2.0))
-    assert b.nu1 + b.nu2 == pytest.approx(1.0, rel=1e-6)
-    assert b.p == 2.0 and b.q == 2.0
-    xi = default_xi_grid()
-    lhs = np.abs(evaluate(gaussian(2.0), xi))
-    rhs = b.nu1 * np.abs(xi) ** b.p_min + b.nu2 * np.abs(xi) ** b.p_max
-    assert np.all(rhs >= lhs - 1e-9)
-
-
-def test_certify_bound_cauchy():
-    b = certify_bound(cauchy(1.0), (1.0, 1.0))
-    assert b.nu1 + b.nu2 == pytest.approx(1.0, rel=1e-6)
-    b = certify_bound(cauchy(1.0), (1.0, 2.0))
-    assert b.nu1 == pytest.approx(1.0, rel=1e-6)
-
-
-def test_certify_bound_infeasible():
-    # |xi| growth cannot ride under nu |xi|^2 near the origin within the cap
-    with pytest.raises(InfeasibleBound):
-        certify_bound(cauchy(2.0), (2.0, 2.0))
-
-
-def test_triplet():
-    t = triplet(gaussian(3.0))
-    assert (t.mu, t.sigma2) == (0.0, 3.0)
-    assert t.measure == "zero"
-    t = triplet(cauchy(1.0))
-    assert t.sigma2 == 0.0
-    assert "cauchy" in t.measure
-    t = triplet(poissonize(gaussian(1.0), 2.0))
-    assert t.mu == 0.0
-    assert t.sigma2 == 0.0
-    assert "poisson" in t.measure or "jump" in t.measure
 
 
 def test_kv_round_trip():

@@ -1,4 +1,4 @@
-"""Seeded impulse-field sampling, margins, and CSV persistence."""
+"""Seeded impulse-field sampling and CSV persistence."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,7 @@ from levyspline.noise import (
     ImpulseField,
     NoiseError,
     RngStream,
-    merge_margin,
     read_impulse_csv,
-    restrict_to_box,
     sample_impulse_block,
     sample_impulse_field,
     write_impulse_csv,
@@ -141,48 +139,6 @@ def test_field_containment_validated():
             rate=1.0,
             seed=0,
         )
-
-
-def test_merge_margin_zero_is_identity():
-    box = Box.cube(0.0, 10.0, 1)
-    field = sample_impulse_field(1, box, 3.0, GAUSS, RngStream(3))
-    merged = merge_margin(field, 0.0)
-    assert merged is field
-
-
-def test_merge_margin_expands_box_deterministically():
-    box = Box.cube(0.0, 10.0, 1)
-    field = sample_impulse_field(1, box, 3.0, GAUSS, RngStream(3))
-    merged = merge_margin(field, 5.0, jumps=GAUSS)
-    assert merged.box.lo[0] == pytest.approx(-5.0)
-    assert merged.box.hi[0] == pytest.approx(10.0)
-    again = merge_margin(field, 5.0, jumps=GAUSS)
-    np.testing.assert_array_equal(merged.locations, again.locations)
-    np.testing.assert_array_equal(merged.amplitudes, again.amplitudes)
-    two = merge_margin(field, 5.0, jumps=GAUSS, two_sided=True)
-    assert two.box.hi[0] == pytest.approx(15.0)
-    assert merged.rate == field.rate and merged.seed == field.seed
-
-
-def test_merge_margin_count_scales_with_volume():
-    box = Box.cube(0.0, 10.0, 1)
-    counts = []
-    for i in range(2000):
-        field = sample_impulse_field(1, box, 3.0, GAUSS, RngStream(12, i))
-        counts.append(merge_margin(field, 10.0, jumps=GAUSS).count)
-    mean = np.mean(counts)  # rate 3 on [-10, 10]: expected 60
-    assert abs(mean - 60.0) < 4.0 * np.sqrt(60.0 / len(counts))
-
-
-def test_restrict_to_box():
-    box = Box.cube(-5.0, 10.0, 1)
-    field = sample_impulse_field(1, box, 2.0, GAUSS, RngStream(8))
-    inner = Box.cube(0.0, 10.0, 1)
-    sub = restrict_to_box(field, inner)
-    assert np.all(sub.locations >= 0.0)
-    keep = field.locations[:, 0] >= 0.0
-    assert sub.count == int(keep.sum())
-    np.testing.assert_array_equal(sub.amplitudes, field.amplitudes[keep])
 
 
 def test_impulse_csv_round_trip(tmp_path):

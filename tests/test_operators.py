@@ -18,6 +18,7 @@ from levyspline.operators import (
     make_operator,
     margin_rule,
     parse_operator_config,
+    sampling_box,
     spectral_divide,
     spectral_multiply,
 )
@@ -101,6 +102,13 @@ def test_margin_rule():
     assert got == pytest.approx(math.log(1e6) / 0.1)
     got = margin_rule(make_operator("frac_laplacian", gamma=1.5, dim=1), box)
     assert got == pytest.approx(2.5)
+    # the margin widens the left side, and the right side only for the
+    # non-causal spectral operator
+    box = Box.cube(0.0, 10.0, 2)
+    assert sampling_box(make_operator("DxDy"), box, 0.0) is box
+    assert sampling_box(make_operator("DaIxDaIy", alpha=0.1), box, 2.0) == Box.cube(-2.0, 10.0, 2)
+    spectral = make_operator("frac_laplacian", gamma=1.5, dim=2)
+    assert sampling_box(spectral, box, 2.0) == Box.cube(-2.0, 12.0, 2)
 
 
 def test_green_functions():

@@ -11,7 +11,6 @@ from .exponents import (
     LevyExponent,
     PoissonizedExponent,
     cauchy,
-    compound_poisson,
     evaluate,
     gaussian,
     laplace,
@@ -68,7 +67,6 @@ __all__ = [
     "build_cf_bank",
     "build_identity_bank",
     "cauchy",
-    "compound_poisson",
     "convergence_study",
     "empirical_cf",
     "ensemble",

@@ -27,6 +27,7 @@ from .exponents import (
     cauchy,
     exponent_from_kv,
     gaussian,
+    laplace,
     poissonization_contraction_check,
     poissonize,
 )
@@ -105,7 +106,6 @@ _KEYS = (
     _Key("margin", float, None, "sampling margin per side (default: the operator's rule)"),
     _Key("ensemble", int, 1000, "ensemble size M"),
     _Key("seed", int, None, f"root seed (fallback: ${SEED_ENV_VAR}, then 0)"),
-    _Key("threads", int, 1, "worker cap (recorded in run.cfg, no effect yet)"),
     _Key("format", str, "csv", "realization format", attr="fmt", choices=("csv", "bin")),
 )
 _BY_NAME = {name: row for row in _KEYS for name in (row.key, row.flag[2:])}
@@ -235,9 +235,9 @@ def _resolve(ns):
     if margin < 0:
         raise ConfigError("margin must be nonnegative")
     cfg["margin"] = snap(margin)
-    if ns.command == "verify" and cfg["margin"] != snap(rule):
+    if ns.command in ("verify", "reference") and cfg["margin"] != snap(rule):
         raise ConfigError(
-            f"verify draws with the {operator} margin rule, margin={fmt17(snap(rule))}; "
+            f"{ns.command} uses the {operator} margin rule, margin={fmt17(snap(rule))}; "
             f"it cannot use margin={fmt17(cfg['margin'])}"
         )
     return RunConfig(**cfg)
@@ -406,7 +406,7 @@ def cmd_selftest(cfg, outdir):
     grid = _make_grid("0:10", 0.01, 1)
     op = make_operator("D")
     bank = build_cf_bank(grid, op)
-    for f, label in ((gaussian(1.0), "gaussian"), (cauchy(1.0), "cauchy")):
+    for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
 
         def make(stream, f=f):
             return reference_levy_path(f, op, grid, stream)
@@ -421,7 +421,7 @@ def cmd_selftest(cfg, outdir):
             tol = 4.0 * max(est.se, 1e-6)
             ok = ok and err <= tol
             detail.append(f"{name}:err={err:.3g},tol={tol:.3g}")
-        results.append((f"reference-vs-analytic[{label}]", ok, " ".join(detail)))
+        results.append((f"reference-vs-analytic[{f.family}]", ok, " ".join(detail)))
 
     fine = _make_grid("0:10", 0.001, 1)
     bank1 = build_identity_bank(fine)
@@ -435,9 +435,9 @@ def cmd_selftest(cfg, outdir):
     worst = max(left_inverse_residual(opf, phi, fine.step) for phi in zm.phis)
     results.append(("left-inverse[frac_laplacian]", worst < 1e-8, f"max_residual={worst:.3g}"))
 
-    for f, label in ((gaussian(1.0), "gaussian"), (cauchy(2.0), "cauchy")):
+    for f in (gaussian(1.0), cauchy(2.0)):
         ok = all(poissonization_contraction_check(f, n) for n in (1, 10, 100))
-        results.append((f"poissonization-contraction[{label}]", ok, "n in {1,10,100}"))
+        results.append((f"poissonization-contraction[{f.family}]", ok, "n in {1,10,100}"))
 
     lines = []
     all_ok = True

@@ -3,7 +3,10 @@
 A Levy exponent f is the log-characteristic function of an infinitely
 divisible law, f(xi) = log E[exp(i xi X)].  The catalog keeps exponents
 symbolic (family plus parameters) so that poissonization and analytic
-characteristic functionals stay exact.
+characteristic functionals stay exact.  Each family is one _FAMILIES row:
+its parameter, its exponent and an exact draw from its law at time t,
+which serves both the rate-n jumps (t = 1/n) and the reference path
+increments (t = grid step).
 """
 
 from __future__ import annotations
@@ -25,89 +28,76 @@ class ExponentError(Exception):
 
 
 @dataclass(frozen=True)
-class JumpLaw:
-    """Amplitude law for impulsive noise, with sampler and characteristic function.
+class _Family:
+    """One noise family: the LevyExponent field holding its parameter, its
+    exponent f(xi) and an exact draw from its law at time t, whose
+    characteristic function is exp(t f(xi))."""
 
-    family is one of 'gaussian' (param = variance), 'laplace' (param = scale b),
-    'cauchy' (param = scale).  All catalog laws are symmetric about zero.
-    """
+    param: str
+    exponent: object  # (f, xi) -> real array
+    draw: object  # (gen, f, t, size) -> array of `size` draws
 
-    family: str
-    param: float
 
-    def __post_init__(self):
-        if self.family not in ("gaussian", "laplace", "cauchy"):
-            raise ExponentError(f"unknown jump law family {self.family!r}")
-        if not self.param > 0.0:
-            raise ExponentError("jump law parameter must be positive")
+def _gaussian_draw(gen, f, t, size):
+    """N(0, sigma2 t) by the Box-Muller transform from uniforms."""
+    u1 = gen.random(size)
+    u2 = gen.random(size)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    return math.sqrt(f.sigma2 * t) * radius * np.cos(2.0 * math.pi * u2)
 
-    def cf(self, xi):
-        """Characteristic function P_hat(xi), vectorized over xi."""
-        xi = np.asarray(xi, dtype=float)
-        if self.family == "gaussian":
-            out = np.exp(-0.5 * self.param * xi**2)
-        elif self.family == "laplace":
-            out = 1.0 / (1.0 + (self.param * xi) ** 2)
-        else:
-            out = np.exp(-self.param * np.abs(xi))
-        return out
 
-    def sample(self, gen, size):
-        """Draw `size` i.i.d. amplitudes from a numpy Generator.
+def _laplace_draw(gen, f, t, size):
+    """Symmetric variance-gamma: Gamma(t, sigma/sqrt(2)) - Gamma(t, sigma/sqrt(2))."""
+    theta = math.sqrt(f.sigma2 / 2.0)
+    return gen.gamma(t, theta, size) - gen.gamma(t, theta, size)
 
-        Gaussian uses the Box-Muller transform, Laplace the difference of
-        two exponentials, Cauchy the tangent inversion; all are built from
-        uniforms so the draw sequence is pinned by the generator state.
-        """
-        size = int(size)
-        if self.family == "gaussian":
-            u1 = gen.random(size)
-            u2 = gen.random(size)
-            radius = np.sqrt(-2.0 * np.log1p(-u1))
-            return math.sqrt(self.param) * radius * np.cos(2.0 * math.pi * u2)
-        if self.family == "laplace":
-            e1 = -np.log1p(-gen.random(size))
-            e2 = -np.log1p(-gen.random(size))
-            return self.param * (e1 - e2)
-        u = gen.random(size)
-        return self.param * np.tan(math.pi * (u - 0.5))
 
-    @property
-    def variance(self):
-        """Second moment; infinite for the Cauchy family."""
-        if self.family == "gaussian":
-            return self.param
-        if self.family == "laplace":
-            return 2.0 * self.param**2
-        return math.inf
+def _cauchy_draw(gen, f, t, size):
+    """Cauchy(c t) by tangent inversion of a uniform."""
+    return (f.c * t) * np.tan(math.pi * (gen.random(size) - 0.5))
+
+
+_FAMILIES = {
+    "gaussian": _Family("sigma2", lambda f, x: -0.5 * f.sigma2 * x**2, _gaussian_draw),
+    "laplace": _Family("sigma2", lambda f, x: -np.log1p(0.5 * f.sigma2 * x**2), _laplace_draw),
+    "cauchy": _Family("c", lambda f, x: -f.c * np.abs(x), _cauchy_draw),
+}
 
 
 @dataclass(frozen=True)
 class LevyExponent:
-    """Symbolic exponent: one of the gaussian / laplace / cauchy / compound
-    Poisson families.  Evaluation is exact per family formula."""
+    """Symbolic exponent of one _FAMILIES row; evaluation is exact."""
 
     family: str
     sigma2: float | None = None
     c: float | None = None
-    lam: float | None = None
-    jumps: JumpLaw | None = None
 
     def __post_init__(self):
-        fam = self.family
-        if fam in ("gaussian", "laplace"):
-            if self.sigma2 is None or not self.sigma2 > 0.0:
-                raise ExponentError(f"{fam} exponent needs sigma2 > 0")
-        elif fam == "cauchy":
-            if self.c is None or not self.c > 0.0:
-                raise ExponentError("cauchy exponent needs c > 0")
-        elif fam == "compound_poisson":
-            if self.lam is None or not self.lam > 0.0:
-                raise ExponentError("compound_poisson exponent needs lam > 0")
-            if not isinstance(self.jumps, JumpLaw):
-                raise ExponentError("compound_poisson exponent needs a JumpLaw")
-        else:
-            raise ExponentError(f"unknown exponent family {fam!r}")
+        row = _FAMILIES.get(self.family)
+        if row is None:
+            raise ExponentError(f"unknown exponent family {self.family!r}")
+        value = getattr(self, row.param)
+        if value is None or not value > 0.0:
+            raise ExponentError(f"{self.family} exponent needs {row.param} > 0")
+
+
+@dataclass(frozen=True)
+class JumpLaw:
+    """Law of the base Levy process at time t: characteristic function
+    exp(t f(xi)).  All catalog laws are symmetric about zero."""
+
+    base: LevyExponent
+    t: float
+
+    def __post_init__(self):
+        if not isinstance(self.base, LevyExponent):
+            raise ExponentError("jump law needs a catalog exponent")
+        if not self.t > 0.0:
+            raise ExponentError("jump law time t must be positive")
+
+    def sample(self, gen, size):
+        """Draw `size` i.i.d. values from a numpy Generator, exactly in law."""
+        return _FAMILIES[self.base.family].draw(gen, self.base, self.t, int(size))
 
 
 @dataclass(frozen=True)
@@ -130,21 +120,9 @@ class PoissonizedExponent:
 
     @property
     def jump_law(self):
-        """Jump law whose compound-Poisson exponent matches the catalog row.
-
-        Gaussian and Cauchy matches are exact in law.  For the Laplace base
-        the catalog pairs rate lam with Laplace jumps of matching variance
-        (scale sigma / sqrt(2 lam tau)); that surrogate keeps every second
-        moment identity exact.
-        """
-        base = self.base
-        if base.family == "gaussian":
-            return JumpLaw("gaussian", base.sigma2 * self.tau)
-        if base.family == "laplace":
-            return JumpLaw("laplace", math.sqrt(base.sigma2 * self.tau / 2.0))
-        if base.family == "cauchy":
-            return JumpLaw("cauchy", base.c * self.tau)
-        raise ExponentError(f"no jump law for base family {base.family!r}")
+        """The base law at time tau, whose characteristic function exp(tau f)
+        makes the compound-Poisson exponent exactly lam (exp(tau f) - 1)."""
+        return JumpLaw(self.base, self.tau)
 
 
 def gaussian(sigma2):
@@ -159,25 +137,14 @@ def cauchy(c):
     return LevyExponent("cauchy", c=float(c))
 
 
-def compound_poisson(lam, jumps):
-    return LevyExponent("compound_poisson", lam=float(lam), jumps=jumps)
-
-
 def evaluate(f, xi):
     """Evaluate an exponent at xi (scalar or array), returning complex values."""
     scalar = np.isscalar(xi) or np.ndim(xi) == 0
     x = np.asarray(xi, dtype=float)
     if isinstance(f, PoissonizedExponent):
-        base = evaluate(f.base, x)
-        out = f.lam * np.expm1(f.tau * base)
-    elif f.family == "gaussian":
-        out = (-0.5 * f.sigma2 * x**2).astype(complex)
-    elif f.family == "laplace":
-        out = (-np.log1p(0.5 * f.sigma2 * x**2)).astype(complex)
-    elif f.family == "cauchy":
-        out = (-f.c * np.abs(x)).astype(complex)
+        out = f.lam * np.expm1(f.tau * evaluate(f.base, x))
     else:
-        out = f.lam * (f.jumps.cf(x).astype(complex) - 1.0)
+        out = _FAMILIES[f.family].exponent(f, x).astype(complex)
     return complex(out) if scalar else out
 
 
@@ -189,7 +156,7 @@ def poissonize(f, n):
     """
     if not np.isreal(n) or not n > 0:
         raise ExponentError("poissonization rate n must be a positive real")
-    if isinstance(f, PoissonizedExponent) or f.family == "compound_poisson":
+    if isinstance(f, PoissonizedExponent):
         raise ExponentError("exponent is already of compound-Poisson type")
     return PoissonizedExponent(base=f, lam=float(n), tau=1.0 / float(n))
 
@@ -217,11 +184,8 @@ def exponent_to_kv(f):
     if isinstance(f, PoissonizedExponent):
         base = exponent_to_kv(f.base)
         return f"{base} poissonized_lam={f.lam:.17g} poissonized_tau={f.tau:.17g}"
-    if f.family in ("gaussian", "laplace"):
-        return f"family={f.family} sigma2={f.sigma2:.17g}"
-    if f.family == "cauchy":
-        return f"family=cauchy c={f.c:.17g}"
-    return f"family=compound_poisson lam={f.lam:.17g} jumps={f.jumps.family}"
+    param = _FAMILIES[f.family].param
+    return f"family={f.family} {param}={getattr(f, param):.17g}"
 
 
 def exponent_from_kv(source):
@@ -231,8 +195,7 @@ def exponent_from_kv(source):
     else:
         pairs = dict(source)
     fam = pairs.get("family")
-    if fam in ("gaussian", "laplace"):
-        return LevyExponent(fam, sigma2=float(pairs["sigma2"]))
-    if fam == "cauchy":
-        return cauchy(float(pairs["c"]))
-    raise ExponentError(f"cannot parse exponent family {fam!r}")
+    row = _FAMILIES.get(fam)
+    if row is None:
+        raise ExponentError(f"cannot parse exponent family {fam!r}")
+    return LevyExponent(fam, **{row.param: float(pairs[row.param])})

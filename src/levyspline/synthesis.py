@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .exponents import JumpLaw
 from .grid import Box, Grid, fmt17
 from .noise import RngStream
 from .operators import (
@@ -239,27 +240,16 @@ def _synth_spectral(field, op, grid):
 def reference_levy_path(f, op, grid, rng):
     """Exact-in-law path of the limit process for the first derivative.
 
-    Increments over one step h have characteristic function exp(h f(xi)):
-    Gaussian variance sigma2 h, Cauchy scale c h, Laplace via the
-    difference of two Gamma(h, sigma/sqrt(2)) variates.
+    The increments over one step h are i.i.d. draws from the base law at
+    time h, JumpLaw(f, h), whose characteristic function is exp(h f(xi)).
     """
     if op.family != "D" or op.n != 1 or grid.dim != 1:
         raise UnsupportedReference(
             "exact references exist only for the first-derivative operator"
         )
-    family = getattr(f, "family", None)
-    if family not in ("gaussian", "laplace", "cauchy"):
-        raise UnsupportedReference(f"no exact reference sampler for {family!r}")
-    gen = rng.generator()
     (n,) = grid.shape
     h = grid.step
-    if family == "gaussian":
-        inc = gen.normal(0.0, math.sqrt(f.sigma2 * h), n - 1)
-    elif family == "laplace":
-        theta = math.sqrt(f.sigma2 / 2.0)
-        inc = gen.gamma(h, theta, n - 1) - gen.gamma(h, theta, n - 1)
-    else:
-        inc = gen.standard_cauchy(n - 1) * (f.c * h)
+    inc = JumpLaw(f, h).sample(rng.generator(), n - 1)
     samples = np.concatenate([[0.0], np.cumsum(inc)])
     return GridRealization(
         dim=1,
@@ -267,7 +257,7 @@ def reference_levy_path(f, op, grid, rng):
         step=h,
         samples=samples,
         operator=op,
-        provenance=f"reference({family})",
+        provenance=f"reference({f.family})",
         seed=rng.seed,
     )
 

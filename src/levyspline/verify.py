@@ -544,7 +544,4 @@ def marginal_gof(realizations, t, target, reference_draws=10**6, reference_seed=
         )
     if target.family == "cauchy":
         return float(stats.kstest(vals, "cauchy", args=(0.0, target.c * t), mode="asymp").pvalue)
-    if target.family == "compound_poisson":
-        ref = compound_marginal_reference(target.lam, target.jumps, t, reference_draws, reference_seed)
-        return float(stats.ks_2samp(vals, ref, mode="asymp").pvalue)
     raise VerifyError(f"no marginal law available for family {target.family!r}")

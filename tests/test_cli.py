@@ -136,6 +136,18 @@ def test_verify_second_derivative_pass(tmp_path):
     assert "verdict=PASS" in (out / "summary.txt").read_text()
 
 
+def test_verify_laplace_pass(tmp_path):
+    # rate-n jumps are the base law at time 1/n (symmetric variance-gamma),
+    # so the study converges to the Laplace limit, not the Gaussian one
+    out = tmp_path / "vl"
+    code = run(
+        "verify", "--operator", "D", "--exponent", "laplace", "--sigma2", "1",
+        "--ladder", "1,4,16,64", "--ensemble", "20000", "--seed", "1", "--outdir", str(out),
+    )
+    assert "verdict=PASS" in (out / "summary.txt").read_text()
+    assert code == 0
+
+
 def test_verify_noise_floor_exit_code(tmp_path, capsys):
     out = tmp_path / "nf"
     code = run(
@@ -195,6 +207,7 @@ def test_selftest_subcommand(tmp_path):
     text = (out / "selftest.txt").read_text()
     assert "FAIL" not in text
     assert "reference-vs-analytic[gaussian]" in text
+    assert "reference-vs-analytic[laplace]" in text
     assert "left-inverse[frac_laplacian]" in text
 
 
@@ -252,13 +265,19 @@ def test_verify_refuses_a_margin_it_would_ignore(tmp_path, capsys):
     assert run("verify", "--config", str(first / "run.cfg"), "--outdir", str(again)) == code
     for name in ("cfreport.csv", "summary.txt", "run.cfg"):
         assert filecmp.cmp(first / name, again / name, shallow=False)
+    # reference draws no impulses, so it refuses any margin but the rule's 0
+    ref = tmp_path / "r"
+    capsys.readouterr()
+    assert run("reference", "--margin", "50", "--seed", "1", "--outdir", str(ref)) == 2
+    assert "config error: reference " in capsys.readouterr().err
+    assert not ref.exists()
 
 
 def test_run_config_kv_is_lossless(tmp_path):
     cfg = RunConfig(
         command="generate", operator="DaI", n=1, alpha=0.1, gamma=1.5, dim=1,
         family="cauchy", sigma2=1.0, c=2.0, lam=3.5, ladder=(1.0, 4.0), box="0:10",
-        step=0.01, margin=138.16, ensemble=1000, seed=42, threads=1, fmt="csv",
+        step=0.01, margin=138.16, ensemble=1000, seed=42, fmt="csv",
     )
     text = cfg.to_kv()
     assert text.endswith("\n")
@@ -270,7 +289,7 @@ def test_run_config_kv_is_lossless(tmp_path):
     away = RunConfig(
         command="generate", operator="DaIxDaIy", n=2, alpha=0.3, gamma=0.7, dim=2,
         family="laplace", sigma2=2.5, c=0.5, lam=5.25, ladder=(2.0, 8.0, 32.0), box="-1:3",
-        step=0.05, margin=50.0, ensemble=300, seed=7, threads=2, fmt="bin",
+        step=0.05, margin=50.0, ensemble=300, seed=7, fmt="bin",
     )
     for want in (cfg, away):
         path = tmp_path / "run.cfg"

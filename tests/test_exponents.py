@@ -9,8 +9,9 @@ from scipy import stats
 from levyspline.exponents import (
     ExponentError,
     JumpLaw,
+    LevyExponent,
+    PoissonizedExponent,
     cauchy,
-    compound_poisson,
     default_xi_grid,
     evaluate,
     exponent_from_kv,
@@ -26,7 +27,7 @@ def test_evaluate_frozen_values():
     assert evaluate(gaussian(2.0), 1.5) == pytest.approx(-2.25)
     assert evaluate(laplace(2.0), 1.5) == pytest.approx(-1.1786549963416462)
     assert evaluate(cauchy(1.3), -2.0) == pytest.approx(-2.6)
-    cp = compound_poisson(2.0, JumpLaw("gaussian", 0.25))
+    cp = PoissonizedExponent(gaussian(0.25), 2.0, 1.0)
     assert evaluate(cp, 1.0) == pytest.approx(-0.2350061948308093)
     fn = poissonize(gaussian(1.0), 4.0)
     assert evaluate(fn, 1.0) == pytest.approx(-0.4700123896616184)
@@ -53,25 +54,22 @@ def test_family_validation():
     with pytest.raises(ExponentError):
         cauchy(-0.5)
     with pytest.raises(ExponentError):
-        compound_poisson(-2.0, JumpLaw("gaussian", 1.0))
+        PoissonizedExponent(gaussian(1.0), -2.0, 1.0)
     with pytest.raises(ExponentError):
-        JumpLaw("triangular", 1.0)
+        LevyExponent("triangular", sigma2=1.0)
+    with pytest.raises(ExponentError):
+        JumpLaw(gaussian(1.0), 0.0)
+    with pytest.raises(ExponentError):
+        JumpLaw(poissonize(gaussian(1.0), 2.0), 1.0)
 
 
 def test_poissonize_rate_and_jump_laws():
-    fn = poissonize(gaussian(2.0), 4.0)
-    assert fn.lam == 4.0
-    assert fn.tau == pytest.approx(0.25)
-    assert fn.jump_law.family == "gaussian"
-    assert fn.jump_law.param == pytest.approx(0.5)  # variance sigma2 * tau
-
-    fl = poissonize(laplace(2.0), 4.0)
-    assert fl.jump_law.family == "laplace"
-    assert fl.jump_law.param == pytest.approx(0.5)  # scale sqrt(sigma2 tau / 2)
-
-    fc = poissonize(cauchy(1.3), 2.0)
-    assert fc.jump_law.family == "cauchy"
-    assert fc.jump_law.param == pytest.approx(0.65)  # scale c * tau
+    # the rate-n jumps are the base law at time 1/n, for every family
+    for f in (gaussian(2.0), laplace(2.0), cauchy(1.3)):
+        fn = poissonize(f, 4.0)
+        assert fn.lam == 4.0
+        assert fn.tau == pytest.approx(0.25)
+        assert fn.jump_law == JumpLaw(f, fn.tau)
 
 
 def test_poissonize_rejects_bad_inputs():
@@ -79,39 +77,40 @@ def test_poissonize_rejects_bad_inputs():
         poissonize(gaussian(1.0), 0.0)
     with pytest.raises(ExponentError):
         poissonize(gaussian(1.0), -3.0)
-    cp = compound_poisson(1.0, JumpLaw("gaussian", 1.0))
+    cp = PoissonizedExponent(gaussian(1.0), 1.0, 1.0)
     with pytest.raises(ExponentError):
         poissonize(cp, 2.0)
 
 
 def test_poissonized_evaluate_matches_compound_formula():
-    # lam (P_hat(xi) - 1) with P the jump law of the poissonization
+    # lam (P_hat(xi) - 1) with P_hat = exp(tau f) the jump law's CF
     f = poissonize(gaussian(1.5), 5.0)
     xi = np.linspace(-4.0, 4.0, 17)
-    direct = 5.0 * (f.jump_law.cf(xi) - 1.0)
+    direct = 5.0 * (np.exp(0.2 * -0.75 * xi**2) - 1.0)
     np.testing.assert_allclose(evaluate(f, xi), direct, atol=1e-14)
 
 
 def test_jump_law_cf_matches_samples():
-    # empirical CF within 4 / sqrt(M) of the closed form at 20 frequencies
+    # JumpLaw(f, t) is the base law at time t: its sampled CF is exp(t f),
+    # within 4 / sqrt(M) at 20 frequencies, for every family
     m = 10**5
     xi = np.linspace(-3.0, 3.0, 20)
     tol = 4.0 / math.sqrt(m)
-    for law in (JumpLaw("gaussian", 0.8), JumpLaw("laplace", 0.6), JumpLaw("cauchy", 0.5)):
-        gen = np.random.default_rng(101)
-        draws = law.sample(gen, m)
-        emp = np.exp(1j * np.outer(xi, draws)).mean(axis=1)
-        assert np.abs(emp - law.cf(xi)).max() < tol
+    for f in (gaussian(0.8), laplace(0.72), cauchy(0.5)):
+        for t in (1 / 64, 1 / 4, 1.0, 0.01):
+            draws = JumpLaw(f, t).sample(np.random.default_rng(101), m)
+            emp = np.exp(1j * np.outer(xi, draws)).mean(axis=1)
+            assert np.abs(emp - np.exp(t * evaluate(f, xi))).max() < tol, (f, t)
 
 
 def test_jump_law_moments():
     gen = np.random.default_rng(7)
-    g = JumpLaw("gaussian", 0.8).sample(gen, 10**5)
+    g = JumpLaw(gaussian(0.8), 1.0).sample(gen, 10**5)
     assert np.var(g) == pytest.approx(0.8, rel=0.05)
     assert np.mean(g) == pytest.approx(0.0, abs=0.02)
-    la = JumpLaw("laplace", 0.6).sample(gen, 10**5)
+    la = JumpLaw(laplace(2 * 0.6**2), 1.0).sample(gen, 10**5)
     assert np.var(la) == pytest.approx(2 * 0.6**2, rel=0.05)
-    ca = JumpLaw("cauchy", 0.5).sample(gen, 10**5)
+    ca = JumpLaw(cauchy(0.5), 1.0).sample(gen, 10**5)
     # quartiles of a centered Cauchy sit at +-scale
     q1, q3 = np.quantile(ca, [0.25, 0.75])
     assert q3 == pytest.approx(0.5, rel=0.05)

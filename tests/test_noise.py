@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyspline.exponents import JumpLaw
+from levyspline.exponents import JumpLaw, cauchy, gaussian
 from levyspline.grid import Box
 from levyspline.noise import (
     ImpulseField,
@@ -16,7 +16,7 @@ from levyspline.noise import (
     write_impulse_csv,
 )
 
-GAUSS = JumpLaw("gaussian", 1.0)
+GAUSS = JumpLaw(gaussian(1.0), 1.0)
 
 
 def test_rng_stream_determinism():
@@ -143,7 +143,7 @@ def test_field_containment_validated():
 
 def test_impulse_csv_round_trip(tmp_path):
     box = Box.cube(0.0, 10.0, 2)
-    field = sample_impulse_field(2, box, 1.0, JumpLaw("cauchy", 0.5), RngStream(21, 4))
+    field = sample_impulse_field(2, box, 1.0, JumpLaw(cauchy(0.5), 1.0), RngStream(21, 4))
     path = tmp_path / "impulses.csv"
     write_impulse_csv(field, path)
     back = read_impulse_csv(path)

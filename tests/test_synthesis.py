@@ -148,7 +148,7 @@ def test_exponential_2d_margin_impulse_decays_in():
 
 def test_margin_enforcement():
     op = make_operator("frac_laplacian", gamma=1.5, dim=1)
-    field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw("gaussian", 1.0), RngStream(3))
+    field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw(gaussian(1.0), 1.0), RngStream(3))
     with pytest.raises(MarginTooSmall):
         synthesize_spline(field, op, GRID1)  # frac needs margin on both sides
 
@@ -157,7 +157,7 @@ def test_spectral_synthesis_properties():
     op = make_operator("frac_laplacian", gamma=1.5, dim=1)
     margin = 2.5
     box = Box.cube(0.0 - margin, 10.0 + margin, 1)
-    field = sample_impulse_field(1, box, 3.0, JumpLaw("gaussian", 1.0), RngStream(5))
+    field = sample_impulse_field(1, box, 3.0, JumpLaw(gaussian(1.0), 1.0), RngStream(5))
     real = synthesize_spline(field, op, GRID1)
     assert real.samples.shape == GRID1.shape
     assert np.all(np.isfinite(real.samples))
@@ -176,7 +176,7 @@ def test_spectral_synthesis_properties():
 
 
 def test_discrete_operator_recovers_step_jumps():
-    field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw("gaussian", 1.0), RngStream(13))
+    field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw(gaussian(1.0), 1.0), RngStream(13))
     op = make_operator("D")
     real = synthesize_spline(field, op, GRID1)
     lw = apply_L_discrete(op, real)
@@ -317,7 +317,7 @@ def test_ensemble_streams():
 
 
 def test_realization_csv_round_trip(tmp_path):
-    field = sample_impulse_field(1, DAI_BOX, 3.0, JumpLaw("gaussian", 1.0), RngStream(19))
+    field = sample_impulse_field(1, DAI_BOX, 3.0, JumpLaw(gaussian(1.0), 1.0), RngStream(19))
     op = make_operator("DaI", alpha=0.1)
     real = synthesize_spline(field, op, GRID1)
     path = tmp_path / "realization.csv"
@@ -332,7 +332,7 @@ def test_realization_csv_round_trip(tmp_path):
 
 def test_realization_csv_round_trip_2d(tmp_path):
     g2 = Grid(Box.cube(0.0, 10.0, 2), 0.05)
-    field = sample_impulse_field(2, g2.box, 1.0, JumpLaw("laplace", 0.5), RngStream(23))
+    field = sample_impulse_field(2, g2.box, 1.0, JumpLaw(laplace(0.5), 1.0), RngStream(23))
     real = synthesize_spline(field, make_operator("DxDy"), g2)
     path = tmp_path / "realization2d.csv"
     write_realization_csv(real, path)
@@ -342,7 +342,7 @@ def test_realization_csv_round_trip_2d(tmp_path):
 
 
 def test_realization_binary_round_trip(tmp_path):
-    field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw("cauchy", 0.3), RngStream(29))
+    field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw(cauchy(0.3), 1.0), RngStream(29))
     real = synthesize_spline(field, make_operator("D"), GRID1)
     path = tmp_path / "realization.bin"
     write_realization_binary(real, path)

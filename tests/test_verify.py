@@ -254,7 +254,7 @@ def test_marginal_values_and_validation():
 
 
 def test_compound_marginal_reference_moments():
-    law = JumpLaw("gaussian", 0.5)
+    law = JumpLaw(gaussian(0.5), 1.0)
     vals = compound_marginal_reference(4.0, law, 2.0, 200000, seed=12)
     # sum of N ~ Poisson(8) jumps of variance 0.5: total variance 4.0
     assert np.mean(vals) == pytest.approx(0.0, abs=0.02)
@@ -262,7 +262,7 @@ def test_compound_marginal_reference_moments():
 
 
 def test_compound_marginal_reference_budget_cap():
-    law = JumpLaw("gaussian", 1.0)
+    law = JumpLaw(gaussian(1.0), 1.0)
     vals = compound_marginal_reference(200.0, law, 10.0, 10**6, seed=0)
     # capped near MAX_REFERENCE_VALUES / (lam t) draws
     assert len(vals) <= 10**4

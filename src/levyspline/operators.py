@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 # Margin tolerance for exponentially decaying kernels: margin solves
 # exp(-alpha * margin) < TRUNCATION_TOL.
@@ -24,6 +23,9 @@ TRUNCATION_TOL = 1e-6
 SPECTRAL_PAD_FRACTION = 0.25
 # Minimum number of samples a test function's support must span per axis.
 MIN_SUPPORT_SPAN = 16
+# one_pole chunks keep -log(r^i) at most this large, so r^{-i} stays finite
+# (doubles overflow near exp(709)).
+ONE_POLE_LOG_RANGE = 600.0
 
 
 class OperatorError(Exception):
@@ -226,20 +228,51 @@ def _tail_integral(phi, h, axis=-1):
     return np.moveaxis(out, -1, axis)
 
 
+def one_pole(x, r, axis=-1):
+    """One-pole recursion y_i = x_i + r y_{i-1} along `axis`, y_{-1} = 0,
+    for 0 < r < 1.
+
+    Computed as y_i = r^i cumsum(x r^{-i}) over chunks short enough that
+    r^{-i} stays finite; each chunk adds its predecessor's last value times
+    r^{i+1}.  The power vectors broadcast along `axis`, and every step
+    works in place in the one output array.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
+    axis = axis % x.ndim
+    n = x.shape[axis]
+    size = max(1, min(n, int(ONE_POLE_LOG_RANGE / -math.log(r))))
+    i = np.arange(size, dtype=float).reshape((size,) + (1,) * (x.ndim - 1 - axis))
+    grow, decay, carry_decay = np.power(r, -i), np.power(r, i), np.power(r, i + 1.0)
+
+    def along(s):
+        return (slice(None),) * axis + (s,)
+
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        head = slice(0, m)
+        chunk = y[along(slice(start, start + m))]
+        np.multiply(x[along(slice(start, start + m))], grow[head], out=chunk)
+        np.cumsum(chunk, axis=axis, out=chunk)
+        chunk *= decay[head]
+        if start:
+            chunk += y[along(slice(start - 1, start))] * carry_decay[head]
+    return y
+
+
 def _tail_exp_integral(phi, h, alpha, axis=-1):
     """Trapezoid discretization of integral_x^end exp(-alpha (t - x)) phi(t) dt.
 
     Backward recursion I_i = r I_{i+1} + (h/2)(phi_i + r phi_{i+1}), r =
-    exp(-alpha h), evaluated with a linear filter on the reversed array.
+    exp(-alpha h), I_end = 0: the one-pole recursion run over the reversed
+    trapezoid panels u_0 = 0, u_i = (h/2)(psi_i + r psi_{i-1}), psi the
+    reversed phi.
     """
     r = math.exp(-alpha * h)
-    rev = np.flip(phi, axis)
-    lead = [slice(None)] * rev.ndim
-    lead[axis] = slice(0, 1)
-    # zero tail at the window end: cancel the filter's leading half panel
-    zi = -0.5 * h * rev[tuple(lead)]
-    out, _ = lfilter([0.5 * h, 0.5 * h * r], [1.0, -r], rev, axis=axis, zi=zi)
-    return np.flip(out, axis)
+    rev = np.moveaxis(np.flip(phi, axis), axis, -1)
+    panels = np.zeros_like(rev)
+    panels[..., 1:] = 0.5 * h * (rev[..., 1:] + r * rev[..., :-1])
+    return np.flip(np.moveaxis(one_pole(panels, r), -1, axis), axis)
 
 
 def _frequency_norm(shape, h):

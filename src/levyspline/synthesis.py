@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exponents import JumpLaw
 from .grid import Box, Grid, fmt17
@@ -28,6 +27,7 @@ from .operators import (
     OperatorSpec,
     format_operator_config,
     margin_rule,
+    one_pole,
     parse_operator_config,
     spectral_divide,
 )
@@ -183,7 +183,7 @@ def _axis_kernels(op, grid):
         def moments(a, delta):
             return [a * np.exp(-op.alpha * delta)]
 
-        filters = [lambda arr, axis: lfilter([1.0], [1.0, -r], arr, axis=axis)]
+        filters = [lambda arr, axis: one_pole(arr, r, axis)]
     return [(grid.axis(axis), moments, filters) for axis in range(op.dim)]
 
 

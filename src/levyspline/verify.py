@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
@@ -532,6 +531,10 @@ def marginal_gof(realizations, t, target, reference_draws=10**6, reference_seed=
     Kolmogorov p-values); compound-Poisson targets are compared against a
     brute-force direct-sum reference sample.
     """
+    # scipy.stats is imported here, not with the package: it is the only
+    # scipy the package uses, and importing it costs about a second.
+    from scipy import stats
+
     vals = marginal_values(realizations, t)
     if isinstance(target, PoissonizedExponent):
         ref = compound_marginal_reference(

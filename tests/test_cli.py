@@ -2,10 +2,13 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import levyspline
 from levyspline.cli import RunConfig, _build_parser, _resolve, main, parse_config_file, write_pgm
 from levyspline.noise import read_impulse_csv
 from levyspline.synthesis import read_realization_binary, read_realization_csv
@@ -116,7 +119,7 @@ def test_verify_subcommand_pass(tmp_path):
     out = tmp_path / "v"
     code = run(
         "verify", "--operator", "D", "--exponent", "gaussian", "--ladder", "1,4,16,64",
-        "--ensemble", "5000", "--seed", "0", "--outdir", str(out),
+        "--ensemble", "20000", "--seed", "0", "--outdir", str(out),
     )
     assert code == 0
     summary = (out / "summary.txt").read_text()
@@ -303,3 +306,18 @@ def test_write_pgm_constant_field(tmp_path):
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n6 4\n255\n")
     assert blob[len(b"P5\n6 4\n255\n"):] == bytes(24)
+
+
+def test_import_does_not_load_scipy():
+    # scipy.stats is imported lazily by marginal_gof; nothing else needs scipy
+    code = (
+        "import sys, levyspline, levyspline.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(levyspline.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

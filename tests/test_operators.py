@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-
+from scipy.signal import lfilter
 from levyspline.grid import Box, Grid
 from levyspline.operators import (
     GridTooCoarse,
@@ -16,7 +16,9 @@ from levyspline.operators import (
     format_operator_config,
     green,
     make_operator,
+    _tail_exp_integral,
     margin_rule,
+    one_pole,
     parse_operator_config,
     sampling_box,
     spectral_divide,
@@ -214,3 +216,40 @@ def test_apply_L_samples_exponential():
     s = np.exp(-0.3 * x)  # in the null space of D + alpha I
     out = apply_L_samples(op, s, g.step)
     assert np.max(np.abs(out[:-1])) < 2e-4
+
+
+@pytest.mark.parametrize("alpha_h", [1e-3, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("n", [1, 2, 1001, 100001])
+def test_one_pole_matches_lfilter(n, alpha_h):
+    # alpha h = 5 and 50 split every axis of 1001 or more samples into
+    # chunks, so the carry from chunk to chunk is exercised
+    r = math.exp(-alpha_h)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    want = lfilter([1.0], [1.0, -r], x)
+    assert np.max(np.abs(one_pole(x, r) - want)) <= 1e-13 * np.max(np.abs(want))
+    x2 = rng.standard_normal((n, 7))
+    for axis in (0, 1, -1):
+        want = lfilter([1.0], [1.0, -r], x2, axis=axis)
+        got = one_pole(x2, r, axis)
+        assert got.shape == x2.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 50.0, 5000.0])
+def test_tail_exp_integral_matches_filter_formula(alpha):
+    # alpha h runs 1e-3 to 50; at 50 the recursion works in 12-sample chunks
+    h = 0.01
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((301, 40))
+    r = math.exp(-alpha * h)
+    for axis in (0, 1):
+        # the filter form: b = (h/2)(1, r), a = (1, -r) on the reversed
+        # array, its initial state cancelling the leading half panel
+        rev = np.flip(phi, axis)
+        zi = -0.5 * h * np.take(rev, [0], axis=axis)
+        want, _ = lfilter([0.5 * h, 0.5 * h * r], [1.0, -r], rev, axis=axis, zi=zi)
+        want = np.flip(want, axis)
+        got = _tail_exp_integral(phi, h, alpha, axis=axis)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+

@@ -184,10 +184,10 @@ def test_convergence_study_fast_path_equals_pipeline():
 def test_convergence_study_report_contents():
     f = gaussian(1.0)
     bank = build_cf_bank(GRID1, OP_D)
-    report = convergence_study(f, OP_D, (1.0, 4.0, 16.0, 64.0), 5000, bank, base_seed=0)
+    report = convergence_study(f, OP_D, (1.0, 4.0, 16.0, 64.0), 20000, bank, base_seed=0)
     assert report.empirical.shape == (4, 5)
     assert report.ladder == [1.0, 4.0, 16.0, 64.0]
-    assert report.ensemble_size == 5000
+    assert report.ensemble_size == 20000
     # errors decay and the fitted slope lands in the first-order band
     assert report.mean_err[0] > report.mean_err[-1]
     assert -1.3 < report.slope < -0.7

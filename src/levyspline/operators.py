@@ -10,6 +10,7 @@ spectrally with the DC bin zeroed, which selects one valid left inverse.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,9 @@ MIN_SUPPORT_SPAN = 16
 # one_pole chunks keep -log(r^i) at most this large, so r^{-i} stays finite
 # (doubles overflow near exp(709)).
 ONE_POLE_LOG_RANGE = 600.0
+# Fourier multipliers kept per (shape, step, power): a frac_laplacian study
+# uses about four (padded synthesis, T, adjoint, discrete L).
+SPECTRAL_CACHE_SIZE = 8
 
 
 class OperatorError(Exception):
@@ -275,26 +279,46 @@ def _tail_exp_integral(phi, h, alpha, axis=-1):
     return np.flip(np.moveaxis(one_pole(panels, r), -1, axis), axis)
 
 
-def _frequency_norm(shape, h):
-    freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=h) for n in shape]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    return np.sqrt(sum(g**2 for g in mesh))
+@functools.lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+def _fourier_multiplier(shape, h, power):
+    """||omega||^power on the rfftn frequency grid of `shape`, DC bin zero.
+
+    Cached per (shape, step, power) and read-only, because every caller
+    gets the same array.
+    """
+    freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=h) for n in shape[:-1]]
+    freqs.append(2.0 * math.pi * np.fft.rfftfreq(shape[-1], d=h))
+    mesh = np.meshgrid(*freqs, indexing="ij", sparse=True)
+    norm = np.sqrt(sum(g**2 for g in mesh))
+    with np.errstate(divide="ignore"):
+        mult = norm**power
+    mult[(0,) * len(shape)] = 0.0
+    mult.flags.writeable = False
+    return mult
+
+
+def _apply_multiplier(phi, h, power):
+    """Real Fourier multiplier ||omega||^power (DC zeroed) on the periodic grid."""
+    axes = tuple(range(phi.ndim))
+    spec = np.fft.rfftn(phi, axes=axes)
+    spec *= _fourier_multiplier(phi.shape, h, power)
+    return np.fft.irfftn(spec, s=phi.shape, axes=axes)
 
 
 def spectral_divide(phi, h, gamma):
-    """Inverse Fourier multiplier ||omega||^(-gamma) with the DC bin zeroed."""
-    norm = _frequency_norm(phi.shape, h)
-    spec = np.fft.fftn(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spec = np.where(norm > 0.0, spec / norm**gamma, 0.0)
-    return np.fft.ifftn(spec).real
+    """Inverse Fourier multiplier ||omega||^(-gamma) with the DC bin zeroed.
+
+    Treats `phi` as one period of a periodic grid function with step `h`
+    and returns an array of the same shape.  The transform runs on the
+    half spectrum of the real input, and the multiplier is cached per
+    (shape, step, gamma).
+    """
+    return _apply_multiplier(phi, h, -gamma)
 
 
 def spectral_multiply(phi, h, gamma):
     """Forward Fourier multiplier ||omega||^gamma (DC stays zero)."""
-    norm = _frequency_norm(phi.shape, h)
-    spec = np.fft.fftn(phi) * norm**gamma
-    return np.fft.ifftn(spec).real
+    return _apply_multiplier(phi, h, gamma)
 
 
 def apply_T(op, phi, step):

@@ -205,7 +205,7 @@ def empirical_cf(realizations, phi):
             )
         if weighted is None:
             weighted = real.grid.weight_array() * phi
-        t = float(np.sum(weighted * real.samples))
+        t = float(np.vdot(weighted, real.samples))
         total += complex(math.cos(t), math.sin(t))
         count += 1
     if count < MIN_ENSEMBLE:

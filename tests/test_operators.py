@@ -16,6 +16,7 @@ from levyspline.operators import (
     format_operator_config,
     green,
     make_operator,
+    _fourier_multiplier,
     _tail_exp_integral,
     margin_rule,
     one_pole,
@@ -185,6 +186,48 @@ def test_spectral_divide_multiply_invert():
     phi = phi - phi.mean()  # spectral ops act on the zero-DC part
     back = spectral_multiply(spectral_divide(phi, g.step, 1.5), g.step, 1.5)
     np.testing.assert_allclose(back, phi, atol=1e-12)
+
+
+def complex_fft_multiplier(phi, h, power):
+    """The full complex-FFT form: fftn, ||omega||^power with DC zeroed, ifftn."""
+    freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=h) for n in phi.shape]
+    norm = np.sqrt(sum(g**2 for g in np.meshgrid(*freqs, indexing="ij")))
+    with np.errstate(divide="ignore"):
+        mult = np.where(norm > 0.0, norm**power, 0.0)
+    return np.fft.ifftn(np.fft.fftn(phi) * mult).real
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (2,), (1000,), (1001,), (2, 3), (300, 300), (301, 301), (300, 301)]
+)
+def test_spectral_multipliers_match_complex_fft(shape):
+    rng = np.random.default_rng(sum(shape))
+    phi = rng.standard_normal(shape)
+    h = 0.05
+    for gamma in (0.5, 1.5, 3.0):
+        for fn, power in ((spectral_divide, -gamma), (spectral_multiply, gamma)):
+            out = fn(phi, h, gamma)
+            want = complex_fft_multiplier(phi, h, power)
+            assert out.shape == shape
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want)), (fn.__name__, gamma)
+
+
+def test_spectral_multiplier_cache_keys_on_step_and_sign():
+    phi = np.random.default_rng(3).standard_normal((40, 41))
+    calls = [
+        (spectral_divide, 0.1, 1.5, -1.5),
+        (spectral_multiply, 0.1, 1.5, 1.5),
+        (spectral_divide, 0.2, 1.5, -1.5),
+        (spectral_divide, 0.1, 0.5, -0.5),
+        (spectral_multiply, 0.2, 1.5, 1.5),
+    ]
+    results = []
+    for fn, h, gamma, power in calls:
+        want = complex_fft_multiplier(phi, h, power)
+        results.append(fn(phi, h, gamma))
+        assert np.max(np.abs(results[-1] - want)) <= 1e-13 * np.max(np.abs(want))
+    np.testing.assert_array_equal(spectral_divide(phi, 0.1, 1.5), results[0])
+    assert not _fourier_multiplier(phi.shape, 0.1, -1.5).flags.writeable
 
 
 def test_apply_T_spectral_guards():

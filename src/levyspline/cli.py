@@ -198,18 +198,6 @@ def _resolve(ns):
         flag = getattr(ns, row.attr)
         cfg[row.attr] = file_cfg.get(row.key, row.default) if flag is None else flag
 
-    operator, dim = cfg["operator"], cfg["dim"]
-    if operator in ("DxDy", "DaIxDaIy"):
-        if dim not in (None, 2):
-            raise ConfigError(f"operator {operator} is two dimensional")
-        cfg["dim"] = 2
-    elif operator in ("D", "DaI"):
-        if dim not in (None, 1):
-            raise ConfigError(f"operator {operator} is one dimensional")
-        cfg["dim"] = 1
-    elif dim is None:
-        cfg["dim"] = 1
-
     if cfg["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR, "0")
         try:
@@ -220,8 +208,9 @@ def _resolve(ns):
     step = cfg["step"]
     try:
         op = make_operator(
-            operator, n=cfg["n"], alpha=cfg["alpha"], gamma=cfg["gamma"], dim=cfg["dim"]
+            cfg["operator"], n=cfg["n"], alpha=cfg["alpha"], gamma=cfg["gamma"], dim=cfg["dim"]
         )
+        cfg["dim"] = op.dim
         grid = _make_grid(cfg["box"], step, cfg["dim"])
     except (OperatorError, GridSpecError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -237,7 +226,7 @@ def _resolve(ns):
     cfg["margin"] = snap(margin)
     if ns.command in ("verify", "reference") and cfg["margin"] != snap(rule):
         raise ConfigError(
-            f"{ns.command} uses the {operator} margin rule, margin={fmt17(snap(rule))}; "
+            f"{ns.command} uses the {op.family} margin rule, margin={fmt17(snap(rule))}; "
             f"it cannot use margin={fmt17(cfg['margin'])}"
         )
     return RunConfig(**cfg)

@@ -90,10 +90,6 @@ class OperatorSpec:
             raise OperatorError("exponential family requires alpha > 0")
 
     @property
-    def inversion(self):
-        return "spectral" if self.family == "frac_laplacian" else "closed_form"
-
-    @property
     def causal(self):
         return self.family != "frac_laplacian"
 
@@ -171,7 +167,7 @@ def sampling_box(op, box, margin):
 
 def green(op, x):
     """Closed-form Green's function, Heaviside convention u(0) = 1."""
-    if op.inversion != "closed_form":
+    if not op.causal:
         raise UnsupportedClosedForm(
             "fractional Laplacian has no closed-form kernel here; use the spectral path"
         )

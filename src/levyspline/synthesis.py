@@ -4,17 +4,19 @@ synthesize_spline turns an impulse field into the random L-spline
 s = p0 + sum_k a_k rho_L(. - x_k) sampled on a window grid, with the
 null-space term pinned (s(lo) = 0 for causal 1-D operators, zero window
 mean for the spectral path).  reference_levy_path draws the limiting
-process exactly for the first-derivative operator.  Closed-form causal
-families share one O(K + G) engine: bin each impulse to the first grid
-point at or beyond it, weight it by its offset to that point, scatter the
-weights with one bincount, and run each axis's causal kernel (cumulative
-sums or the one-pole exponential recursion) over the bins.  This equals
-the Green superposition at the grid points; run time-reversed, the same
-kernels give the fast pairing tables in verify.
+process exactly for the first-derivative operator.  Every operator runs
+on one O(K + G) engine: scatter the impulses with one bincount per kernel
+term, then invert L.  Causal families bin each impulse to the first node
+at or beyond it, weighted by its offset, and run each axis's causal
+kernel (cumulative sums or the one-pole recursion), which equals the
+Green superposition at the nodes; the fractional Laplacian rounds to the
+nearest node of the padded window and divides by ||omega||^gamma.  The
+engine's adjoint is the pairing table of every convergence study.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,13 +97,9 @@ def synthesize_spline(field, op, grid):
     if field.dim != op.dim or grid.dim != op.dim:
         raise SynthesisError("field, operator, and grid dimensions must agree")
     _check_margin(field, op, grid)
-    if op.pinned:
-        x, a = _pinned_window_impulses(field, grid)
-        samples = _synth_causal(op, grid, (x,), a)
-    elif op.causal:
-        samples = _synth_causal(op, grid, field.locations.T, field.amplitudes)
-    else:
-        samples = _synth_spectral(field, op, grid)
+    engine = _Engine(op, grid, field.box)
+    _, flat, terms = engine.scatter(field.locations, field.amplitudes)
+    samples = engine.synthesize(flat, terms)
     if not np.all(np.isfinite(samples)):
         raise SynthesisError("synthesized samples are not finite")
     return GridRealization(
@@ -124,12 +122,6 @@ def _pinned_window_mask(x, grid):
     """
     lo, hi = grid.box.lo[0], grid.box.hi[0]
     return (x > lo + BIN_SNAP * grid.step) & (x <= hi)
-
-
-def _pinned_window_impulses(field, grid):
-    x = field.locations[:, 0]
-    keep = _pinned_window_mask(x, grid)
-    return x[keep], field.amplitudes[keep]
 
 
 def _poly_kernel(m, h):
@@ -187,54 +179,95 @@ def _axis_kernels(op, grid):
     return [(grid.axis(axis), moments, filters) for axis in range(op.dim)]
 
 
-def _impulse_terms(kernels, step, coords, amps):
-    """Bins of the impulses at coords (one array per axis) and their
-    (filters, weights) terms, one per product of the axes' kernel terms."""
-    bins, terms = [], [((), amps)]
-    for x, (nodes, moments, filters) in zip(coords, kernels):
-        idx = _bin_ceil(x, nodes[0], step, nodes.size)
-        bins.append(idx)
-        terms = [
-            (fs + (f,), w) for fs, a in terms for f, w in zip(filters, moments(a, nodes[idx] - x))
-        ]
-    return bins, terms
+class _Engine:
+    """Scatter grid, kernel terms and adjoint of one operator on one window.
 
+    Causal operators scatter onto the window, the fractional Laplacian onto
+    the window padded out to the field `box`.  Build one per synthesis
+    call or study rung, not per block.
+    """
 
-def _synth_causal(op, grid, coords, amps):
-    """Scatter each term's weights into the bins and run its causal filters."""
-    bins, terms = _impulse_terms(_axis_kernels(op, grid), grid.step, coords, amps)
-    flat = np.ravel_multi_index(bins, grid.shape)
-    parts = []
-    for filters, weights in terms:
-        acc = np.bincount(flat, weights, minlength=math.prod(grid.shape)).reshape(grid.shape)
-        for axis, run in enumerate(filters):
-            acc = run(acc, axis)
-        parts.append(acc)
-    return sum(parts[1:], parts[0])
+    def __init__(self, op, grid, box):
+        self.op, self.grid = op, grid
+        h = grid.step
+        if op.causal:
+            self.kernels = _axis_kernels(op, grid)
+            self.filters = list(itertools.product(*(f for _, _, f in self.kernels)))
+            self.shape = grid.shape
+        else:
+            pads_lo = [int(round((lo - blo) / h)) for lo, blo in zip(grid.box.lo, box.lo)]
+            pads_hi = [int(round((bhi - hi) / h)) for hi, bhi in zip(grid.box.hi, box.hi)]
+            self.filters = [()]
+            self.shape = tuple(nl + n + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
+            self.origin = [lo - nl * h for lo, nl in zip(grid.box.lo, pads_lo)]
+            self.crop = tuple(slice(nl, nl + n) for nl, n in zip(pads_lo, grid.shape))
+        self.cells = math.prod(self.shape)
 
+    def scatter(self, locations, amplitudes):
+        """Impulses kept (pinning drops those at or left of the window
+        start), their flat cells on the scatter grid, and one (axis
+        filters, weights) pair per kernel term."""
+        grid, h = self.grid, self.grid.step
+        coords = [locations[:, axis] for axis in range(grid.dim)]
+        kept = slice(None)
+        if self.op.pinned:
+            kept = _pinned_window_mask(coords[0], grid)
+            coords = [coords[0][kept]]
+        amps = amplitudes[kept]
+        if self.op.causal:
+            bins, weights = [], [amps]
+            for x, (nodes, moments, _) in zip(coords, self.kernels):
+                idx = _bin_ceil(x, nodes[0], h, nodes.size)
+                bins.append(idx)
+                weights = [w for a in weights for w in moments(a, nodes[idx] - x)]
+        else:
+            bins = [
+                np.clip(np.round((x - lo) / h).astype(int), 0, n - 1)
+                for x, lo, n in zip(coords, self.origin, self.shape)
+            ]
+            weights = [amps / h**grid.dim]
+        flat = bins[0]
+        for idx, n in zip(bins[1:], self.shape[1:]):
+            flat = flat * n + idx
+        return kept, flat, list(zip(self.filters, weights))
 
-def _synth_spectral(field, op, grid):
-    h = grid.step
-    pads_lo = []
-    pads_hi = []
-    for axis in range(grid.dim):
-        pads_lo.append(int(round((grid.box.lo[axis] - field.box.lo[axis]) / h)))
-        pads_hi.append(int(round((field.box.hi[axis] - grid.box.hi[axis]) / h)))
-    shape = tuple(
-        nl + n + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi)
-    )
-    acc = np.zeros(shape)
-    if field.count:
-        idx = []
-        for axis in range(grid.dim):
-            lo_pad = grid.box.lo[axis] - pads_lo[axis] * h
-            i = np.round((field.locations[:, axis] - lo_pad) / h).astype(int)
-            idx.append(np.clip(i, 0, shape[axis] - 1))
-        np.add.at(acc, tuple(idx), field.amplitudes / h**grid.dim)
-    full = spectral_divide(acc, h, op.gamma)
-    crop = tuple(slice(nl, nl + n) for nl, n in zip(pads_lo, grid.shape))
-    window = full[crop]
-    return window - window.mean()
+    def synthesize(self, flat, terms):
+        """Window samples from one member's scatter: one bincount per term,
+        its axis filters, then (spectral) the division, crop and mean."""
+        parts = []
+        for filters, weights in terms:
+            acc = np.bincount(flat, weights, minlength=self.cells).reshape(self.shape)
+            for axis, run in enumerate(filters):
+                acc = run(acc, axis)
+            parts.append(acc)
+        out = sum(parts[1:], parts[0])
+        if self.op.causal:
+            return out
+        window = spectral_divide(out, self.grid.step, self.op.gamma)[self.crop]
+        return window - window.mean()
+
+    def tables(self, phis):
+        """Adjoint of synthesis on the quadrature-weighted test functions:
+        one (cells, len(phis)) table per kernel term, so that <s, phi> is
+        the sum over terms of hist @ table.  Causal filters run
+        time-reversed; the spectral path takes w phi minus its window
+        mean, padded, through the symmetric spectral division (the
+        scatter weights already carry 1 / h^dim)."""
+        grid = self.grid
+        axes = tuple(range(1, grid.dim + 1))
+        wphis = grid.weight_array() * np.stack(phis)
+        if self.op.causal:
+            out = []
+            for filters in self.filters:
+                t = np.flip(wphis, axes)
+                for axis, run in enumerate(filters, start=1):
+                    t = run(t, axis)
+                out.append(np.flip(t, axes))
+        else:
+            psi = np.zeros((len(phis),) + self.shape)
+            psi[(slice(None),) + self.crop] = wphis - wphis.mean(axis=axes, keepdims=True)
+            out = [np.stack([spectral_divide(p, grid.step, self.op.gamma) for p in psi])]
+        return [t.reshape(len(phis), self.cells).T for t in out]
 
 
 def reference_levy_path(f, op, grid, rng):

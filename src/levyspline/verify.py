@@ -21,7 +21,7 @@ from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
 from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, margin_rule, sampling_box
-from .synthesis import _axis_kernels, _impulse_terms, _pinned_window_mask, synthesize_spline
+from .synthesis import _Engine
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -381,53 +381,29 @@ def _cf_mean_se(acc, count):
     return mean, se
 
 
-def _fast_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals for one ladder rung of a pinned operator
-    without densifying paths.
+def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
+    """Empirical functionals for one ladder rung without densifying paths.
 
-    <s, phi> = <w, L^{-1*} phi>: the pairing tables are the adjoint of the
-    synthesis kernels, each kernel term run time-reversed over the
-    quadrature-weighted test functions.  Each block of members is drawn
-    once, pinned with the synthesis window mask and binned once; per
-    kernel term one bincount scatters the impulse weights into a
-    (member, bin) histogram, and one matrix product with the table pairs
-    every member with every test function.  The result equals the
-    synthesize-then-quadrature pairing of the same draws to round-off for
-    every D^n and D + alpha I.
+    <s, phi> = <w, L^{-1*} phi>: the pairing tables are the synthesis
+    engine's adjoint, built once per rung.  Each block is drawn and
+    scattered once; per kernel term one bincount fills a (member, cell)
+    histogram and one matrix product with the table pairs every member
+    with every test function.  This equals synthesize-then-quadrature on
+    the same draws to round-off, for every operator.
     """
     grid = bank.grid
-    h = grid.step
-    (n,) = grid.shape
-    kernels = _axis_kernels(op, grid)
-    _, _, filters = kernels[0]
-    wphis = np.flip(grid.trapezoid_weights()[0] * np.stack(bank.phis), axis=-1)
-    tables = [np.flip(run(wphis, -1), axis=-1).T for run in filters]
+    engine = _Engine(op, grid, sampling_box(op, grid.box, margin_rule(op, grid.box)))
+    cells = engine.cells
+    tables = engine.tables(bank.phis)
     acc = np.zeros(len(bank), dtype=complex)
     for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
-        xs = block.locations[:, 0]
-        keep = _pinned_window_mask(xs, grid)
-        (idx,), terms = _impulse_terms(kernels, h, (xs[keep],), block.amplitudes[keep])
-        cells = block.owners()[keep] * n + idx
+        kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
+        flat += block.owners()[kept] * cells
         t = 0.0
         for table, (_, weights) in zip(tables, terms):
-            hist = np.bincount(cells, weights, minlength=block.members * n)
-            t = t + hist.reshape(block.members, n) @ table
+            hist = np.bincount(flat, weights, minlength=block.members * cells)
+            t = t + hist.reshape(block.members, cells) @ table
         acc += np.exp(1j * t).sum(axis=0)
-    return _cf_mean_se(acc, count)
-
-
-def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals for one ladder rung by synthesizing every
-    member of the same blocks and pairing by quadrature."""
-    grid = bank.grid
-    weights = grid.weight_array()
-    weighted = [weights * phi for phi in bank.phis]
-    acc = np.zeros(len(bank), dtype=complex)
-    for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
-        for fld in block.fields():
-            real = synthesize_spline(fld, op, grid)
-            t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
-            acc += np.exp(1j * t)
     return _cf_mean_se(acc, count)
 
 
@@ -454,9 +430,8 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
         raise VerifyError("analytic functional exceeded unit modulus")
     empirical = np.zeros((len(ladder), nphi), dtype=complex)
     se = np.zeros((len(ladder), nphi))
-    runner = _fast_rung_cf if op.pinned else _generic_rung_cf
     for r, lam in enumerate(ladder):
-        empirical[r], se[r] = runner(f, op, lam, int(count), bank, base_seed, r * int(count))
+        empirical[r], se[r] = _rung_cf(f, op, lam, int(count), bank, base_seed, r * int(count))
     abs_err = np.abs(empirical - analytic[None, :])
     mean_err = abs_err.mean(axis=1)
     mean_se = se.mean(axis=1)

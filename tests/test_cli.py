@@ -217,6 +217,10 @@ def test_selftest_subcommand(tmp_path):
 def test_usage_and_config_errors(tmp_path, capsys):
     assert run("generate", "--operator", "Q", "--outdir", str(tmp_path)) == 2
     assert run("generate", "--dim", "2", "--operator", "D", "--outdir", str(tmp_path)) == 2
+    assert run("generate", "--operator", "DxDy", "--dim", "1", "--outdir", str(tmp_path)) == 2
+    dim_cfg = tmp_path / "dim.cfg"
+    dim_cfg.write_text("operator=DaIxDaIy\ndim=1\n")
+    assert run("generate", "--config", str(dim_cfg), "--outdir", str(tmp_path)) == 2
     assert run("generate", "--box", "10", "--outdir", str(tmp_path)) == 2
     assert run("generate", "--format", "xml", "--outdir", str(tmp_path)) == 2
     assert run("nonsense") == 2

@@ -9,7 +9,13 @@ from scipy import stats
 from levyspline.exponents import JumpLaw, cauchy, gaussian, laplace
 from levyspline.grid import Box, Grid
 from levyspline.noise import ImpulseField, RngStream, sample_impulse_field
-from levyspline.operators import apply_L_discrete, green, make_operator, margin_rule
+from levyspline.operators import (
+    apply_L_discrete,
+    green,
+    make_operator,
+    margin_rule,
+    spectral_divide,
+)
 from levyspline.synthesis import (
     MarginTooSmall,
     SynthesisError,
@@ -173,6 +179,48 @@ def test_spectral_synthesis_properties():
     )
     real2 = synthesize_spline(doubled, op, GRID1)
     np.testing.assert_allclose(real2.samples, 2.0 * real.samples, atol=1e-10)
+
+
+def spectral_by_add_at(field, op, grid):
+    """The spectral synthesis written out as a standalone scatter: round
+    each impulse to the nearest node of the window padded out to the field
+    box, add a / h^dim with np.add.at, divide, crop, subtract the mean."""
+    h = grid.step
+    pads_lo = [int(round((grid.box.lo[k] - field.box.lo[k]) / h)) for k in range(grid.dim)]
+    pads_hi = [int(round((field.box.hi[k] - grid.box.hi[k]) / h)) for k in range(grid.dim)]
+    shape = tuple(nl + n + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
+    acc = np.zeros(shape)
+    if field.count:
+        idx = []
+        for k in range(grid.dim):
+            lo_pad = grid.box.lo[k] - pads_lo[k] * h
+            i = np.round((field.locations[:, k] - lo_pad) / h).astype(int)
+            idx.append(np.clip(i, 0, shape[k] - 1))
+        np.add.at(acc, tuple(idx), field.amplitudes / h**grid.dim)
+    full = spectral_divide(acc, h, op.gamma)
+    window = full[tuple(slice(nl, nl + n) for nl, n in zip(pads_lo, grid.shape))]
+    return window - window.mean()
+
+
+def test_spectral_synthesis_equals_add_at_scatter_bit_for_bit():
+    g2 = Grid(Box.cube(0.0, 10.0, 2), 0.05)
+    for grid, lam in ((GRID1, 16.0), (g2, 1.0)):
+        op = make_operator("frac_laplacian", gamma=1.5, dim=grid.dim)
+        margin = margin_rule(op, grid.box)
+        box = grid.box.expand(margin, margin)
+        for seed in (42, 7):
+            field = sample_impulse_field(
+                grid.dim, box, lam, JumpLaw(gaussian(1.0), 1.0), RngStream(seed)
+            )
+            assert field.count > 0
+            got = synthesize_spline(field, op, grid).samples
+            np.testing.assert_array_equal(got, spectral_by_add_at(field, op, grid))
+        empty = ImpulseField(
+            dim=grid.dim, box=box, locations=np.zeros((0, grid.dim)), amplitudes=np.zeros(0),
+            rate=1.0, seed=0,
+        )
+        got = synthesize_spline(empty, op, grid).samples
+        np.testing.assert_array_equal(got, spectral_by_add_at(empty, op, grid))
 
 
 def test_discrete_operator_recovers_step_jumps():

@@ -1,6 +1,7 @@
 """Characteristic functionals, convergence studies, and marginal GOF."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from levyspline.verify import (
     NoiseFloor,
     TailTruncationWarning,
     VerifyError,
+    _block_members,
+    _cf_mean_se,
+    _rung_blocks,
+    _rung_cf,
     analytic_cf,
     build_cf_bank,
     build_identity_bank,
@@ -152,24 +157,39 @@ def test_left_inverse_residuals_fine_grid():
             assert left_inverse_residual(op, phi, fine.step) < 1e-3
 
 
+def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
+    """Oracle for _rung_cf: synthesize every member of the same blocks and
+    pair by quadrature."""
+    grid = bank.grid
+    weights = grid.weight_array()
+    weighted = [weights * phi for phi in bank.phis]
+    acc = np.zeros(len(bank), dtype=complex)
+    for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
+        for fld in block.fields():
+            real = synthesize_spline(fld, op, grid)
+            t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
+            acc += np.exp(1j * t)
+    return _cf_mean_se(acc, count)
+
+
 def test_convergence_study_fast_path_equals_pipeline():
     # the adjoint-table estimator must reproduce the synthesize-then-pair
     # pipeline on the same blocks of draws to round-off for every n-fold
-    # derivative and for the exponential kernel; at rate 4 the ensemble
-    # spans three full blocks and ends in a partial one, at rate 0.05 most
-    # members draw no impulse at all
-    from levyspline.verify import _block_members, _fast_rung_cf, _generic_rung_cf, _rung_blocks
-
+    # derivative, the exponential kernel and the fractional Laplacian; at
+    # rate 4 a causal ensemble spans three full blocks and ends in a
+    # partial one, at rate 0.05 most members draw no impulse at all
     size = _block_members(GRID1, 4.0, GRID1.box)
     dense = 3 * size + size // 2
     cases = [("D", {"n": n}, f, 4.0, dense) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
     cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 4.0, dense))
     cases.append(("D", {"n": 1}, gaussian(1.0), 0.05, 300))
     cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 0.05, 300))
+    cases.append(("frac_laplacian", {"gamma": 1.5}, gaussian(1.0), 4.0, dense))
+    cases.append(("frac_laplacian", {"gamma": 0.7}, cauchy(1.0), 4.0, dense))
     for fam, kw, f, lam, count in cases:
         op = make_operator(fam, **kw)
         bank = build_cf_bank(GRID1, op)
-        fast, fast_se = _fast_rung_cf(f, op, lam, count, bank, 17, 600)
+        fast, fast_se = _rung_cf(f, op, lam, count, bank, 17, 600)
         slow, slow_se = _generic_rung_cf(f, op, lam, count, bank, 17, 600)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
@@ -177,8 +197,27 @@ def test_convergence_study_fast_path_equals_pipeline():
         assert sum(b.members for b in blocks) == count
         if lam == 0.05:
             assert sum(int(np.sum(b.counts == 0)) for b in blocks) > count // 2
-        else:
+        elif op.causal:
             assert len(blocks) == 4 and blocks[-1].members < size
+
+
+def test_rung_cf_equals_pipeline_in_two_dimensions():
+    # the same identity for the 2-D operators: product kernels on the
+    # margin-extended DaIxDaIy box, and the spectral path with zero-mean
+    # profiles
+    grid = Grid(Box.cube(0.0, 4.0, 2), 0.1)
+    for op in (
+        make_operator("DxDy"),
+        make_operator("DaIxDaIy", alpha=0.5),
+        make_operator("frac_laplacian", gamma=1.5, dim=2),
+    ):
+        ident = build_identity_bank(grid, zero_mean=not op.causal)
+        bank = replace(ident, op=op, phis=[0.3 * phi for phi in ident.phis])
+        f = gaussian(1.0)
+        fast, fast_se = _rung_cf(f, op, 1.0, 40, bank, 5, 0)
+        slow, slow_se = _generic_rung_cf(f, op, 1.0, 40, bank, 5, 0)
+        np.testing.assert_allclose(fast, slow, atol=1e-12)
+        np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
 
 
 def test_convergence_study_report_contents():

@@ -21,7 +21,6 @@ from .grid import Box, Grid
 from .noise import ImpulseField, RngStream, sample_impulse_field
 from .operators import (
     OperatorSpec,
-    apply_L_discrete,
     apply_T,
     apply_adjoint,
     green,
@@ -61,7 +60,6 @@ __all__ = [
     "PoissonizedExponent",
     "RngStream",
     "analytic_cf",
-    "apply_L_discrete",
     "apply_T",
     "apply_adjoint",
     "build_cf_bank",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,41 @@ class GridTooCoarse(OperatorError):
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
-    """One catalog operator.
+class _Family:
+    """One operator family: its dimension (None: any), the OperatorSpec field
+    its descriptor carries (None: no parameter), whether synthesis pins its
+    null-space mode, and, for the causal families, its 1-D factor (n, alpha)
+    applied on every axis: D^n when alpha is None, D + alpha I otherwise."""
 
-    family: 'D' (n-fold derivative, 1-D), 'DaI' (D + alpha I, 1-D),
-    'DxDy' (separable first derivatives, 2-D), 'DaIxDaIy' (separable
-    D + alpha I, 2-D), 'frac_laplacian' ((-Laplace)^(gamma/2), spectral).
-    """
+    dim: int | None
+    param: str | None
+    pinned: bool
+    factor: object  # (op) -> (n, alpha); None for the spectral family
+
+
+# The only place that knows an operator family: the n-fold derivative, D +
+# alpha I, their separable 2-D products D_x D_y and (D + alpha I) on each
+# axis, and the spectral fractional Laplacian (-Laplace)^(gamma/2).
+_FAMILIES = {
+    "D": _Family(1, "n", True, lambda op: (op.n, None)),
+    "DaI": _Family(1, "alpha", True, lambda op: (1, op.alpha)),
+    "DxDy": _Family(2, None, False, lambda op: (1, None)),
+    "DaIxDaIy": _Family(2, "alpha", False, lambda op: (1, op.alpha)),
+    "frac_laplacian": _Family(None, "gamma", False, None),
+}
+
+
+def _family(name):
+    row = _FAMILIES.get(name)
+    if row is None:
+        raise OperatorError(f"unknown operator family {name!r}")
+    return row
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """One catalog operator: a _FAMILIES row name and that family's
+    parameter (n, alpha or gamma) in `dim` dimensions."""
 
     family: str
     n: int = 1
@@ -60,49 +88,42 @@ class OperatorSpec:
     dim: int = 1
 
     def __post_init__(self):
-        fam = self.family
-        if fam == "D":
-            if self.dim != 1 or self.n < 1:
-                raise OperatorError("D requires dim=1 and n >= 1")
-        elif fam == "DaI":
-            if self.dim != 1:
-                raise OperatorError("DaI requires dim=1")
-            self._check_alpha()
-        elif fam == "DxDy":
-            if self.dim != 2:
-                raise OperatorError("DxDy requires dim=2")
-        elif fam == "DaIxDaIy":
-            if self.dim != 2:
-                raise OperatorError("DaIxDaIy requires dim=2")
-            self._check_alpha()
-        elif fam == "frac_laplacian":
-            if self.gamma is None or not self.gamma > 0.0:
-                raise OperatorError("frac_laplacian requires gamma > 0")
-            if self.dim < 1:
-                raise OperatorError("frac_laplacian requires dim >= 1")
-        else:
-            raise OperatorError(f"unknown operator family {fam!r}")
-
-    def _check_alpha(self):
-        if self.alpha is None or isinstance(self.alpha, complex):
-            raise OperatorError("exponential family requires a real alpha > 0")
-        if not self.alpha > 0.0:
-            raise OperatorError("exponential family requires alpha > 0")
+        row = _family(self.family)
+        if row.dim is not None and self.dim != row.dim:
+            raise OperatorError(f"{self.family} requires dim={row.dim}")
+        if self.dim < 1:
+            raise OperatorError(f"{self.family} requires dim >= 1")
+        if row.param is not None:
+            value = getattr(self, row.param)
+            if value is None or isinstance(value, complex) or not value > 0:
+                raise OperatorError(f"{self.family} requires a real {row.param} > 0")
 
     @property
     def causal(self):
-        return self.family != "frac_laplacian"
+        return _FAMILIES[self.family].factor is not None
 
     @property
     def pinned(self):
         """Causal 1-D synthesis pins the null-space mode so s(lo) = 0."""
-        return self.family in ("D", "DaI")
+        return _FAMILIES[self.family].pinned
+
+    @property
+    def factors(self):
+        """The 1-D factor (n, alpha) of every axis, D^n when alpha is None
+        and D + alpha I otherwise; empty for the spectral family."""
+        factor = _FAMILIES[self.family].factor
+        return () if factor is None else (factor(self),) * self.dim
 
 
 def make_operator(family, n=1, alpha=None, gamma=None, dim=None):
+    """OperatorSpec keeping only the family's own parameter (the others
+    stay at their defaults), in the family's dimension unless `dim` is given."""
+    row = _family(family)
+    given = {"n": int(n), "alpha": alpha, "gamma": gamma}
+    kw = {} if row.param is None else {row.param: given[row.param]}
     if dim is None:
-        dim = 2 if family in ("DxDy", "DaIxDaIy") else 1
-    return OperatorSpec(family=family, n=int(n), alpha=alpha, gamma=gamma, dim=int(dim))
+        dim = row.dim or 1
+    return OperatorSpec(family=family, dim=int(dim), **kw)
 
 
 def parse_operator_config(source, dim=None):
@@ -133,15 +154,10 @@ def parse_operator_config(source, dim=None):
 
 def format_operator_config(op):
     """Inverse of parse_operator_config for the catalog grammar."""
-    if op.family == "D":
-        return f"operator=D n={op.n}"
-    if op.family == "DaI":
-        return f"operator=DaI alpha={op.alpha:.17g}"
-    if op.family == "DxDy":
-        return "operator=DxDy"
-    if op.family == "DaIxDaIy":
-        return f"operator=DaIxDaIy alpha={op.alpha:.17g}"
-    return f"operator=frac_laplacian gamma={op.gamma:.17g}"
+    param = _FAMILIES[op.family].param
+    if param is None:
+        return f"operator={op.family}"
+    return f"operator={op.family} {param}={getattr(op, param):.17g}"
 
 
 def margin_rule(op, box):
@@ -150,11 +166,12 @@ def margin_rule(op, box):
     Pinned operators need none: pinning cancels every impulse at or left
     of the window start, so a margin would only be drawn and dropped.
     """
-    if op.pinned or op.family == "DxDy":
+    if op.pinned:
         return 0.0
-    if op.family == "DaIxDaIy":
-        return math.log(1.0 / TRUNCATION_TOL) / op.alpha
-    return SPECTRAL_PAD_FRACTION * max(box.lengths)
+    if not op.causal:
+        return SPECTRAL_PAD_FRACTION * max(box.lengths)
+    rates = [alpha for _, alpha in op.factors if alpha is not None]
+    return math.log(1.0 / TRUNCATION_TOL) / min(rates) if rates else 0.0
 
 
 def sampling_box(op, box, margin):
@@ -165,36 +182,33 @@ def sampling_box(op, box, margin):
     return box.expand(margin, 0.0 if op.causal else margin)
 
 
+def _green_factor(factor, t):
+    """Green's function of one 1-D factor at offsets t."""
+    n, alpha = factor
+    mask = t >= 0.0
+    if alpha is not None:
+        return np.where(mask, np.exp(-alpha * np.where(mask, t, 0.0)), 0.0)
+    if n == 1:
+        return mask.astype(float)
+    out = np.where(mask, t, 0.0) ** (n - 1) / math.factorial(n - 1)
+    return np.where(mask, out, 0.0)
+
+
 def green(op, x):
-    """Closed-form Green's function, Heaviside convention u(0) = 1."""
+    """Closed-form Green's function, Heaviside convention u(0) = 1: the
+    product over axes of each axis factor's Green's function.
+
+    In 1-D `x` holds offsets of any shape; in more dimensions it is one
+    point or an (N, dim) array of points.
+    """
     if not op.causal:
         raise UnsupportedClosedForm(
             "fractional Laplacian has no closed-form kernel here; use the spectral path"
         )
-    if op.dim == 1:
-        t = np.asarray(x, dtype=float)
-        if op.family == "D":
-            mask = t >= 0.0
-            if op.n == 1:
-                out = mask.astype(float)
-            else:
-                out = np.where(mask, t, 0.0) ** (op.n - 1) / math.factorial(op.n - 1)
-                out = np.where(mask, out, 0.0)
-        else:
-            out = np.where(t >= 0.0, np.exp(-op.alpha * np.where(t >= 0.0, t, 0.0)), 0.0)
-        return float(out) if np.ndim(x) == 0 else out
     pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if op.family == "DxDy":
-        out = ((pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)).astype(float)
-    else:
-        mask = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)
-        decay = np.exp(-op.alpha * np.clip(pts[:, 0], 0.0, None)) * np.exp(
-            -op.alpha * np.clip(pts[:, 1], 0.0, None)
-        )
-        out = np.where(mask, decay, 0.0)
-    return float(out[0]) if scalar else out
+    coords = [pts] if op.dim == 1 else [pts[..., axis] for axis in range(op.dim)]
+    out = functools.reduce(np.multiply, map(_green_factor, op.factors, coords))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _support_spans(phi):
@@ -317,6 +331,21 @@ def spectral_multiply(phi, h, gamma):
     return _apply_multiplier(phi, h, gamma)
 
 
+def _run_factors(op, arr, d, shift=None):
+    """Run each axis's factor over `arr` in axis order, `d(arr, axis)`
+    standing for D: n times for D^n, and for D + alpha I
+    `shift(arr, axis, alpha)`, by default d(arr, axis) + alpha arr."""
+    for axis, (n, alpha) in enumerate(op.factors):
+        if alpha is None:
+            for _ in range(n):
+                arr = d(arr, axis)
+        elif shift is None:
+            arr = d(arr, axis) + alpha * arr
+        else:
+            arr = shift(arr, axis, alpha)
+    return arr
+
+
 def apply_T(op, phi, step):
     """Adjoint left inverse on a sampled test function.
 
@@ -329,39 +358,23 @@ def apply_T(op, phi, step):
     if not _check_support(phi):
         return np.zeros_like(phi)
     h = float(step)
-    if op.family == "D":
-        out = phi
-        for _ in range(op.n):
-            out = _tail_integral(out, h, axis=0)
-        return out
-    if op.family == "DaI":
-        return _tail_exp_integral(phi, h, op.alpha, axis=0)
-    if op.family == "DxDy":
-        return _tail_integral(_tail_integral(phi, h, axis=0), h, axis=1)
-    if op.family == "DaIxDaIy":
-        out = _tail_exp_integral(phi, h, op.alpha, axis=0)
-        return _tail_exp_integral(out, h, op.alpha, axis=1)
-    return spectral_divide(phi, h, op.gamma)
+    if not op.causal:
+        return spectral_divide(phi, h, op.gamma)
+    return _run_factors(
+        op,
+        phi,
+        lambda arr, axis: _tail_integral(arr, h, axis),
+        lambda arr, axis, alpha: _tail_exp_integral(arr, h, alpha, axis),
+    )
 
 
 def apply_adjoint(op, phi, step):
     """Sampled adjoint L* phi via central differences (spectral ops exactly)."""
     phi = np.asarray(phi, dtype=float)
     h = float(step)
-    if op.family == "D":
-        out = phi
-        for _ in range(op.n):
-            out = -np.gradient(out, h, axis=0, edge_order=2)
-        return out
-    if op.family == "DaI":
-        return -np.gradient(phi, h, axis=0, edge_order=2) + op.alpha * phi
-    if op.family == "DxDy":
-        gx = np.gradient(phi, h, axis=0, edge_order=2)
-        return np.gradient(gx, h, axis=1, edge_order=2)
-    if op.family == "DaIxDaIy":
-        out = -np.gradient(phi, h, axis=0, edge_order=2) + op.alpha * phi
-        return -np.gradient(out, h, axis=1, edge_order=2) + op.alpha * out
-    return spectral_multiply(phi, h, op.gamma)
+    if not op.causal:
+        return spectral_multiply(phi, h, op.gamma)
+    return _run_factors(op, phi, lambda arr, axis: -np.gradient(arr, h, axis=axis, edge_order=2))
 
 
 def _forward_diff(arr, h, axis):
@@ -372,26 +385,10 @@ def _forward_diff(arr, h, axis):
     return out
 
 
-def apply_L_discrete(op, realization):
-    """Discrete forward operator on a GridRealization (or on a raw array
-    paired with `step` via apply_L_samples)."""
-    out = apply_L_samples(op, realization.samples, realization.step)
-    return replace(realization, samples=out)
-
-
 def apply_L_samples(op, samples, step):
+    """Discrete forward operator by forward differences (spectral ops exactly)."""
     s = np.asarray(samples, dtype=float)
     h = float(step)
-    if op.family == "D":
-        out = s
-        for _ in range(op.n):
-            out = _forward_diff(out, h, axis=0)
-        return out
-    if op.family == "DaI":
-        return _forward_diff(s, h, axis=0) + op.alpha * s
-    if op.family == "DxDy":
-        return _forward_diff(_forward_diff(s, h, axis=0), h, axis=1)
-    if op.family == "DaIxDaIy":
-        out = _forward_diff(s, h, axis=0) + op.alpha * s
-        return _forward_diff(out, h, axis=1) + op.alpha * out
-    return spectral_multiply(s, h, op.gamma)
+    if not op.causal:
+        return spectral_multiply(s, h, op.gamma)
+    return _run_factors(op, s, lambda arr, axis: _forward_diff(arr, h, axis))

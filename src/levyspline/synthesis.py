@@ -31,6 +31,7 @@ from .operators import (
     margin_rule,
     one_pole,
     parse_operator_config,
+    sampling_box,
     spectral_divide,
 )
 
@@ -80,16 +81,15 @@ def _bin_ceil(coords, lo, h, n):
 
 def _check_margin(field, op, grid):
     need = margin_rule(op, grid.box)
+    want = sampling_box(op, grid.box, need)
     slack = 1e-9 * max(1.0, need)
-    right_need = need if not op.causal else 0.0
-    for axis in range(grid.dim):
-        lo_ok = field.box.lo[axis] <= grid.box.lo[axis] - need + slack
-        hi_ok = field.box.hi[axis] >= grid.box.hi[axis] + right_need - slack
-        if not (lo_ok and hi_ok):
-            raise MarginTooSmall(
-                f"operator needs a margin of {need:.6g} per side, field box "
-                f"{field.box.format()} does not cover grid box {grid.box.format()}"
-            )
+    lo_ok = all(f <= w + slack for f, w in zip(field.box.lo, want.lo))
+    hi_ok = all(f >= w - slack for f, w in zip(field.box.hi, want.hi))
+    if not (lo_ok and hi_ok):
+        raise MarginTooSmall(
+            f"operator needs a margin of {need:.6g} per side, field box "
+            f"{field.box.format()} does not cover grid box {grid.box.format()}"
+        )
 
 
 def synthesize_spline(field, op, grid):
@@ -148,8 +148,8 @@ def _poly_kernel(m, h):
     return run
 
 
-def _axis_kernels(op, grid):
-    """Causal Green's kernel of each axis as (nodes, moments, filters).
+def _factor_kernel(factor, h):
+    """Causal Green's kernel of one axis factor (n, alpha) as (moments, filters).
 
     An impulse of amplitude a at x, binned to the node x_b = x + delta,
     adds to the nodes i >= b the sum over terms j of filters[j] run over
@@ -158,9 +158,8 @@ def _axis_kernels(op, grid):
     of degree n - 1 - j; D + alpha I is a exp(-alpha delta) times the
     one-pole recursion r^(i - b), r = exp(-alpha h).
     """
-    h = grid.step
-    if op.family in ("D", "DxDy"):
-        n = op.n if op.family == "D" else 1
+    n, alpha = factor
+    if alpha is None:
 
         def moments(a, delta):
             out = [a]
@@ -168,15 +167,18 @@ def _axis_kernels(op, grid):
                 out.append(out[-1] * delta / j)
             return out
 
-        filters = [_poly_kernel(n - 1 - j, h) for j in range(n)]
-    else:
-        r = math.exp(-op.alpha * h)
+        return moments, [_poly_kernel(n - 1 - j, h) for j in range(n)]
+    r = math.exp(-alpha * h)
 
-        def moments(a, delta):
-            return [a * np.exp(-op.alpha * delta)]
+    def moments(a, delta):
+        return [a * np.exp(-alpha * delta)]
 
-        filters = [lambda arr, axis: one_pole(arr, r, axis)]
-    return [(grid.axis(axis), moments, filters) for axis in range(op.dim)]
+    return moments, [lambda arr, axis: one_pole(arr, r, axis)]
+
+
+def _axis_kernels(op, grid):
+    """(nodes, moments, filters) of each axis's factor."""
+    return [(grid.axis(axis), *_factor_kernel(f, grid.step)) for axis, f in enumerate(op.factors)]
 
 
 class _Engine:
@@ -188,7 +190,7 @@ class _Engine:
     """
 
     def __init__(self, op, grid, box):
-        self.op, self.grid = op, grid
+        self.op, self.grid, self.box = op, grid, box
         h = grid.step
         if op.causal:
             self.kernels = _axis_kernels(op, grid)

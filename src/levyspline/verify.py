@@ -32,8 +32,8 @@ TAIL_LEVEL = 1e-8
 # Soft cap on total jump amplitudes drawn for a compound-sum reference.
 MAX_REFERENCE_VALUES = 10**7
 # Study ensembles are drawn in blocks of members sized so that a block's
-# histogram cells (grid points per member) plus its expected impulses stay
-# near this count, which bounds a rung's working memory at every rate.
+# histogram cells (scatter cells per member) plus its expected impulses
+# stay near this count, which bounds a rung's working memory at every rate.
 BLOCK_CELLS = 2**16
 
 # Test-function geometry, as fractions of the box length.  The bump
@@ -253,22 +253,16 @@ def analytic_cf(f, op, phi, grid):
     tphi = apply_T(op, embedded, domain.step)
     integrand = evaluate(f, tphi)
     if any(pads):
-        peak = float(np.max(np.abs(integrand)))
-        for axis in range(domain.dim):
-            edges = [0] + ([domain.shape[axis] - 1] if not op.causal else [])
-            for edge_idx in edges:
-                sl = [slice(None)] * domain.dim
-                sl[axis] = edge_idx
-                if peak > 0 and float(np.max(np.abs(integrand[tuple(sl)]))) > TAIL_LEVEL * peak:
-                    warnings.warn(
-                        "integrand has not decayed at the margin edge; increase the margin",
-                        TailTruncationWarning,
-                        stacklevel=2,
-                    )
-                    break
-            else:
-                continue
-            break
+        mag = np.abs(integrand)
+        peak = np.max(mag)
+        edges = (0,) if op.causal else (0, -1)
+        tail = max(np.max(np.take(mag, i, axis)) for axis in range(domain.dim) for i in edges)
+        if peak > 0 and tail > TAIL_LEVEL * peak:
+            warnings.warn(
+                "integrand has not decayed at the margin edge; increase the margin",
+                TailTruncationWarning,
+                stacklevel=2,
+            )
     total = complex(np.sum(domain.weight_array() * integrand))
     out = complex(np.exp(total))
     return out
@@ -353,26 +347,33 @@ class CFReport:
         return "\n".join(lines)
 
 
-def _block_members(grid, lam, box):
-    """Members per ensemble block, fixed by the grid size and the rung's
-    expected impulse count (never by the seed or the realized counts)."""
-    per_member = math.prod(grid.shape) + math.ceil(lam * box.volume)
+def _rung_engine(op, grid):
+    """The synthesis engine of one study rung, on the margin-extended box."""
+    return _Engine(op, grid, sampling_box(op, grid.box, margin_rule(op, grid.box)))
+
+
+def _block_members(engine, lam):
+    """Members per ensemble block, fixed by the cells the engine scatters
+    onto and the rung's expected impulse count (never by the seed or the
+    realized counts)."""
+    per_member = engine.cells + math.ceil(lam * engine.box.volume)
     return max(1, BLOCK_CELLS // per_member)
 
 
-def _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
-    """The rung's `count` members as ImpulseBlocks on the margin-extended box.
+def _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
+    """The rung's `count` members as ImpulseBlocks on the engine's box.
 
     The block starting at member i draws from RngStream(base_seed,
     stream_offset + i), so rungs with disjoint member ranges never share
     a stream.
     """
-    box = sampling_box(op, grid.box, margin_rule(op, grid.box))
     jumps = poissonize(f, lam).jump_law
-    size = _block_members(grid, lam, box)
+    size = _block_members(engine, lam)
     for start in range(0, count, size):
         stream = RngStream(base_seed, stream_offset + start)
-        yield sample_impulse_block(grid.dim, box, lam, jumps, stream, min(size, count - start))
+        yield sample_impulse_block(
+            engine.grid.dim, engine.box, lam, jumps, stream, min(size, count - start)
+        )
 
 
 def _cf_mean_se(acc, count):
@@ -391,12 +392,11 @@ def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     with every test function.  This equals synthesize-then-quadrature on
     the same draws to round-off, for every operator.
     """
-    grid = bank.grid
-    engine = _Engine(op, grid, sampling_box(op, grid.box, margin_rule(op, grid.box)))
+    engine = _rung_engine(op, bank.grid)
     cells = engine.cells
     tables = engine.tables(bank.phis)
     acc = np.zeros(len(bank), dtype=complex)
-    for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
+    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
         kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
         flat += block.owners()[kept] * cells
         t = 0.0

@@ -8,6 +8,7 @@ from scipy.signal import lfilter
 from levyspline.grid import Box, Grid
 from levyspline.operators import (
     GridTooCoarse,
+    OperatorSpec,
     OperatorError,
     UnsupportedClosedForm,
     apply_adjoint,
@@ -16,8 +17,10 @@ from levyspline.operators import (
     format_operator_config,
     green,
     make_operator,
+    _forward_diff,
     _fourier_multiplier,
     _tail_exp_integral,
+    _tail_integral,
     margin_rule,
     one_pole,
     parse_operator_config,
@@ -71,6 +74,11 @@ def test_parse_and_format_round_trip():
     for text in (
         "operator=D n=1",
         "operator=D n=3",
+        "operator=D n=2 alpha=0.1 gamma=1.5",
+        "operator=DaI alpha=0.1 n=3 gamma=1.5",
+        "operator=DxDy alpha=0.1 gamma=1.5",
+        "operator=DaIxDaIy alpha=0.25 n=2",
+        "operator=frac_laplacian gamma=1.5 alpha=0.1 n=2",
         "operator=DaI alpha=0.1",
         "operator=DxDy",
         "operator=DaIxDaIy alpha=0.25",
@@ -78,6 +86,12 @@ def test_parse_and_format_round_trip():
     ):
         op = parse_operator_config(text)
         assert parse_operator_config(format_operator_config(op)) == op
+    # the CLI passes every operator key to make_operator; a spec keeps only
+    # its own family's parameter, so it survives the round trip
+    for fam, dim in (("D", 1), ("DaI", 1), ("DxDy", 2), ("DaIxDaIy", 2), ("frac_laplacian", 2)):
+        op = make_operator(fam, n=2, alpha=0.1, gamma=1.5, dim=dim)
+        assert parse_operator_config(format_operator_config(op), dim=dim) == op
+    assert make_operator("D", n=1, alpha=0.1, gamma=1.5) == make_operator("D")
     op = parse_operator_config("operator=frac_laplacian gamma=1.2", dim=2)
     assert op.dim == 2
     with pytest.raises(OperatorError):
@@ -92,6 +106,12 @@ def test_causality_and_pinning_flags():
     assert make_operator("DxDy").causal
     assert not make_operator("frac_laplacian", gamma=1.5, dim=1).causal
     assert not make_operator("frac_laplacian", gamma=1.5, dim=1).pinned
+    # each causal operator is its 1-D factor (n, alpha) on every axis
+    assert make_operator("D", n=3).factors == ((3, None),)
+    assert make_operator("DaI", alpha=0.2).factors == ((1, 0.2),)
+    assert make_operator("DxDy").factors == ((1, None), (1, None))
+    assert make_operator("DaIxDaIy", alpha=0.3).factors == ((1, 0.3), (1, 0.3))
+    assert make_operator("frac_laplacian", gamma=1.5, dim=2).factors == ()
 
 
 def test_margin_rule():
@@ -99,6 +119,9 @@ def test_margin_rule():
     assert margin_rule(make_operator("D"), box) == 0.0
     assert margin_rule(make_operator("D", n=4), box) == 0.0
     assert margin_rule(make_operator("DxDy"), Box.cube(0.0, 10.0, 2)) == 0.0
+    # a DxDy spec built with a stray alpha has D factors and needs no margin
+    stray = OperatorSpec("DxDy", alpha=0.1, dim=2)
+    assert margin_rule(stray, Box.cube(0.0, 10.0, 2)) == 0.0
     # pinning drops every impulse left of the window, so DaI needs no margin
     assert margin_rule(make_operator("DaI", alpha=0.1), box) == 0.0
     got = margin_rule(make_operator("DaIxDaIy", alpha=0.1), Box.cube(0.0, 10.0, 2))
@@ -296,3 +319,129 @@ def test_tail_exp_integral_matches_filter_formula(alpha):
         got = _tail_exp_integral(phi, h, alpha, axis=axis)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+
+
+# The branch-per-family operator code that the per-axis factors replaced,
+# kept as the oracle the factor loops must reproduce bit for bit.
+
+
+def branch_green(op, x):
+    if op.dim == 1:
+        t = np.asarray(x, dtype=float)
+        if op.family == "D":
+            mask = t >= 0.0
+            if op.n == 1:
+                out = mask.astype(float)
+            else:
+                out = np.where(mask, t, 0.0) ** (op.n - 1) / math.factorial(op.n - 1)
+                out = np.where(mask, out, 0.0)
+        else:
+            out = np.where(t >= 0.0, np.exp(-op.alpha * np.where(t >= 0.0, t, 0.0)), 0.0)
+        return float(out) if np.ndim(x) == 0 else out
+    pts = np.asarray(x, dtype=float)
+    scalar = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if op.family == "DxDy":
+        out = ((pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)).astype(float)
+    else:
+        mask = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)
+        decay = np.exp(-op.alpha * np.clip(pts[:, 0], 0.0, None)) * np.exp(
+            -op.alpha * np.clip(pts[:, 1], 0.0, None)
+        )
+        out = np.where(mask, decay, 0.0)
+    return float(out[0]) if scalar else out
+
+
+def branch_apply_T(op, phi, h):
+    if op.family == "D":
+        out = phi
+        for _ in range(op.n):
+            out = _tail_integral(out, h, axis=0)
+        return out
+    if op.family == "DaI":
+        return _tail_exp_integral(phi, h, op.alpha, axis=0)
+    if op.family == "DxDy":
+        return _tail_integral(_tail_integral(phi, h, axis=0), h, axis=1)
+    if op.family == "DaIxDaIy":
+        out = _tail_exp_integral(phi, h, op.alpha, axis=0)
+        return _tail_exp_integral(out, h, op.alpha, axis=1)
+    return spectral_divide(phi, h, op.gamma)
+
+
+def branch_apply_adjoint(op, phi, h):
+    if op.family == "D":
+        out = phi
+        for _ in range(op.n):
+            out = -np.gradient(out, h, axis=0, edge_order=2)
+        return out
+    if op.family == "DaI":
+        return -np.gradient(phi, h, axis=0, edge_order=2) + op.alpha * phi
+    if op.family == "DxDy":
+        gx = np.gradient(phi, h, axis=0, edge_order=2)
+        return np.gradient(gx, h, axis=1, edge_order=2)
+    out = -np.gradient(phi, h, axis=0, edge_order=2) + op.alpha * phi
+    return -np.gradient(out, h, axis=1, edge_order=2) + op.alpha * out
+
+
+def branch_apply_L_samples(op, s, h):
+    if op.family == "D":
+        out = s
+        for _ in range(op.n):
+            out = _forward_diff(out, h, axis=0)
+        return out
+    if op.family == "DaI":
+        return _forward_diff(s, h, axis=0) + op.alpha * s
+    if op.family == "DxDy":
+        return _forward_diff(_forward_diff(s, h, axis=0), h, axis=1)
+    out = _forward_diff(s, h, axis=0) + op.alpha * s
+    return _forward_diff(out, h, axis=1) + op.alpha * out
+
+
+def assert_bits_equal(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+CAUSAL_OPS = [
+    make_operator("D"),
+    make_operator("D", n=2),
+    make_operator("D", n=3),
+    make_operator("DaI", alpha=0.37),
+    make_operator("DxDy"),
+    make_operator("DaIxDaIy", alpha=0.37),
+]
+
+
+@pytest.mark.parametrize("op", CAUSAL_OPS, ids=lambda op: f"{op.family}{op.n}")
+def test_factor_loops_equal_branch_per_family_code(op):
+    rng = np.random.default_rng(11)
+    h = 0.05
+    phi = rng.standard_normal((301,) if op.dim == 1 else (41, 37))
+    assert_bits_equal(apply_T(op, phi, h), branch_apply_T(op, phi, h))
+    assert_bits_equal(apply_L_samples(op, phi, h), branch_apply_L_samples(op, phi, h))
+    got, want = apply_adjoint(op, phi, h), branch_apply_adjoint(op, phi, h)
+    if op.family == "DxDy":
+        # computed as -grad(-grad phi): equal values, zeros may change sign
+        assert np.array_equal(got, want)
+    else:
+        assert_bits_equal(got, want)
+    # Green's functions at offsets on both sides of zero, zero included
+    if op.dim == 1:
+        x = rng.uniform(-3.0, 5.0, size=(50, 40))
+        x[0, :5] = 0.0
+        inputs = [x, x[0], 0.7, 0.0, -0.4]
+    else:
+        pts = rng.uniform(-3.0, 5.0, size=(300, 2))
+        pts[:4] = [[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [2.0, -0.0]]
+        inputs = [pts, pts[:1], np.array([0.5, 0.2]), [-0.5, 0.2], (0.0, 0.0)]
+    for x in inputs:
+        assert_bits_equal(green(op, x), branch_green(op, x))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectral_apply_T_equals_branch_per_family_code(dim):
+    op = make_operator("frac_laplacian", gamma=1.3, dim=dim)
+    phi = np.random.default_rng(dim).standard_normal((301,) if dim == 1 else (41, 37))
+    assert_bits_equal(apply_T(op, phi, 0.05), branch_apply_T(op, phi, 0.05))

@@ -12,6 +12,7 @@ from levyspline.noise import RngStream, sample_impulse_field
 from levyspline.operators import make_operator
 from levyspline.synthesis import GridRealization, ensemble, reference_levy_path, synthesize_spline
 from levyspline.verify import (
+    BLOCK_CELLS,
     CFEstimate,
     GridMismatch,
     NoiseFloor,
@@ -21,6 +22,7 @@ from levyspline.verify import (
     _cf_mean_se,
     _rung_blocks,
     _rung_cf,
+    _rung_engine,
     analytic_cf,
     build_cf_bank,
     build_identity_bank,
@@ -164,7 +166,7 @@ def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     weights = grid.weight_array()
     weighted = [weights * phi for phi in bank.phis]
     acc = np.zeros(len(bank), dtype=complex)
-    for block in _rung_blocks(f, op, lam, count, grid, base_seed, stream_offset):
+    for block in _rung_blocks(f, _rung_engine(op, grid), lam, count, base_seed, stream_offset):
         for fld in block.fields():
             real = synthesize_spline(fld, op, grid)
             t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
@@ -178,7 +180,7 @@ def test_convergence_study_fast_path_equals_pipeline():
     # derivative, the exponential kernel and the fractional Laplacian; at
     # rate 4 a causal ensemble spans three full blocks and ends in a
     # partial one, at rate 0.05 most members draw no impulse at all
-    size = _block_members(GRID1, 4.0, GRID1.box)
+    size = _block_members(_rung_engine(make_operator("D"), GRID1), 4.0)
     dense = 3 * size + size // 2
     cases = [("D", {"n": n}, f, 4.0, dense) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
     cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 4.0, dense))
@@ -193,12 +195,35 @@ def test_convergence_study_fast_path_equals_pipeline():
         slow, slow_se = _generic_rung_cf(f, op, lam, count, bank, 17, 600)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
-        blocks = list(_rung_blocks(f, op, lam, count, GRID1, 17, 600))
+        engine = _rung_engine(op, GRID1)
+        blocks = list(_rung_blocks(f, engine, lam, count, 17, 600))
         assert sum(b.members for b in blocks) == count
+        assert all(b.members == _block_members(engine, lam) for b in blocks[:-1])
         if lam == 0.05:
             assert sum(int(np.sum(b.counts == 0)) for b in blocks) > count // 2
         elif op.causal:
             assert len(blocks) == 4 and blocks[-1].members < size
+
+
+def test_block_members_bound_the_scattered_histogram():
+    # a block's (member, cell) histogram plus its expected impulses stay
+    # within BLOCK_CELLS, counted on the cells the engine scatters onto:
+    # the window for causal operators, the padded window for frac_laplacian
+    grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
+    for op, grid, lam in (
+        (make_operator("D"), GRID1, 4.0),
+        (make_operator("DaIxDaIy", alpha=0.5), grid2, 1.0),
+        (make_operator("frac_laplacian", gamma=1.5), GRID1, 4.0),
+        (make_operator("frac_laplacian", gamma=1.5, dim=2), grid2, 1.0),
+    ):
+        engine = _rung_engine(op, grid)
+        per_member = engine.cells + math.ceil(lam * engine.box.volume)
+        members = _block_members(engine, lam)
+        assert members * per_member <= BLOCK_CELLS < (members + 1) * per_member
+    # the 1-D spectral rung scatters onto 1,501 cells, not the 1,001 window
+    # points, so a block holds 41 members rather than 61
+    spectral = _rung_engine(make_operator("frac_laplacian", gamma=1.5), GRID1)
+    assert spectral.cells == 1501 and _block_members(spectral, 4.0) == 41
 
 
 def test_rung_cf_equals_pipeline_in_two_dimensions():

@@ -33,7 +33,14 @@ from .exponents import (
 )
 from .grid import Box, Grid, GridSpecError, fmt17
 from .noise import NoiseError, RngStream, sample_impulse_field, write_impulse_csv
-from .operators import OperatorError, make_operator, margin_rule, sampling_box
+from .operators import (
+    OPERATOR_PARAMS,
+    OperatorError,
+    family_param,
+    make_operator,
+    margin_rule,
+    sampling_box,
+)
 from .synthesis import (
     SynthesisError,
     ensemble,
@@ -88,7 +95,8 @@ class _Key:
 
 # Every config key, in run.cfg order.  A default of None is resolved in
 # _resolve: dim from the operator, margin from margin_rule, seed from
-# the environment.
+# the environment.  Of n, alpha and gamma only the operator family's own
+# parameter is resolved; the others stay None and run.cfg omits them.
 _KEYS = (
     _Key("command", str, None),
     _Key("operator", str, "D", "D | DaI | DxDy | DaIxDaIy | frac_laplacian"),
@@ -116,7 +124,8 @@ class ConfigError(Exception):
 
 
 def _to_kv(cfg):
-    return "".join(f"{row.key}={row.text(getattr(cfg, row.attr))}\n" for row in _KEYS)
+    values = ((row, getattr(cfg, row.attr)) for row in _KEYS)
+    return "".join(f"{row.key}={row.text(v)}\n" for row, v in values if v is not None)
 
 
 RunConfig = make_dataclass(
@@ -207,9 +216,13 @@ def _resolve(ns):
 
     step = cfg["step"]
     try:
-        op = make_operator(
-            cfg["operator"], n=cfg["n"], alpha=cfg["alpha"], gamma=cfg["gamma"], dim=cfg["dim"]
-        )
+        given = [k for k in OPERATOR_PARAMS if getattr(ns, k) is not None or k in file_cfg]
+        param = family_param(cfg["operator"], given)
+        for key in OPERATOR_PARAMS:
+            if key != param:
+                cfg[key] = None
+        kw = {param: cfg[param]} if param else {}
+        op = make_operator(cfg["operator"], dim=cfg["dim"], **kw)
         cfg["dim"] = op.dim
         grid = _make_grid(cfg["box"], step, cfg["dim"])
     except (OperatorError, GridSpecError, ValueError) as exc:
@@ -244,7 +257,8 @@ def _make_grid(box_text, step, dim):
 
 
 def _operator(cfg):
-    return make_operator(cfg.operator, n=cfg.n, alpha=cfg.alpha, gamma=cfg.gamma, dim=cfg.dim)
+    kw = {k: getattr(cfg, k) for k in OPERATOR_PARAMS if getattr(cfg, k) is not None}
+    return make_operator(cfg.operator, dim=cfg.dim, **kw)
 
 
 def _exponent(cfg):
@@ -297,7 +311,7 @@ def cmd_verify(cfg, outdir):
     op = _operator(cfg)
     grid = _make_grid(cfg.box, cfg.step, cfg.dim)
     f = _exponent(cfg)
-    bank = build_cf_bank(grid, op)
+    bank = build_cf_bank(grid)
     os.makedirs(outdir, exist_ok=True)
     verdict = []
     report = None
@@ -394,7 +408,7 @@ def cmd_selftest(cfg, outdir):
 
     grid = _make_grid("0:10", 0.01, 1)
     op = make_operator("D")
-    bank = build_cf_bank(grid, op)
+    bank = build_cf_bank(grid)
     for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
 
         def make(stream, f=f):

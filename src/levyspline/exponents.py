@@ -39,11 +39,10 @@ class _Family:
 
 
 def _gaussian_draw(gen, f, t, size):
-    """N(0, sigma2 t) by the Box-Muller transform from uniforms."""
-    u1 = gen.random(size)
-    u2 = gen.random(size)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    return math.sqrt(f.sigma2 * t) * radius * np.cos(2.0 * math.pi * u2)
+    """N(0, sigma2 t): numpy's ziggurat standard normal, scaled in place."""
+    out = gen.standard_normal(size)
+    out *= math.sqrt(f.sigma2 * t)
+    return out
 
 
 def _laplace_draw(gen, f, t, size):

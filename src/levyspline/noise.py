@@ -95,10 +95,6 @@ class ImpulseBlock:
     def members(self):
         return self.counts.shape[0]
 
-    def owners(self):
-        """Member index of every impulse."""
-        return np.repeat(np.arange(self.members), self.counts)
-
     def fields(self):
         """Split the block into one ImpulseField per member."""
         ends = np.cumsum(self.counts).tolist()
@@ -134,9 +130,9 @@ def sample_impulse_block(dim, box, lam, jumps, rng, members):
     gen = rng.generator()
     counts = gen.poisson(mean_count, int(members))
     total = int(counts.sum())
-    lo = np.asarray(box.lo)
-    lengths = np.asarray(box.lengths)
-    locations = lo + gen.random((total, dim)) * lengths
+    locations = gen.random((total, dim))
+    locations *= box.lengths
+    locations += box.lo
     amplitudes = jumps.sample(gen, total)
     return ImpulseBlock(
         dim=dim,

@@ -69,11 +69,27 @@ _FAMILIES = {
 }
 
 
+# Descriptor keys of the operator parameters, with their types; a family
+# takes at most one of them, its _Family.param.
+OPERATOR_PARAMS = {"n": int, "alpha": float, "gamma": float}
+
+
 def _family(name):
     row = _FAMILIES.get(name)
     if row is None:
         raise OperatorError(f"unknown operator family {name!r}")
     return row
+
+
+def family_param(family, given=()):
+    """The parameter key of an operator family (None: it takes none).
+    Raises OperatorError if `given` names another family's parameter."""
+    row = _family(family)
+    for key in given:
+        if key in OPERATOR_PARAMS and key != row.param:
+            own = f"its parameter is {row.param}" if row.param else "it takes no parameter"
+            raise OperatorError(f"operator {family} does not use {key} ({own})")
+    return row.param
 
 
 @dataclass(frozen=True)
@@ -127,7 +143,8 @@ def make_operator(family, n=1, alpha=None, gamma=None, dim=None):
 
 
 def parse_operator_config(source, dim=None):
-    """Parse 'operator=DaI alpha=0.1' style descriptors (string or mapping)."""
+    """Parse 'operator=DaI alpha=0.1' style descriptors (string or mapping).
+    Only the family's own parameter is read; another family's is an error."""
     if isinstance(source, str):
         try:
             pairs = dict(tok.split("=", 1) for tok in source.split())
@@ -138,14 +155,11 @@ def parse_operator_config(source, dim=None):
     if "operator" not in pairs:
         raise OperatorError("operator descriptor missing 'operator=' token")
     fam = pairs["operator"]
+    param = family_param(fam, pairs)
     kw = {}
     try:
-        if "n" in pairs:
-            kw["n"] = int(pairs["n"])
-        if "alpha" in pairs:
-            kw["alpha"] = float(pairs["alpha"])
-        if "gamma" in pairs:
-            kw["gamma"] = float(pairs["gamma"])
+        if param in pairs:
+            kw[param] = OPERATOR_PARAMS[param](pairs[param])
         use_dim = int(pairs["dim"]) if "dim" in pairs else dim
     except ValueError as exc:
         raise OperatorError(f"bad numeric value in operator descriptor {source!r}") from exc

@@ -73,10 +73,13 @@ class GridRealization:
 
 def _bin_ceil(coords, lo, h, n):
     """First grid index at or beyond each coordinate, snapped against
-    floating-point jitter, clipped into [0, n-1]."""
-    r = (np.asarray(coords, dtype=float) - lo) / h
-    idx = np.ceil(r - BIN_SNAP).astype(int)
-    return np.minimum(np.maximum(idx, 0), n - 1)
+    floating-point jitter, clipped into [0, n-1].  Only the subtraction
+    allocates, so the rest runs in place without touching `coords`."""
+    r = np.subtract(coords, lo, dtype=float)
+    r /= h
+    r -= BIN_SNAP
+    idx = np.ceil(r, out=r).astype(np.intp)
+    return np.clip(idx, 0, n - 1, out=idx)
 
 
 def _check_margin(field, op, grid):
@@ -207,14 +210,16 @@ class _Engine:
 
     def scatter(self, locations, amplitudes):
         """Impulses kept (pinning drops those at or left of the window
-        start), their flat cells on the scatter grid, and one (axis
-        filters, weights) pair per kernel term."""
+        start; slice(None) when it drops none), their flat cells on the
+        scatter grid, and one (axis filters, weights) pair per kernel term."""
         grid, h = self.grid, self.grid.step
         coords = [locations[:, axis] for axis in range(grid.dim)]
         kept = slice(None)
         if self.op.pinned:
-            kept = _pinned_window_mask(coords[0], grid)
-            coords = [coords[0][kept]]
+            mask = _pinned_window_mask(coords[0], grid)
+            if not mask.all():
+                kept = mask
+                coords = [coords[0][kept]]
         amps = amplitudes[kept]
         if self.op.causal:
             bins, weights = [], [amps]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,20 +121,20 @@ def _product_bump(grid, center_fracs, width_frac):
 
 @dataclass
 class TestFunctionBank:
-    """Named sampled test functions with T phi precomputed for one operator."""
+    """Named test functions sampled on one grid."""
 
     grid: Grid
-    op: object
     names: list
     phis: list
-    tphis: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.phis)
 
 
-def build_cf_bank(grid, op):
-    """Five-profile bank (four bumps and a plateau) for functional studies."""
+def build_cf_bank(grid, op=None):
+    """Five-profile bank (four bumps and a plateau) for functional studies.
+    The profiles are the same for every operator; `op` is accepted and
+    not used."""
     if grid.dim != 1:
         raise VerifyError("functional-study bank is one dimensional")
     lo = grid.box.lo[0]
@@ -147,8 +147,7 @@ def build_cf_bank(grid, op):
     a, b, edge, amp = CF_PLATEAU
     names.append("plateau")
     phis.append(amp * _plateau_profile(x, lo + a * length, lo + b * length, edge * length))
-    tphis = [apply_T(op, phi, grid.step) for phi in phis]
-    return TestFunctionBank(grid=grid, op=op, names=names, phis=phis, tphis=tphis)
+    return TestFunctionBank(grid=grid, names=names, phis=phis)
 
 
 def build_identity_bank(grid, zero_mean=False):
@@ -170,7 +169,7 @@ def build_identity_bank(grid, zero_mean=False):
             phi = phi - (np.sum(weights * phi) / np.sum(weights * wide)) * wide
         names.append(f"zmbump{k}" if zero_mean else f"bump{k}")
         phis.append(phi)
-    return TestFunctionBank(grid=grid, op=None, names=names, phis=phis)
+    return TestFunctionBank(grid=grid, names=names, phis=phis)
 
 
 def left_inverse_residual(op, phi, step):
@@ -382,6 +381,12 @@ def _cf_mean_se(acc, count):
     return mean, se
 
 
+def _member_offsets(block, cells):
+    """Each impulse's offset into the block's (member, cell) histogram:
+    its member's index times the cells per member."""
+    return np.repeat(np.arange(block.members) * cells, block.counts)
+
+
 def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     """Empirical functionals for one ladder rung without densifying paths.
 
@@ -398,7 +403,7 @@ def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     acc = np.zeros(len(bank), dtype=complex)
     for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
         kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
-        flat += block.owners()[kept] * cells
+        flat += _member_offsets(block, cells)[kept]
         t = 0.0
         for table, (_, weights) in zip(tables, terms):
             hist = np.bincount(flat, weights, minlength=block.members * cells)

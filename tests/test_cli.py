@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -243,6 +244,38 @@ def test_usage_and_config_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_operator_keys_the_family_ignores(tmp_path, capsys):
+    # a key of another operator family, set by flag or config file, is
+    # refused with a message naming the family and the key
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run("generate", "--operator", "D", "--alpha", "7", "--gamma", "9",
+               "--outdir", str(out)) == 2
+    assert "config error: operator D does not use alpha" in capsys.readouterr().err
+    cfg = tmp_path / "dxdy.cfg"
+    cfg.write_text("operator=DxDy\nn=2\n")
+    assert run("generate", "--config", str(cfg), "--outdir", str(out)) == 2
+    assert "operator DxDy does not use n" in capsys.readouterr().err
+    # a run.cfg that recorded every operator key, as earlier versions wrote
+    cfg.write_text("command=generate\noperator=D\nn=1\nalpha=0.1\ngamma=1.5\ndim=1\n")
+    assert run("generate", "--config", str(cfg), "--outdir", str(out)) == 2
+    assert "operator D does not use alpha" in capsys.readouterr().err
+    assert not out.exists()
+    # run.cfg records only the family's parameter, and replays
+    assert run("generate", "--operator", "DaI", "--alpha", "0.25", "--lambda", "1",
+               "--seed", "3", "--outdir", str(out)) == 0
+    text = (out / "run.cfg").read_text()
+    assert "alpha=0.25\n" in text and "\nn=" not in text and "gamma=" not in text
+    again = tmp_path / "again"
+    assert run("generate", "--config", str(out / "run.cfg"), "--outdir", str(again)) == 0
+    assert (again / "run.cfg").read_text() == text
+    dxdy = tmp_path / "dxdy"
+    assert run("generate", "--operator", "DxDy", "--lambda", "0.1", "--step", "0.1",
+               "--outdir", str(dxdy)) == 0
+    text = (dxdy / "run.cfg").read_text()
+    assert "operator=DxDy\ndim=2\n" in text
+
+
 def test_runtime_error_exit_3(tmp_path):
     # reference only supports the first-derivative operator
     code = run("reference", "--operator", "DaI", "--alpha", "0.1", "--outdir", str(tmp_path))
@@ -281,8 +314,9 @@ def test_verify_refuses_a_margin_it_would_ignore(tmp_path, capsys):
 
 
 def test_run_config_kv_is_lossless(tmp_path):
+    # a resolved config holds only the operator family's own parameter
     cfg = RunConfig(
-        command="generate", operator="DaI", n=1, alpha=0.1, gamma=1.5, dim=1,
+        command="generate", operator="DaI", n=None, alpha=0.1, gamma=None, dim=1,
         family="cauchy", sigma2=1.0, c=2.0, lam=3.5, ladder=(1.0, 4.0), box="0:10",
         step=0.01, margin=138.16, ensemble=1000, seed=42, fmt="csv",
     )
@@ -292,13 +326,16 @@ def test_run_config_kv_is_lossless(tmp_path):
     assert pairs["lambda"] == "3.5"
     assert pairs["ladder"] == "1,4"
     assert pairs["margin"] == "138.16"
+    assert "n" not in pairs and "gamma" not in pairs
     # every key survives to_kv and --config, also when each is away from its default
     away = RunConfig(
-        command="generate", operator="DaIxDaIy", n=2, alpha=0.3, gamma=0.7, dim=2,
+        command="generate", operator="DaIxDaIy", n=None, alpha=0.3, gamma=None, dim=2,
         family="laplace", sigma2=2.5, c=0.5, lam=5.25, ladder=(2.0, 8.0, 32.0), box="-1:3",
         step=0.05, margin=50.0, ensemble=300, seed=7, fmt="bin",
     )
-    for want in (cfg, away):
+    d_away = replace(away, operator="D", n=2, alpha=None, dim=1)
+    frac_away = replace(away, operator="frac_laplacian", alpha=None, gamma=0.7)
+    for want in (cfg, away, d_away, frac_away):
         path = tmp_path / "run.cfg"
         path.write_text(want.to_kv())
         assert _resolve(_build_parser().parse_args([want.command, "--config", str(path)])) == want

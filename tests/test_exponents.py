@@ -117,6 +117,15 @@ def test_jump_law_moments():
     assert q1 == pytest.approx(-0.5, rel=0.05)
 
 
+def test_gaussian_draw_is_the_scaled_standard_normal():
+    # the Gaussian rule: numpy's standard_normal times sqrt(sigma2 t), one
+    # normal per draw, so a seeded generator pins every amplitude
+    for s2, t, n in ((0.8, 1 / 64, 1000), (2.5, 0.01, 7), (1.0, 1.0, 0)):
+        got = JumpLaw(gaussian(s2), t).sample(np.random.default_rng(5), n)
+        want = math.sqrt(s2 * t) * np.random.default_rng(5).standard_normal(n)
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", [1, 10, 100])
 @pytest.mark.parametrize(
     "f", [gaussian(1.0), gaussian(4.0), laplace(2.0), cauchy(1.0)], ids=lambda f: f.family

@@ -15,6 +15,7 @@ from levyspline.noise import (
     sample_impulse_field,
     write_impulse_csv,
 )
+from levyspline.verify import _member_offsets
 
 GAUSS = JumpLaw(gaussian(1.0), 1.0)
 
@@ -67,9 +68,24 @@ def test_sample_block_draw_order_is_replayable():
     fields = block.fields()
     assert [fld.count for fld in fields] == list(counts)
     np.testing.assert_array_equal(np.concatenate([fld.amplitudes for fld in fields]), amps)
-    np.testing.assert_array_equal(block.owners(), np.repeat(np.arange(7), counts))
+    # a study's histogram offsets put each member's impulses in its own row
+    offsets = np.concatenate([np.full(fld.count, 11 * i) for i, fld in enumerate(fields)])
+    np.testing.assert_array_equal(_member_offsets(block, 11), offsets)
     with pytest.raises(NoiseError):
         sample_impulse_block(2, box, 1.5, GAUSS, RngStream(11, 40), 0)
+
+
+def test_jump_law_moves_only_the_amplitudes():
+    # counts and locations are drawn before any amplitude, so blocks from
+    # one stream share them whatever the jump law
+    box = Box.cube(-1.0, 2.0, 2)
+    stream = RngStream(13, 5)
+    gauss = sample_impulse_block(2, box, 1.5, GAUSS, stream, 9)
+    cauchy_block = sample_impulse_block(2, box, 1.5, JumpLaw(cauchy(1.0), 0.25), stream, 9)
+    np.testing.assert_array_equal(gauss.counts, cauchy_block.counts)
+    np.testing.assert_array_equal(gauss.locations, cauchy_block.locations)
+    assert gauss.amplitudes.size == cauchy_block.amplitudes.size > 0
+    assert not np.array_equal(gauss.amplitudes, cauchy_block.amplitudes)
 
 
 def test_sample_field_is_the_one_member_block():

@@ -74,11 +74,6 @@ def test_parse_and_format_round_trip():
     for text in (
         "operator=D n=1",
         "operator=D n=3",
-        "operator=D n=2 alpha=0.1 gamma=1.5",
-        "operator=DaI alpha=0.1 n=3 gamma=1.5",
-        "operator=DxDy alpha=0.1 gamma=1.5",
-        "operator=DaIxDaIy alpha=0.25 n=2",
-        "operator=frac_laplacian gamma=1.5 alpha=0.1 n=2",
         "operator=DaI alpha=0.1",
         "operator=DxDy",
         "operator=DaIxDaIy alpha=0.25",
@@ -98,6 +93,18 @@ def test_parse_and_format_round_trip():
         parse_operator_config("n=1")
     with pytest.raises(OperatorError):
         parse_operator_config("operator=DaI alpha=1+2j")
+    # another family's key is refused, whatever its value, never dropped
+    for text in (
+        "operator=D n=2 alpha=0.1",
+        "operator=DaI alpha=0.1 gamma=0",
+        "operator=DaI alpha=0.1 n=x",
+        "operator=DxDy gamma=1.5",
+        "operator=DaIxDaIy alpha=0.25 n=2",
+        "operator=frac_laplacian gamma=1.5 alpha=0.1",
+    ):
+        fam, key = text.split()[0][9:], text.split()[-1].split("=")[0]
+        with pytest.raises(OperatorError, match=f"operator {fam} does not use {key}"):
+            parse_operator_config(text)
 
 
 def test_causality_and_pinning_flags():

@@ -8,15 +8,17 @@ from scipy import stats
 
 from levyspline.exponents import JumpLaw, cauchy, gaussian, laplace
 from levyspline.grid import Box, Grid
-from levyspline.noise import ImpulseField, RngStream, sample_impulse_field
+from levyspline.noise import ImpulseField, RngStream, sample_impulse_block, sample_impulse_field
 from levyspline.operators import (
     apply_L_samples,
     green,
     make_operator,
     margin_rule,
+    sampling_box,
     spectral_divide,
 )
 from levyspline.synthesis import (
+    BIN_SNAP,
     MarginTooSmall,
     SynthesisError,
     UnsupportedReference,
@@ -25,9 +27,12 @@ from levyspline.synthesis import (
     read_realization_csv,
     reference_levy_path,
     synthesize_spline,
+    _Engine,
+    _pinned_window_mask,
     write_realization_binary,
     write_realization_csv,
 )
+from levyspline.verify import _member_offsets
 
 GRID1 = Grid(Box.cube(0.0, 10.0, 1), 0.01)
 
@@ -405,3 +410,109 @@ def test_read_empty_realization_raises(tmp_path):
     path.write_text("")
     with pytest.raises(SynthesisError):
         read_realization_csv(path)
+
+
+def oracle_bin_ceil(coords, lo, h, n):
+    """_bin_ceil as first written, with a temporary per operation."""
+    r = (np.asarray(coords, dtype=float) - lo) / h
+    idx = np.ceil(r - BIN_SNAP).astype(int)
+    return np.minimum(np.maximum(idx, 0), n - 1)
+
+
+def oracle_scatter(engine, locations, amplitudes):
+    """_Engine.scatter as first written: the pinning mask is applied even
+    when it keeps every impulse."""
+    grid, h = engine.grid, engine.grid.step
+    coords = [locations[:, axis] for axis in range(grid.dim)]
+    kept = slice(None)
+    if engine.op.pinned:
+        kept = _pinned_window_mask(coords[0], grid)
+        coords = [coords[0][kept]]
+    amps = amplitudes[kept]
+    if engine.op.causal:
+        bins, weights = [], [amps]
+        for x, (nodes, moments, _) in zip(coords, engine.kernels):
+            idx = oracle_bin_ceil(x, nodes[0], h, nodes.size)
+            bins.append(idx)
+            weights = [w for a in weights for w in moments(a, nodes[idx] - x)]
+    else:
+        bins = [
+            np.clip(np.round((x - lo) / h).astype(int), 0, n - 1)
+            for x, lo, n in zip(coords, engine.origin, engine.shape)
+        ]
+        weights = [amps / h**grid.dim]
+    flat = bins[0]
+    for idx, n in zip(bins[1:], engine.shape[1:]):
+        flat = flat * n + idx
+    return kept, flat, list(zip(engine.filters, weights))
+
+
+GRID2_SMALL = Grid(Box.cube(0.0, 4.0, 2), 0.1)
+SCATTER_CASES = (
+    (make_operator("D"), GRID1),
+    (make_operator("D", n=2), GRID1),
+    (make_operator("D", n=3), GRID1),
+    (make_operator("DaI", alpha=0.1), GRID1),
+    (make_operator("frac_laplacian", gamma=1.5), GRID1),
+    (make_operator("DxDy"), GRID2_SMALL),
+    (make_operator("DaIxDaIy", alpha=0.5), GRID2_SMALL),
+    (make_operator("frac_laplacian", gamma=1.5, dim=2), GRID2_SMALL),
+)
+
+
+def scatter_fields(grid, box, gen):
+    """Location sets: empty, inside the window only, and mixed (the margin,
+    the window start, a node of every axis, random points)."""
+    dim = grid.dim
+    lo = np.asarray(box.lo) - 1.0
+    inside = grid.box.lo[0] + grid.box.lengths[0] * (0.5 + 0.5 * gen.random((60, dim)))
+    nodes = np.stack([grid.axis(a)[gen.integers(0, grid.shape[a], 12)] for a in range(dim)], 1)
+    start = np.full((3, dim), grid.box.lo[0])
+    start[1:, 0] -= (1e-12, 0.5)
+    around = lo + (np.asarray(box.hi) + 1.0 - lo) * gen.random((80, dim))
+    mixed = np.concatenate([nodes, start, around, inside])
+    return (np.zeros((0, dim)), inside, mixed)
+
+
+def test_scatter_equals_the_first_written_scatter_bit_for_bit():
+    gen = np.random.default_rng(11)
+    for op, grid in SCATTER_CASES:
+        box = sampling_box(op, grid.box, margin_rule(op, grid.box))
+        engine = _Engine(op, grid, box)
+        for k, locs in enumerate(scatter_fields(grid, box, gen)):
+            amps = gen.standard_normal(locs.shape[0])
+            saved = locs.copy()
+            kept, flat, terms = engine.scatter(locs, amps)
+            want_kept, want_flat, want_terms = oracle_scatter(engine, locs, amps)
+            np.testing.assert_array_equal(locs, saved)  # the caller's array is untouched
+            index = np.arange(locs.shape[0])
+            np.testing.assert_array_equal(index[kept], index[want_kept])
+            assert flat.dtype == want_flat.dtype
+            np.testing.assert_array_equal(flat, want_flat)
+            assert len(terms) == len(want_terms)
+            for (filters, weights), (want_filters, want_weights) in zip(terms, want_terms):
+                assert filters == want_filters
+                np.testing.assert_array_equal(weights, want_weights)
+            # only the mixed set has impulses for pinning to drop
+            assert isinstance(kept, slice) == (k < 2 or not op.pinned)
+
+
+def test_study_offsets_equal_owner_times_cells():
+    # the study histogram offset of each kept impulse is its member index
+    # times the cells per member, whether pinning drops impulses (a box
+    # reaching left of the window) or keeps them all
+    jumps = JumpLaw(gaussian(1.0), 0.25)
+    for op, grid in SCATTER_CASES:
+        margin = margin_rule(op, grid.box)
+        for left in (0.0, 2.0):
+            box = sampling_box(op, grid.box, margin + left)
+            engine = _Engine(op, grid, box)
+            block = sample_impulse_block(grid.dim, box, 2.0, jumps, RngStream(3, 9), 12)
+            kept, flat, _ = engine.scatter(block.locations, block.amplitudes)
+            owners = np.repeat(np.arange(block.members), block.counts)
+            got = flat + _member_offsets(block, engine.cells)[kept]
+            want = flat + owners[kept] * engine.cells
+            np.testing.assert_array_equal(got, want)
+            if op.pinned:
+                assert isinstance(kept, slice) == (left == 0.0)
+

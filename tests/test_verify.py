@@ -59,7 +59,7 @@ def constant_realizations(values):
 def test_cf_bank_shapes():
     bank = build_cf_bank(GRID1, OP_D)
     assert bank.names == ["bump1", "bump2", "bump3", "bump4", "plateau"]
-    assert len(bank.phis) == 5 and len(bank.tphis) == 5
+    assert len(bank.phis) == 5
     for phi in bank.phis:
         assert phi.shape == GRID1.shape
         assert phi[0] == 0.0 and phi[-1] == 0.0  # compact support inside
@@ -237,7 +237,7 @@ def test_rung_cf_equals_pipeline_in_two_dimensions():
         make_operator("frac_laplacian", gamma=1.5, dim=2),
     ):
         ident = build_identity_bank(grid, zero_mean=not op.causal)
-        bank = replace(ident, op=op, phis=[0.3 * phi for phi in ident.phis])
+        bank = replace(ident, phis=[0.3 * phi for phi in ident.phis])
         f = gaussian(1.0)
         fast, fast_se = _rung_cf(f, op, 1.0, 40, bank, 5, 0)
         slow, slow_se = _generic_rung_cf(f, op, 1.0, 40, bank, 5, 0)

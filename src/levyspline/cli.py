@@ -15,7 +15,6 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import make_dataclass
@@ -23,9 +22,11 @@ from dataclasses import make_dataclass
 import numpy as np
 
 from .exponents import (
+    EXPONENT_PARAMS,
     ExponentError,
+    LevyExponent,
     cauchy,
-    exponent_from_kv,
+    exponent_param,
     gaussian,
     laplace,
     poissonization_contraction_check,
@@ -36,9 +37,10 @@ from .noise import NoiseError, RngStream, sample_impulse_field, write_impulse_cs
 from .operators import (
     OPERATOR_PARAMS,
     OperatorError,
-    family_param,
+    check_family_keys,
+    grid_margin,
     make_operator,
-    margin_rule,
+    operator_param,
     sampling_box,
 )
 from .synthesis import (
@@ -60,6 +62,7 @@ from .verify import (
     convergence_study,
     empirical_cf,
     left_inverse_residual,
+    study_ladder,
 )
 
 SEED_ENV_VAR = "LEVYSPLINE_SEED"
@@ -94,9 +97,10 @@ class _Key:
 
 
 # Every config key, in run.cfg order.  A default of None is resolved in
-# _resolve: dim from the operator, margin from margin_rule, seed from
-# the environment.  Of n, alpha and gamma only the operator family's own
-# parameter is resolved; the others stay None and run.cfg omits them.
+# _resolve: dim from the operator, margin from grid_margin, seed from
+# the environment.  Of each selector's parameter keys (_SELECTORS) only
+# the chosen family's own is resolved; the others stay None and run.cfg
+# omits them.
 _KEYS = (
     _Key("command", str, None),
     _Key("operator", str, "D", "D | DaI | DxDy | DaIxDaIy | frac_laplacian"),
@@ -117,6 +121,13 @@ _KEYS = (
     _Key("format", str, "csv", "realization format", attr="fmt", choices=("csv", "bin")),
 )
 _BY_NAME = {name: row for row in _KEYS for name in (row.key, row.flag[2:])}
+
+# The family selectors: the selecting key, the kind of family it names,
+# the kind's parameter keys and the parameter key of one family.
+_SELECTORS = (
+    ("operator", "operator", OPERATOR_PARAMS, operator_param),
+    ("family", "exponent", EXPONENT_PARAMS, exponent_param),
+)
 
 
 class ConfigError(Exception):
@@ -184,13 +195,7 @@ def _build_parser():
                     row.flag, dest=row.attr, type=row.cast, choices=row.choices, help=row.help
                 )
 
-    for name, helptext in (
-        ("generate", "sample an impulse field and synthesize its L-spline"),
-        ("reference", "draw an exact limit-process path (first derivative only)"),
-        ("verify", "run the rate-ladder functional convergence study"),
-        ("plotdata", "emit gnuplot data (and PGM for 2-D) from a realization"),
-        ("selftest", "run internal consistency checks"),
-    ):
+    for name, (helptext, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         add_common(p)
         if name == "plotdata":
@@ -199,13 +204,16 @@ def _build_parser():
 
 
 def _resolve(ns):
-    """RunConfig from the flags, then the --config file, then the defaults."""
+    """The run's RunConfig, operator, grid and exponent, from the flags,
+    then the --config file, then the defaults."""
     file_cfg = parse_config_file(ns.config) if ns.config else {}
-    cfg = {}
+    cfg, given = {}, []
     for row in _KEYS:
         # unset flags are None; argparse always sets the subcommand
         flag = getattr(ns, row.attr)
         cfg[row.attr] = file_cfg.get(row.key, row.default) if flag is None else flag
+        if flag is not None or row.key in file_cfg:
+            given.append(row.key)
 
     if cfg["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR, "0")
@@ -214,58 +222,36 @@ def _resolve(ns):
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
 
-    step = cfg["step"]
     try:
-        given = [k for k in OPERATOR_PARAMS if getattr(ns, k) is not None or k in file_cfg]
-        param = family_param(cfg["operator"], given)
-        for key in OPERATOR_PARAMS:
-            if key != param:
-                cfg[key] = None
-        kw = {param: cfg[param]} if param else {}
-        op = make_operator(cfg["operator"], dim=cfg["dim"], **kw)
+        own = {}
+        for selector, kind, keys, param_of in _SELECTORS:
+            param = param_of(cfg[selector])
+            check_family_keys(kind, cfg[selector], param, keys, given)
+            for key in keys:
+                if key != param:
+                    cfg[key] = None
+            own[selector] = {param: cfg[param]} if param else {}
+        op = make_operator(cfg["operator"], dim=cfg["dim"], **own["operator"])
+        f = LevyExponent(cfg["family"], **own["family"])
         cfg["dim"] = op.dim
-        grid = _make_grid(cfg["box"], step, cfg["dim"])
-    except (OperatorError, GridSpecError, ValueError) as exc:
+        lo, sep, hi = str(cfg["box"]).partition(":")
+        if not sep:
+            raise ValueError(f"box must be lo:hi, got {cfg['box']!r}")
+        grid = Grid(Box.cube(float(lo), float(hi), op.dim), cfg["step"])
+    except (OperatorError, ExponentError, GridSpecError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    def snap(margin):
-        """Round a margin up to a whole number of grid bins."""
-        return math.ceil(margin / step - 1e-9) * step
-
-    rule = margin_rule(op, grid.box)
+    rule = grid_margin(op, grid)
     margin = rule if cfg["margin"] is None else cfg["margin"]
     if margin < 0:
         raise ConfigError("margin must be nonnegative")
-    cfg["margin"] = snap(margin)
-    if ns.command in ("verify", "reference") and cfg["margin"] != snap(rule):
+    cfg["margin"] = grid.whole_steps(margin)
+    if ns.command in ("verify", "reference") and cfg["margin"] != rule:
         raise ConfigError(
-            f"{ns.command} uses the {op.family} margin rule, margin={fmt17(snap(rule))}; "
+            f"{ns.command} uses the {op.family} margin rule, margin={fmt17(rule)}; "
             f"it cannot use margin={fmt17(cfg['margin'])}"
         )
-    return RunConfig(**cfg)
-
-
-def _make_grid(box_text, step, dim):
-    try:
-        lo_s, _, hi_s = str(box_text).partition(":")
-        if not _:
-            raise ValueError(f"box must be lo:hi, got {box_text!r}")
-        box = Box.cube(float(lo_s), float(hi_s), dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return Grid(box, step)
-
-
-def _operator(cfg):
-    kw = {k: getattr(cfg, k) for k in OPERATOR_PARAMS if getattr(cfg, k) is not None}
-    return make_operator(cfg.operator, dim=cfg.dim, **kw)
-
-
-def _exponent(cfg):
-    try:
-        return exponent_from_kv({"family": cfg.family, "sigma2": cfg.sigma2, "c": cfg.c})
-    except ExponentError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**cfg), op, grid, f
 
 
 def _write_cfg(cfg, outdir):
@@ -280,10 +266,8 @@ def _write_realization(real, cfg, outdir):
         write_realization_csv(real, os.path.join(outdir, "realization.csv"))
 
 
-def cmd_generate(cfg, outdir):
-    op = _operator(cfg)
-    grid = _make_grid(cfg.box, cfg.step, cfg.dim)
-    f = _exponent(cfg)
+def cmd_generate(cfg, op, grid, f, ns):
+    outdir = ns.outdir
     jump_law = poissonize(f, cfg.lam).jump_law
     field = sample_impulse_field(
         op.dim, sampling_box(op, grid.box, cfg.margin), cfg.lam, jump_law, RngStream(cfg.seed, 0)
@@ -296,10 +280,8 @@ def cmd_generate(cfg, outdir):
     return 0
 
 
-def cmd_reference(cfg, outdir):
-    op = _operator(cfg)
-    grid = _make_grid(cfg.box, cfg.step, cfg.dim)
-    f = _exponent(cfg)
+def cmd_reference(cfg, op, grid, f, ns):
+    outdir = ns.outdir
     real = reference_levy_path(f, op, grid, RngStream(cfg.seed, 0))
     os.makedirs(outdir, exist_ok=True)
     _write_realization(real, cfg, outdir)
@@ -307,11 +289,14 @@ def cmd_reference(cfg, outdir):
     return 0
 
 
-def cmd_verify(cfg, outdir):
-    op = _operator(cfg)
-    grid = _make_grid(cfg.box, cfg.step, cfg.dim)
-    f = _exponent(cfg)
-    bank = build_cf_bank(grid)
+def cmd_verify(cfg, op, grid, f, ns):
+    outdir = ns.outdir
+    # refuse, before any output, what the study would refuse
+    try:
+        bank = build_cf_bank(grid)
+        study_ladder(cfg.ladder, cfg.ensemble)
+    except VerifyError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
     verdict = []
     report = None
@@ -347,7 +332,8 @@ def _load_realization(path):
     return read_realization_csv(path)
 
 
-def cmd_plotdata(cfg, outdir, input_path):
+def cmd_plotdata(_cfg, _op, _grid, _f, ns):
+    outdir, input_path = ns.outdir, ns.input
     if not input_path:
         print("plotdata: --input is required", file=sys.stderr)
         return 2
@@ -401,12 +387,13 @@ def write_pgm(samples, path):
     return path
 
 
-def cmd_selftest(cfg, outdir):
+def cmd_selftest(cfg, _op, _grid, _f, ns):
+    outdir = ns.outdir
     os.makedirs(outdir, exist_ok=True)
     results = []
     count = max(500, min(cfg.ensemble, 5000))
 
-    grid = _make_grid("0:10", 0.01, 1)
+    grid = Grid(Box.cube(0.0, 10.0, 1), 0.01)
     op = make_operator("D")
     bank = build_cf_bank(grid)
     for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
@@ -426,7 +413,7 @@ def cmd_selftest(cfg, outdir):
             detail.append(f"{name}:err={err:.3g},tol={tol:.3g}")
         results.append((f"reference-vs-analytic[{f.family}]", ok, " ".join(detail)))
 
-    fine = _make_grid("0:10", 0.001, 1)
+    fine = Grid(Box.cube(0.0, 10.0, 1), 0.001)
     bank1 = build_identity_bank(fine)
     for opspec in (make_operator("D"), make_operator("DaI", alpha=0.1)):
         worst = max(left_inverse_residual(opspec, phi, fine.step) for phi in bank1.phis)
@@ -454,28 +441,25 @@ def cmd_selftest(cfg, outdir):
     return 0 if all_ok else 1
 
 
+# Every subcommand: its help line and its handler(cfg, op, grid, f, ns).
+_COMMANDS = {
+    "generate": ("sample an impulse field and synthesize its L-spline", cmd_generate),
+    "reference": ("draw an exact limit-process path (first derivative only)", cmd_reference),
+    "verify": ("run the rate-ladder functional convergence study", cmd_verify),
+    "plotdata": ("emit gnuplot data (and PGM for 2-D) from a realization", cmd_plotdata),
+    "selftest": ("run internal consistency checks", cmd_selftest),
+}
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    _, handler = _COMMANDS[ns.command]
     try:
-        cfg = _resolve(ns)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    outdir = ns.outdir
-    try:
-        if cfg.command == "generate":
-            return cmd_generate(cfg, outdir)
-        if cfg.command == "reference":
-            return cmd_reference(cfg, outdir)
-        if cfg.command == "verify":
-            return cmd_verify(cfg, outdir)
-        if cfg.command == "plotdata":
-            return cmd_plotdata(cfg, outdir, getattr(ns, "input", None))
-        return cmd_selftest(cfg, outdir)
+        return handler(*_resolve(ns), ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

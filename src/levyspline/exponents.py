@@ -61,6 +61,16 @@ _FAMILIES = {
     "laplace": _Family("sigma2", lambda f, x: -np.log1p(0.5 * f.sigma2 * x**2), _laplace_draw),
     "cauchy": _Family("c", lambda f, x: -f.c * np.abs(x), _cauchy_draw),
 }
+# The parameter keys of the noise families; a family takes one, its _Family.param.
+EXPONENT_PARAMS = ("sigma2", "c")
+
+
+def exponent_param(family):
+    """The parameter key of a noise family."""
+    row = _FAMILIES.get(family)
+    if row is None:
+        raise ExponentError(f"unknown exponent family {family!r}")
+    return row.param
 
 
 @dataclass(frozen=True)
@@ -72,12 +82,10 @@ class LevyExponent:
     c: float | None = None
 
     def __post_init__(self):
-        row = _FAMILIES.get(self.family)
-        if row is None:
-            raise ExponentError(f"unknown exponent family {self.family!r}")
-        value = getattr(self, row.param)
+        param = exponent_param(self.family)
+        value = getattr(self, param)
         if value is None or not value > 0.0:
-            raise ExponentError(f"{self.family} exponent needs {row.param} > 0")
+            raise ExponentError(f"{self.family} exponent needs {param} > 0")
 
 
 @dataclass(frozen=True)
@@ -193,8 +201,5 @@ def exponent_from_kv(source):
         pairs = dict(tok.split("=", 1) for tok in source.split())
     else:
         pairs = dict(source)
-    fam = pairs.get("family")
-    row = _FAMILIES.get(fam)
-    if row is None:
-        raise ExponentError(f"cannot parse exponent family {fam!r}")
-    return LevyExponent(fam, **{row.param: float(pairs[row.param])})
+    param = exponent_param(pairs.get("family"))
+    return LevyExponent(pairs["family"], **{param: float(pairs[param])})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,10 @@ class Grid:
             int(round((hi - l) / self.step)) + 1
             for l, hi in zip(self.box.lo, self.box.hi)
         )
+
+    def whole_steps(self, length):
+        """`length` rounded up to a whole number of steps, within 1e-9 step."""
+        return math.ceil(length / self.step - 1e-9) * self.step
 
     def axis(self, i=0):
         return self.box.lo[i] + self.step * np.arange(self.shape[i])

@@ -81,15 +81,19 @@ def _family(name):
     return row
 
 
-def family_param(family, given=()):
-    """The parameter key of an operator family (None: it takes none).
-    Raises OperatorError if `given` names another family's parameter."""
-    row = _family(family)
+def operator_param(family):
+    """The parameter key of an operator family (None: it takes none)."""
+    return _family(family).param
+
+
+def check_family_keys(kind, family, param, keys, given):
+    """The one rule for operator and noise keys alike: of a kind's parameter
+    `keys`, a `kind` family uses only its own `param` (None: none).  Raises
+    ValueError if `given` names another of them."""
     for key in given:
-        if key in OPERATOR_PARAMS and key != row.param:
-            own = f"its parameter is {row.param}" if row.param else "it takes no parameter"
-            raise OperatorError(f"operator {family} does not use {key} ({own})")
-    return row.param
+        if key in keys and key != param:
+            own = f"its parameter is {param}" if param else "it takes no parameter"
+            raise ValueError(f"{kind} {family} does not use {key} ({own})")
 
 
 @dataclass(frozen=True)
@@ -155,14 +159,13 @@ def parse_operator_config(source, dim=None):
     if "operator" not in pairs:
         raise OperatorError("operator descriptor missing 'operator=' token")
     fam = pairs["operator"]
-    param = family_param(fam, pairs)
-    kw = {}
+    param = operator_param(fam)
     try:
-        if param in pairs:
-            kw[param] = OPERATOR_PARAMS[param](pairs[param])
+        check_family_keys("operator", fam, param, OPERATOR_PARAMS, pairs)
+        kw = {param: OPERATOR_PARAMS[param](pairs[param])} if param in pairs else {}
         use_dim = int(pairs["dim"]) if "dim" in pairs else dim
     except ValueError as exc:
-        raise OperatorError(f"bad numeric value in operator descriptor {source!r}") from exc
+        raise OperatorError(f"bad operator descriptor {source!r}: {exc}") from exc
     return make_operator(fam, dim=use_dim, **kw)
 
 
@@ -186,6 +189,13 @@ def margin_rule(op, box):
         return SPECTRAL_PAD_FRACTION * max(box.lengths)
     rates = [alpha for _, alpha in op.factors if alpha is not None]
     return math.log(1.0 / TRUNCATION_TOL) / min(rates) if rates else 0.0
+
+
+def grid_margin(op, grid):
+    """The operator's margin rule on the grid's window, rounded up to whole
+    grid steps: the margin a run records and a study draws impulses on and
+    integrates the analytic functional over."""
+    return grid.whole_steps(margin_rule(op, grid.box))
 
 
 def sampling_box(op, box, margin):

@@ -20,7 +20,7 @@ import numpy as np
 from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
 from .noise import RngStream, sample_impulse_block
-from .operators import apply_adjoint, apply_T, format_operator_config, margin_rule, sampling_box
+from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
 from .synthesis import _Engine
 
 # Minimum ensemble size for a trustworthy empirical functional.
@@ -214,44 +214,26 @@ def empirical_cf(realizations, phi):
     return CFEstimate(value=mean, se=se, count=count)
 
 
-def _extended_embedding(op, grid):
-    """Window grid plus the margin demanded by the operator's decay rule.
-
-    Returns (domain grid, slices embedding the window, pad counts).
-    Operators without a margin integrate over the window itself; for the
-    pinned ones the pinning cancels every contribution from the left of
-    the window, so no margin enters the analytic functional.
-    """
-    h = grid.step
-    need = margin_rule(op, grid.box)
-    if need == 0.0:
-        return grid, tuple(slice(0, n) for n in grid.shape), [0] * grid.dim
-    pad = int(math.ceil(need / h - 1e-9))
-    ext = Grid(sampling_box(op, grid.box, pad * h), h)
-    slices = tuple(slice(pad, pad + n) for n in grid.shape)
-    return ext, slices, [pad] * grid.dim
-
-
 def analytic_cf(f, op, phi, grid):
     """exp(integral f(T phi)) by trapezoid quadrature at the grid step.
 
-    The integration domain is the window for pinned or margin-free
-    operators and the margin-extended grid for decaying kernels; a
+    The integration domain is the box a study draws on: the window plus
+    the grid margin (none for the pinned operators, whose pinning cancels
+    every contribution from the left of the window).  A
     TailTruncationWarning signals an integrand that has not died off at
     the domain edge.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise GridMismatch("test function must be sampled on the window grid")
-    domain, slices, pads = _extended_embedding(op, grid)
-    if domain is grid:
-        embedded = phi
-    else:
-        embedded = np.zeros(domain.shape)
-        embedded[slices] = phi
+    margin = grid_margin(op, grid)
+    pad = round(margin / grid.step)
+    domain = Grid(sampling_box(op, grid.box, margin), grid.step)
+    embedded = np.zeros(domain.shape)
+    embedded[tuple(slice(pad, pad + n) for n in grid.shape)] = phi
     tphi = apply_T(op, embedded, domain.step)
     integrand = evaluate(f, tphi)
-    if any(pads):
+    if pad:
         mag = np.abs(integrand)
         peak = np.max(mag)
         edges = (0,) if op.causal else (0, -1)
@@ -347,8 +329,9 @@ class CFReport:
 
 
 def _rung_engine(op, grid):
-    """The synthesis engine of one study rung, on the margin-extended box."""
-    return _Engine(op, grid, sampling_box(op, grid.box, margin_rule(op, grid.box)))
+    """The synthesis engine of one study rung, on the window plus the grid
+    margin: the box analytic_cf integrates over."""
+    return _Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
 
 
 def _block_members(engine, lam):
@@ -412,6 +395,19 @@ def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     return _cf_mean_se(acc, count)
 
 
+def study_ladder(ladder, count):
+    """The ladder as floats; raises VerifyError unless it climbs strictly
+    through at least 3 rungs and `count` reaches MIN_ENSEMBLE."""
+    ladder = [float(v) for v in ladder]
+    if len(ladder) < 3:
+        raise VerifyError("rate ladder needs at least 3 rungs")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise VerifyError("rate ladder must be strictly ascending")
+    if count < MIN_ENSEMBLE:
+        raise VerifyError(f"ensemble size {count} is below the minimum {MIN_ENSEMBLE}")
+    return ladder
+
+
 def convergence_study(f, op, ladder, count, bank, base_seed=0):
     """Empirical vs analytic functionals along an ascending rate ladder.
 
@@ -422,13 +418,7 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
     NOISE_SPLIT standard errors; fewer than two such rungs raises
     NoiseFloor (carrying the partial report).
     """
-    ladder = [float(v) for v in ladder]
-    if len(ladder) < 3:
-        raise VerifyError("rate ladder needs at least 3 rungs")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise VerifyError("rate ladder must be strictly ascending")
-    if count < MIN_ENSEMBLE:
-        raise VerifyError(f"ensemble size {count} is below the minimum {MIN_ENSEMBLE}")
+    ladder = study_ladder(ladder, count)
     nphi = len(bank)
     analytic = np.array([analytic_cf(f, op, phi, bank.grid) for phi in bank.phis])
     if np.any(np.abs(analytic) > 1.0 + 1e-12):

@@ -164,6 +164,32 @@ def test_verify_noise_floor_exit_code(tmp_path, capsys):
     assert (out / "cfreport.csv").exists()  # partial report still written
 
 
+def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
+    # a ladder, ensemble or operator the study would refuse exits 2 before
+    # any output is written
+    for args, reason in (
+        (("--ladder", "4,1,16"), "strictly ascending"),
+        (("--ladder", "1,4"), "at least 3 rungs"),
+        (("--ensemble", "50"), "below the minimum"),
+        (("--operator", "DxDy", "--step", "0.1"), "one dimensional"),
+        (("--operator", "DaIxDaIy", "--alpha", "0.1", "--step", "0.1"), "one dimensional"),
+        (("--operator", "frac_laplacian", "--gamma", "1.5", "--dim", "2", "--step", "0.1"),
+         "one dimensional"),
+    ):
+        out = tmp_path / "v"
+        capsys.readouterr()
+        assert run("verify", *args, "--outdir", str(out)) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err, (args, err)
+        assert not out.exists()
+    # a bad noise value exits 2 for every subcommand, also those that draw no noise
+    for command in ("generate", "reference", "verify", "plotdata", "selftest"):
+        out = tmp_path / command
+        assert run(command, "--sigma2", "-1", "--outdir", str(out)) == 2, command
+        assert "config error: gaussian exponent needs sigma2 > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_plotdata_one_dimensional(tmp_path):
     src = tmp_path / "src"
     run("generate", "--operator", "D", "--exponent", "gaussian", "--lambda", "3",
@@ -245,8 +271,8 @@ def test_usage_and_config_errors(tmp_path, capsys):
 
 
 def test_operator_keys_the_family_ignores(tmp_path, capsys):
-    # a key of another operator family, set by flag or config file, is
-    # refused with a message naming the family and the key
+    # a key of another operator or noise family, set by flag or config
+    # file, is refused with a message naming the family and the key
     out = tmp_path / "o"
     capsys.readouterr()
     assert run("generate", "--operator", "D", "--alpha", "7", "--gamma", "9",
@@ -260,15 +286,30 @@ def test_operator_keys_the_family_ignores(tmp_path, capsys):
     cfg.write_text("command=generate\noperator=D\nn=1\nalpha=0.1\ngamma=1.5\ndim=1\n")
     assert run("generate", "--config", str(cfg), "--outdir", str(out)) == 2
     assert "operator D does not use alpha" in capsys.readouterr().err
+    want = "config error: exponent cauchy does not use sigma2 (its parameter is c)"
+    assert run("generate", "--exponent", "cauchy", "--sigma2", "5", "--outdir", str(out)) == 2
+    assert want in capsys.readouterr().err
+    cfg.write_text("family=cauchy\nsigma2=5\n")
+    assert run("generate", "--config", str(cfg), "--outdir", str(out)) == 2
+    assert want in capsys.readouterr().err
+    # a run.cfg that recorded both noise keys, as earlier versions wrote
+    cfg.write_text("command=generate\noperator=D\nn=1\ndim=1\nfamily=gaussian\n"
+                   "sigma2=1\nc=1\n")
+    assert run("generate", "--config", str(cfg), "--outdir", str(out)) == 2
+    assert "config error: exponent gaussian does not use c (its parameter is sigma2)" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
-    # run.cfg records only the family's parameter, and replays
-    assert run("generate", "--operator", "DaI", "--alpha", "0.25", "--lambda", "1",
-               "--seed", "3", "--outdir", str(out)) == 0
+    # run.cfg records only the families' parameters, and replays
+    assert run("generate", "--operator", "DaI", "--alpha", "0.25", "--exponent", "cauchy",
+               "--c", "2", "--lambda", "1", "--seed", "3", "--outdir", str(out)) == 0
     text = (out / "run.cfg").read_text()
     assert "alpha=0.25\n" in text and "\nn=" not in text and "gamma=" not in text
+    assert "c=2\n" in text and "sigma2=" not in text
     again = tmp_path / "again"
     assert run("generate", "--config", str(out / "run.cfg"), "--outdir", str(again)) == 0
-    assert (again / "run.cfg").read_text() == text
+    for name in ("impulses.csv", "realization.csv", "run.cfg"):
+        assert filecmp.cmp(out / name, again / name, shallow=False)
     dxdy = tmp_path / "dxdy"
     assert run("generate", "--operator", "DxDy", "--lambda", "0.1", "--step", "0.1",
                "--outdir", str(dxdy)) == 0
@@ -314,10 +355,10 @@ def test_verify_refuses_a_margin_it_would_ignore(tmp_path, capsys):
 
 
 def test_run_config_kv_is_lossless(tmp_path):
-    # a resolved config holds only the operator family's own parameter
+    # a resolved config holds only the operator and noise families' own parameters
     cfg = RunConfig(
         command="generate", operator="DaI", n=None, alpha=0.1, gamma=None, dim=1,
-        family="cauchy", sigma2=1.0, c=2.0, lam=3.5, ladder=(1.0, 4.0), box="0:10",
+        family="cauchy", sigma2=None, c=2.0, lam=3.5, ladder=(1.0, 4.0), box="0:10",
         step=0.01, margin=138.16, ensemble=1000, seed=42, fmt="csv",
     )
     text = cfg.to_kv()
@@ -326,11 +367,11 @@ def test_run_config_kv_is_lossless(tmp_path):
     assert pairs["lambda"] == "3.5"
     assert pairs["ladder"] == "1,4"
     assert pairs["margin"] == "138.16"
-    assert "n" not in pairs and "gamma" not in pairs
+    assert "n" not in pairs and "gamma" not in pairs and "sigma2" not in pairs
     # every key survives to_kv and --config, also when each is away from its default
     away = RunConfig(
         command="generate", operator="DaIxDaIy", n=None, alpha=0.3, gamma=None, dim=2,
-        family="laplace", sigma2=2.5, c=0.5, lam=5.25, ladder=(2.0, 8.0, 32.0), box="-1:3",
+        family="laplace", sigma2=2.5, c=None, lam=5.25, ladder=(2.0, 8.0, 32.0), box="-1:3",
         step=0.05, margin=50.0, ensemble=300, seed=7, fmt="bin",
     )
     d_away = replace(away, operator="D", n=2, alpha=None, dim=1)
@@ -338,7 +379,8 @@ def test_run_config_kv_is_lossless(tmp_path):
     for want in (cfg, away, d_away, frac_away):
         path = tmp_path / "run.cfg"
         path.write_text(want.to_kv())
-        assert _resolve(_build_parser().parse_args([want.command, "--config", str(path)])) == want
+        ns = _build_parser().parse_args([want.command, "--config", str(path)])
+        assert _resolve(ns)[0] == want
 
 
 def test_write_pgm_constant_field(tmp_path):

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levyspline import verify
+from levyspline.cli import _build_parser, _resolve
 from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
 from levyspline.grid import Box, Grid
 from levyspline.noise import RngStream, sample_impulse_field
-from levyspline.operators import make_operator
+from levyspline.operators import grid_margin, make_operator, margin_rule, sampling_box
 from levyspline.synthesis import GridRealization, ensemble, reference_levy_path, synthesize_spline
 from levyspline.verify import (
     BLOCK_CELLS,
@@ -243,6 +245,60 @@ def test_rung_cf_equals_pipeline_in_two_dimensions():
         slow, slow_se = _generic_rung_cf(f, op, 1.0, 40, bank, 5, 0)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
+
+
+def _analytic_domain_shape(monkeypatch, op, grid):
+    """The shape of the domain analytic_cf integrates over, read from the
+    array it passes to apply_T (the integral itself is not computed)."""
+
+    class Seen(Exception):
+        pass
+
+    def spy(op, embedded, step):
+        raise Seen(embedded.shape)
+
+    monkeypatch.setattr(verify, "apply_T", spy)
+    with pytest.raises(Seen) as seen:
+        analytic_cf(gaussian(1.0), op, np.zeros(grid.shape), grid)
+    monkeypatch.undo()
+    return seen.value.args[0]
+
+
+def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
+    # a study draws impulses on, and analytic_cf integrates over, the
+    # window plus the margin the CLI records, also where the operator's
+    # rule is not a whole number of steps (2.2525 at step 0.01; 138.155
+    # at step 0.05)
+    for args in (
+        ("--operator", "frac_laplacian", "--gamma", "1.5", "--box", "0:9.01", "--step", "0.01"),
+        ("--operator", "DaIxDaIy", "--alpha", "0.1", "--box", "0:10", "--step", "0.05"),
+    ):
+        cfg, op, grid, _ = _resolve(_build_parser().parse_args(["verify", *args]))
+        engine = _rung_engine(op, grid)
+        assert engine.box == sampling_box(op, grid.box, cfg.margin)
+        domain = Grid(engine.box, grid.step).shape
+        assert _analytic_domain_shape(monkeypatch, op, grid) == domain
+        if not op.causal:
+            assert engine.shape == domain
+    assert cfg.margin == 2764 * 0.05 and engine.box.lo == (-cfg.margin,) * 2
+
+
+def test_whole_step_margins_keep_the_rule_box_bit_for_bit():
+    # where the margin rule is a whole number of steps, the study draws on
+    # exactly the rule's box, so these studies draw the same impulses
+    for step in (0.01, 0.02, 0.05, 0.1):
+        for op in (
+            make_operator("frac_laplacian", gamma=1.5),
+            make_operator("frac_laplacian", gamma=0.7, dim=2),
+            make_operator("D"),
+            make_operator("D", n=2),
+            make_operator("DaI", alpha=0.1),
+            make_operator("DxDy"),
+        ):
+            grid = Grid(Box.cube(0.0, 10.0, op.dim), step)
+            rule = margin_rule(op, grid.box)
+            assert grid_margin(op, grid) == rule == (0.0 if op.causal else 2.5)
+            assert _rung_engine(op, grid).box == sampling_box(op, grid.box, rule)
 
 
 def test_convergence_study_report_contents():

@@ -15,6 +15,7 @@ error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import make_dataclass
@@ -32,7 +33,7 @@ from .exponents import (
     poissonization_contraction_check,
     poissonize,
 )
-from .grid import Box, Grid, GridSpecError, fmt17
+from .grid import Box, Grid, GridSpecError, fmt17, grid_text
 from .noise import NoiseError, RngStream, sample_impulse_field, write_impulse_csv
 from .operators import (
     OPERATOR_PARAMS,
@@ -178,7 +179,10 @@ def parse_config_file(path):
     return values
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by every main()
+    call in the process (parse_args keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="levyspline",
         description="Sample random L-splines driven by impulsive noise and "
@@ -250,6 +254,11 @@ def _resolve(ns):
         raise ConfigError(
             f"{ns.command} uses the {op.family} margin rule, margin={fmt17(rule)}; "
             f"it cannot use margin={fmt17(cfg['margin'])}"
+        )
+    if cfg["margin"] < rule:
+        raise ConfigError(
+            f"{op.family} needs a margin of at least {fmt17(rule)} per side "
+            f"(its rule in whole steps); margin={fmt17(cfg['margin'])} is too small"
         )
     return RunConfig(**cfg), op, grid, f
 
@@ -343,23 +352,15 @@ def cmd_plotdata(_cfg, _op, _grid, _f, ns):
         print(f"plotdata: cannot read {input_path}: {exc}", file=sys.stderr)
         return 2
     os.makedirs(outdir, exist_ok=True)
-    axes = real.grid.axes
-    dat = os.path.join(outdir, "plot.dat")
+    with open(os.path.join(outdir, "plot.dat"), "w") as fh:
+        fh.writelines(grid_text(real.grid.axes, real.samples, " ", scan_breaks=True))
     if real.dim == 1:
-        with open(dat, "w") as fh:
-            for x, v in zip(axes[0], real.samples):
-                fh.write(f"{fmt17(x)} {fmt17(v)}\n")
         script = (
             "set terminal pngcairo size 900,600\n"
             "set output 'plot.png'\n"
             "plot 'plot.dat' using 1:2 with lines title 'realization'\n"
         )
     else:
-        with open(dat, "w") as fh:
-            for i, x in enumerate(axes[0]):
-                for y, v in zip(axes[1], real.samples[i]):
-                    fh.write(f"{fmt17(x)} {fmt17(y)} {fmt17(v)}\n")
-                fh.write("\n")
         script = (
             "set terminal pngcairo size 800,700\n"
             "set output 'plot.png'\n"

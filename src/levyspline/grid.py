@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,24 @@ class GridSpecError(Exception):
 def fmt17(x) -> str:
     """Format a float with 17 significant digits so it round-trips exactly."""
     return format(float(x), ".17g")
+
+
+def grid_text(axes, values, sep, scan_breaks=False):
+    """Yield the rows `x[<sep>y]<sep>v` of `values` sampled on the grid
+    `axes`, in row-major order, each number as fmt17 writes it.
+
+    One chunk per run along the last axis: the axis labels are formatted
+    once and each run fills one '%.17g' template ('%.17g' % v is
+    format(v, '.17g')).  With `scan_breaks`, a blank line follows each run
+    of a grid with two or more axes, as gnuplot separates scan lines.
+    """
+    cells = [f"{fmt17(t)}{sep}%.17g" for t in axes[-1]]
+    leads = [[fmt17(t) + sep for t in axis] for axis in axes[:-1]]
+    end = "\n\n" if scan_breaks and leads else "\n"
+    runs = np.reshape(values, (-1, len(cells)))
+    for labels, run in zip(itertools.product(*leads), runs):
+        lead = "".join(labels)
+        yield (lead + ("\n" + lead).join(cells) + end) % tuple(run.tolist())
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ from .grid import Box, fmt17
 # Resource guard: reject fields whose expected impulse count exceeds this.
 MAX_EXPECTED_COUNT = 1e9
 
+# Impulse rows formatted and written per write_impulse_csv chunk.
+CSV_CHUNK_ROWS = 4096
+
 
 class NoiseError(Exception):
     """Invalid sampling request or malformed impulse data."""
@@ -156,16 +159,18 @@ def sample_impulse_field(dim, box, lam, jumps, rng):
 
 
 def write_impulse_csv(field, path):
-    """Write `# dim=.. box=.. lambda=.. seed=..` header plus x[,y],amplitude rows."""
-    lines = [
-        f"# dim={field.dim} box={field.box.format()} "
-        f"lambda={fmt17(field.rate)} seed={field.seed}"
-    ]
-    for loc, amp in zip(field.locations, field.amplitudes):
-        cols = [fmt17(v) for v in loc] + [fmt17(amp)]
-        lines.append(",".join(cols))
+    """Write `# dim=.. box=.. lambda=.. seed=..` header plus x[,y],amplitude rows,
+    each number as fmt17 writes it, one '%.17g' template per chunk of rows."""
+    rows = np.column_stack([field.locations, field.amplitudes])
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# dim={field.dim} box={field.box.format()} "
+            f"lambda={fmt17(field.rate)} seed={field.seed}\n"
+        )
+        for a in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[a : a + CSV_CHUNK_ROWS]
+            fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_impulse_csv(path):

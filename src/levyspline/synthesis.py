@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exponents import JumpLaw
-from .grid import Box, Grid, fmt17
+from .grid import Box, Grid, fmt17, grid_text
 from .noise import RngStream
 from .operators import (
     OperatorSpec,
@@ -315,18 +316,9 @@ def ensemble(factory, count, base_seed, start_index=0):
 
 
 def write_realization_csv(real, path):
-    header = _realization_header(real)
-    axes = real.grid.axes
-    lines = [header]
-    if real.dim == 1:
-        for x, v in zip(axes[0], real.samples):
-            lines.append(f"{fmt17(x)},{fmt17(v)}")
-    else:
-        for i, x in enumerate(axes[0]):
-            for j, y in enumerate(axes[1]):
-                lines.append(f"{fmt17(x)},{fmt17(y)},{fmt17(real.samples[i, j])}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_realization_header(real) + "\n")
+        fh.writelines(grid_text(real.grid.axes, real.samples, ","))
 
 
 def write_realization_binary(real, path):
@@ -362,12 +354,12 @@ def read_realization_csv(path):
     with open(path) as fh:
         header = fh.readline().strip()
         dim, box, step, op, provenance, seed = _parse_realization_header(header, path)
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", usecols=dim, ndmin=1)
+    if not values.size:
         raise SynthesisError(f"{path}: no samples")
-    values = np.array([float(r.rsplit(",", 1)[1]) for r in rows])
-    shape = Grid(box, step).shape
-    samples = values.reshape(shape)
+    samples = values.reshape(Grid(box, step).shape)
     return GridRealization(dim, box, step, samples, op, provenance, seed)
 
 

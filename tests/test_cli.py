@@ -354,6 +354,36 @@ def test_verify_refuses_a_margin_it_would_ignore(tmp_path, capsys):
     assert not ref.exists()
 
 
+def test_generate_refuses_a_margin_below_the_rule(tmp_path, capsys):
+    for args in (
+        ("--operator", "DaIxDaIy", "--alpha", "0.1", "--margin", "1", "--step", "0.1"),
+        ("--operator", "frac_laplacian", "--margin", "0.5"),
+    ):
+        out = tmp_path / args[1]
+        assert run("generate", *args, "--outdir", str(out)) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+    # the rule itself, in whole steps, is accepted and recorded as given
+    ns = _build_parser().parse_args(
+        ["generate", "--operator", "DaIxDaIy", "--alpha", "0.1", "--margin", "138.16"]
+    )
+    assert _resolve(ns)[0].margin == 138.16
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    assert _build_parser() is _build_parser()
+    base = ("generate", "--seed", "5", "--step", "0.05")
+    assert run(*base, "--lambda", "7", "--outdir", str(tmp_path / "seven")) == 0
+    again = tmp_path / "again"
+    assert run(*base, "--outdir", str(again)) == 0
+    assert "lambda=3\n" in (again / "run.cfg").read_text()
+    _build_parser.cache_clear()
+    fresh = tmp_path / "fresh"
+    assert run(*base, "--outdir", str(fresh)) == 0
+    for name in ("impulses.csv", "realization.csv", "run.cfg"):
+        assert filecmp.cmp(again / name, fresh / name, shallow=False)
+
+
 def test_run_config_kv_is_lossless(tmp_path):
     # a resolved config holds only the operator and noise families' own parameters
     cfg = RunConfig(

@@ -6,8 +6,9 @@ reference (exact limit path for the first-derivative operator), verify
 PGM for two-dimensional grids), selftest (internal consistency checks).
 
 Configuration is plain key=value text, one pair per line with '#'
-comments; command-line flags override file values, and every run writes
-its fully resolved configuration next to its outputs so reruns are exact.
+comments; command-line flags override file values.  Each subcommand takes
+only the keys it reads, and generate, reference and verify write the
+resolved values of those keys next to their outputs so reruns are exact.
 Exit codes: 0 pass, 1 verification threshold failure, 2 usage or config
 error, 3 runtime error.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import make_dataclass
@@ -97,11 +99,11 @@ class _Key:
         return str(value)
 
 
-# Every config key, in run.cfg order.  A default of None is resolved in
-# _resolve: dim from the operator, margin from grid_margin, seed from
-# the environment.  Of each selector's parameter keys (_SELECTORS) only
-# the chosen family's own is resolved; the others stay None and run.cfg
-# omits them.
+# Every config key, in run.cfg order.  A subcommand resolves only the
+# keys of its _COMMANDS row.  A default of None is resolved in _resolve:
+# dim from the operator, margin from grid_margin, seed from the
+# environment.  Of each selector's parameter keys (_SELECTORS) only the
+# chosen family's own is resolved.  Keys left None are omitted from run.cfg.
 _KEYS = (
     _Key("command", str, None),
     _Key("operator", str, "D", "D | DaI | DxDy | DaIxDaIy | frac_laplacian"),
@@ -142,7 +144,7 @@ def _to_kv(cfg):
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [row.attr for row in _KEYS],
+    [(row.attr, object, None) for row in _KEYS],
     namespace={
         "__module__": __name__,
         "__doc__": "Fully resolved run parameters; serializes losslessly to key=value.",
@@ -190,41 +192,49 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override it")
+    for name, (helptext, _, reads) in _COMMANDS.items():
+        # no abbreviations: selftest would read --c as --config
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        if reads:
+            p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--outdir", default=".", help="output directory (default: .)")
         for row in _KEYS:
-            if row.help:
+            if row.key in reads:
                 p.add_argument(
                     row.flag, dest=row.attr, type=row.cast, choices=row.choices, help=row.help
                 )
-
-    for name, (helptext, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        add_common(p)
         if name == "plotdata":
             p.add_argument("--input", help="realization file produced by generate/reference")
     return parser
 
 
 def _resolve(ns):
-    """The run's RunConfig, operator, grid and exponent, from the flags,
-    then the --config file, then the defaults."""
-    file_cfg = parse_config_file(ns.config) if ns.config else {}
-    cfg, given = {}, []
+    """The run's RunConfig, operator, grid and exponent (None where the
+    subcommand reads no operator), resolved from the keys it reads only:
+    the flags, then the --config file, then the defaults."""
+    reads = _COMMANDS[ns.command][2]
+    # a subcommand that reads no key has no --config
+    file_cfg = parse_config_file(ns.config) if reads and ns.config else {}
+    for key, value in file_cfg.items():
+        if key not in reads and (key, value) != ("command", ns.command):
+            name = f"command={value}" if key == "command" else key
+            raise ConfigError(f"{ns.command} does not use {name}")
+    cfg, given = {"command": ns.command}, []
     for row in _KEYS:
-        # unset flags are None; argparse always sets the subcommand
-        flag = getattr(ns, row.attr)
-        cfg[row.attr] = file_cfg.get(row.key, row.default) if flag is None else flag
-        if flag is not None or row.key in file_cfg:
-            given.append(row.key)
+        if row.key in reads:
+            flag = getattr(ns, row.attr)  # None when unset
+            cfg[row.attr] = file_cfg.get(row.key, row.default) if flag is None else flag
+            if flag is not None or row.key in file_cfg:
+                given.append(row.key)
 
-    if cfg["seed"] is None:
+    if "seed" in reads and cfg["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR, "0")
         try:
             cfg["seed"] = int(env)
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
+    if "operator" not in reads:
+        return RunConfig(**cfg), None, None, None
 
     try:
         own = {}
@@ -245,21 +255,19 @@ def _resolve(ns):
     except (OperatorError, ExponentError, GridSpecError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    rule = grid_margin(op, grid)
-    margin = rule if cfg["margin"] is None else cfg["margin"]
-    if margin < 0:
-        raise ConfigError("margin must be nonnegative")
-    cfg["margin"] = grid.whole_steps(margin)
-    if ns.command in ("verify", "reference") and cfg["margin"] != rule:
-        raise ConfigError(
-            f"{ns.command} uses the {op.family} margin rule, margin={fmt17(rule)}; "
-            f"it cannot use margin={fmt17(cfg['margin'])}"
-        )
-    if cfg["margin"] < rule:
-        raise ConfigError(
-            f"{op.family} needs a margin of at least {fmt17(rule)} per side "
-            f"(its rule in whole steps); margin={fmt17(cfg['margin'])} is too small"
-        )
+    if "lambda" in reads and not 0.0 < cfg["lam"] < math.inf:
+        raise ConfigError("lambda must be positive and finite")
+    if "margin" in reads:
+        rule = grid_margin(op, grid)
+        margin = rule if cfg["margin"] is None else cfg["margin"]
+        if not 0.0 <= margin < math.inf:
+            raise ConfigError("margin must be nonnegative and finite")
+        cfg["margin"] = grid.whole_steps(margin)
+        if cfg["margin"] < rule:
+            raise ConfigError(
+                f"{op.family} needs a margin of at least {fmt17(rule)} per side "
+                f"(its rule in whole steps); margin={fmt17(cfg['margin'])} is too small"
+            )
     return RunConfig(**cfg), op, grid, f
 
 
@@ -392,7 +400,6 @@ def cmd_selftest(cfg, _op, _grid, _f, ns):
     outdir = ns.outdir
     os.makedirs(outdir, exist_ok=True)
     results = []
-    count = max(500, min(cfg.ensemble, 5000))
 
     grid = Grid(Box.cube(0.0, 10.0, 1), 0.01)
     op = make_operator("D")
@@ -402,7 +409,7 @@ def cmd_selftest(cfg, _op, _grid, _f, ns):
         def make(stream, f=f):
             return reference_levy_path(f, op, grid, stream)
 
-        paths = list(ensemble(make, count, cfg.seed))
+        paths = list(ensemble(make, 1000, cfg.seed))
         ok = True
         detail = []
         for name, phi in zip(bank.names, bank.phis):
@@ -442,13 +449,22 @@ def cmd_selftest(cfg, _op, _grid, _f, ns):
     return 0 if all_ok else 1
 
 
-# Every subcommand: its help line and its handler(cfg, op, grid, f, ns).
+# The keys of every run that builds an operator, a noise exponent and a grid.
+_RUN_KEYS = ("operator", "n", "alpha", "gamma", "dim", "family", "sigma2", "c", "box", "step",
+             "seed")
+
+# Every subcommand: its help line, its handler(cfg, op, grid, f, ns) and
+# the keys it reads.  Those keys alone are its flags and its config-file
+# keys, and _resolve resolves and records only them.
 _COMMANDS = {
-    "generate": ("sample an impulse field and synthesize its L-spline", cmd_generate),
-    "reference": ("draw an exact limit-process path (first derivative only)", cmd_reference),
-    "verify": ("run the rate-ladder functional convergence study", cmd_verify),
-    "plotdata": ("emit gnuplot data (and PGM for 2-D) from a realization", cmd_plotdata),
-    "selftest": ("run internal consistency checks", cmd_selftest),
+    "generate": ("sample an impulse field and synthesize its L-spline", cmd_generate,
+                 _RUN_KEYS + ("lambda", "margin", "format")),
+    "reference": ("draw an exact limit-process path (first derivative only)", cmd_reference,
+                  _RUN_KEYS + ("format",)),
+    "verify": ("run the rate-ladder functional convergence study", cmd_verify,
+               _RUN_KEYS + ("ladder", "ensemble")),
+    "plotdata": ("emit gnuplot data (and PGM for 2-D) from a realization", cmd_plotdata, ()),
+    "selftest": ("run internal consistency checks", cmd_selftest, ("seed",)),
 }
 
 
@@ -458,7 +474,7 @@ def main(argv=None):
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    _, handler = _COMMANDS[ns.command]
+    handler = _COMMANDS[ns.command][1]
     try:
         return handler(*_resolve(ns), ns)
     except ConfigError as exc:

@@ -84,8 +84,8 @@ class LevyExponent:
     def __post_init__(self):
         param = exponent_param(self.family)
         value = getattr(self, param)
-        if value is None or not value > 0.0:
-            raise ExponentError(f"{self.family} exponent needs {param} > 0")
+        if value is None or not 0.0 < value < math.inf:
+            raise ExponentError(f"{self.family} exponent needs {param} > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,6 @@ def poissonization_contraction_check(f, n, xi_grid=None):
 
 
 def exponent_to_kv(f):
-    """Serialize an exponent to the key=value block consumed by the CLI."""
-    if isinstance(f, PoissonizedExponent):
-        base = exponent_to_kv(f.base)
-        return f"{base} poissonized_lam={f.lam:.17g} poissonized_tau={f.tau:.17g}"
+    """Serialize an exponent to the key=value block of the exponent line of summary.txt."""
     param = _FAMILIES[f.family].param
     return f"family={f.family} {param}={getattr(f, param):.17g}"
-
-
-def exponent_from_kv(source):
-    """Parse 'family=... key=value ...' (string or mapping) into an exponent."""
-    if isinstance(source, str):
-        pairs = dict(tok.split("=", 1) for tok in source.split())
-    else:
-        pairs = dict(source)
-    param = exponent_param(pairs.get("family"))
-    return LevyExponent(pairs["family"], **{param: float(pairs[param])})

@@ -50,6 +50,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise GridSpecError("box bounds must share a nonzero dimension")
+        if not all(map(math.isfinite, lo + hi)):
+            raise GridSpecError("box bounds must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
             raise GridSpecError("box must be nondegenerate (hi > lo on every axis)")
 
@@ -107,8 +109,8 @@ class Grid:
     def __post_init__(self):
         h = float(self.step)
         object.__setattr__(self, "step", h)
-        if h <= 0.0:
-            raise GridSpecError("grid step must be positive")
+        if not 0.0 < h < math.inf:
+            raise GridSpecError("grid step must be positive and finite")
         for l, hi in zip(self.box.lo, self.box.hi):
             n = (hi - l) / h
             if abs(n - round(n)) > 1e-6:

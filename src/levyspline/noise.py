@@ -40,9 +40,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.index,))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def child(self, index):
-        return RngStream(self.seed, index)
-
 
 @dataclass(frozen=True, eq=False)
 class ImpulseField:

@@ -115,8 +115,8 @@ class OperatorSpec:
             raise OperatorError(f"{self.family} requires dim >= 1")
         if row.param is not None:
             value = getattr(self, row.param)
-            if value is None or isinstance(value, complex) or not value > 0:
-                raise OperatorError(f"{self.family} requires a real {row.param} > 0")
+            if value is None or isinstance(value, complex) or not 0 < value < math.inf:
+                raise OperatorError(f"{self.family} requires a real, finite {row.param} > 0")
 
     @property
     def causal(self):

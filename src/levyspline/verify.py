@@ -397,10 +397,12 @@ def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
 
 def study_ladder(ladder, count):
     """The ladder as floats; raises VerifyError unless it climbs strictly
-    through at least 3 rungs and `count` reaches MIN_ENSEMBLE."""
+    through at least 3 positive, finite rungs and `count` reaches MIN_ENSEMBLE."""
     ladder = [float(v) for v in ladder]
     if len(ladder) < 3:
         raise VerifyError("rate ladder needs at least 3 rungs")
+    if not all(0.0 < v < math.inf for v in ladder):
+        raise VerifyError("rate ladder rungs must be positive and finite")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise VerifyError("rate ladder must be strictly ascending")
     if count < MIN_ENSEMBLE:

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 from dataclasses import replace
 import subprocess
 import sys
@@ -182,11 +183,16 @@ def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and reason in err, (args, err)
         assert not out.exists()
-    # a bad noise value exits 2 for every subcommand, also those that draw no noise
+    # a bad noise value exits 2 for every subcommand that reads the noise
+    # keys; plotdata and selftest, which read none, refuse the flag itself
     for command in ("generate", "reference", "verify", "plotdata", "selftest"):
         out = tmp_path / command
         assert run(command, "--sigma2", "-1", "--outdir", str(out)) == 2, command
-        assert "config error: gaussian exponent needs sigma2 > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if command in ("plotdata", "selftest"):
+            assert "unrecognized arguments: --sigma2 -1" in err
+        else:
+            assert "config error: gaussian exponent needs sigma2 > 0" in err
         assert not out.exists()
 
 
@@ -329,29 +335,31 @@ def test_help_exits_zero():
 
 
 def test_verify_refuses_a_margin_it_would_ignore(tmp_path, capsys):
-    # verify draws with the operator's margin rule (2.5 for this window)
+    # verify draws with the operator's margin rule (2.5 for this window) and
+    # reference draws no impulses, so neither takes a margin, not even the rule's
     args = (
         "verify", "--operator", "frac_laplacian", "--gamma", "1.5", "--exponent", "gaussian",
         "--ladder", "1,4,16", "--ensemble", "100", "--box", "0:10", "--step", "0.05",
         "--seed", "3",
     )
-    assert run(*args, "--margin", "5", "--outdir", str(tmp_path / "m")) == 2
-    assert "margin" in capsys.readouterr().err
-    assert not (tmp_path / "m").exists()
+    for argv in (
+        (*args, "--margin", "5"),
+        (*args, "--margin", "2.5"),
+        ("reference", "--margin", "0", "--seed", "1"),
+        ("reference", "--margin", "50", "--seed", "1"),
+    ):
+        out = tmp_path / "m"
+        assert run(*argv, "--outdir", str(out)) == 2, argv
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
+        assert not out.exists()
     first, again = tmp_path / "a", tmp_path / "b"
-    code = run(*args, "--margin", "2.5", "--outdir", str(first))
+    code = run(*args, "--outdir", str(first))
     assert code in (0, 1)
-    assert "margin=2.5\n" in (first / "run.cfg").read_text()
+    assert "margin=" not in (first / "run.cfg").read_text()
     # replaying the recorded config reproduces the study
     assert run("verify", "--config", str(first / "run.cfg"), "--outdir", str(again)) == code
     for name in ("cfreport.csv", "summary.txt", "run.cfg"):
         assert filecmp.cmp(first / name, again / name, shallow=False)
-    # reference draws no impulses, so it refuses any margin but the rule's 0
-    ref = tmp_path / "r"
-    capsys.readouterr()
-    assert run("reference", "--margin", "50", "--seed", "1", "--outdir", str(ref)) == 2
-    assert "config error: reference " in capsys.readouterr().err
-    assert not ref.exists()
 
 
 def test_generate_refuses_a_margin_below_the_rule(tmp_path, capsys):
@@ -385,29 +393,39 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
 
 
 def test_run_config_kv_is_lossless(tmp_path):
-    # a resolved config holds only the operator and noise families' own parameters
+    # a resolved config holds only the keys its subcommand reads, and of the
+    # operator and noise keys only the families' own parameters
     cfg = RunConfig(
-        command="generate", operator="DaI", n=None, alpha=0.1, gamma=None, dim=1,
-        family="cauchy", sigma2=None, c=2.0, lam=3.5, ladder=(1.0, 4.0), box="0:10",
-        step=0.01, margin=138.16, ensemble=1000, seed=42, fmt="csv",
+        command="generate", operator="DaI", alpha=0.1, dim=1, family="cauchy", c=2.0,
+        lam=3.5, box="0:10", step=0.01, margin=138.16, seed=42, fmt="csv",
     )
     text = cfg.to_kv()
     assert text.endswith("\n")
     pairs = dict(line.split("=", 1) for line in text.strip().split("\n"))
     assert pairs["lambda"] == "3.5"
-    assert pairs["ladder"] == "1,4"
     assert pairs["margin"] == "138.16"
-    assert "n" not in pairs and "gamma" not in pairs and "sigma2" not in pairs
-    # every key survives to_kv and --config, also when each is away from its default
-    away = RunConfig(
-        command="generate", operator="DaIxDaIy", n=None, alpha=0.3, gamma=None, dim=2,
-        family="laplace", sigma2=2.5, c=None, lam=5.25, ladder=(2.0, 8.0, 32.0), box="-1:3",
-        step=0.05, margin=50.0, ensemble=300, seed=7, fmt="bin",
+    assert not {"n", "gamma", "sigma2", "ladder", "ensemble"} & set(pairs)
+    # every key a subcommand reads survives to_kv and --config, also when
+    # each is away from its default
+    run_keys = dict(
+        operator="DaIxDaIy", alpha=0.3, dim=2, family="laplace", sigma2=2.5, box="-1:3",
+        step=0.05, seed=7,
     )
-    d_away = replace(away, operator="D", n=2, alpha=None, dim=1)
-    frac_away = replace(away, operator="frac_laplacian", alpha=None, gamma=0.7)
-    for want in (cfg, away, d_away, frac_away):
-        path = tmp_path / "run.cfg"
+    own_keys = {
+        "generate": dict(lam=5.25, margin=50.0, fmt="bin"),
+        "reference": dict(fmt="bin"),
+        "verify": dict(ladder=(2.0, 8.0, 32.0), ensemble=300),
+    }
+    wants = [cfg]
+    for command, own in own_keys.items():
+        away = RunConfig(command=command, **run_keys, **own)
+        wants += [
+            away,
+            replace(away, operator="D", n=2, alpha=None, dim=1),
+            replace(away, operator="frac_laplacian", alpha=None, gamma=0.7),
+        ]
+    path = tmp_path / "run.cfg"
+    for want in wants:
         path.write_text(want.to_kv())
         ns = _build_parser().parse_args([want.command, "--config", str(path)])
         assert _resolve(ns)[0] == want
@@ -434,3 +452,105 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
+
+
+# The keys each subcommand reads; --exponent is the flag of key family.
+RUN_KEYS = ("operator", "n", "alpha", "gamma", "dim", "family", "sigma2", "c", "box", "step",
+            "seed")
+COMMAND_KEYS = {
+    "generate": RUN_KEYS + ("lambda", "margin", "format"),
+    "reference": RUN_KEYS + ("format",),
+    "verify": RUN_KEYS + ("ladder", "ensemble"),
+    "plotdata": (),
+    "selftest": ("seed",),
+}
+# A value each key accepts on its own
+KEY_VALUES = {
+    "operator": "D", "n": "1", "alpha": "0.1", "gamma": "1.5", "dim": "1", "family": "gaussian",
+    "sigma2": "1", "c": "1", "lambda": "3", "ladder": "1,4,16", "box": "0:10", "step": "0.01",
+    "margin": "0", "ensemble": "1000", "seed": "1", "format": "csv",
+}
+# Short runs of the subcommands that write run.cfg
+RUN_ARGS = {
+    "generate": ("--step", "0.05", "--seed", "3"),
+    "reference": ("--step", "0.05", "--seed", "3"),
+    "verify": ("--step", "0.05", "--ladder", "1,4,16", "--ensemble", "100", "--seed", "3"),
+}
+
+
+def _flag(key):
+    return "--exponent" if key == "family" else f"--{key}"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_each_subcommand_takes_only_the_keys_it_reads(command, tmp_path, capsys):
+    reads = COMMAND_KEYS[command]
+    capsys.readouterr()
+    assert run(command, "--help") == 0
+    offered = set(re.findall(r"--[a-z0-9]+", capsys.readouterr().out))
+    want = {"--help", "--outdir", *map(_flag, reads)}
+    want |= {"--config"} if reads else {"--input"}
+    assert offered == want
+    base = ()
+    if command == "plotdata":
+        src = tmp_path / "src"
+        assert run("generate", "--step", "0.05", "--outdir", str(src)) == 0
+        base = ("--input", str(src / "realization.csv"))
+    out = tmp_path / "out"
+    cfg = tmp_path / "stray.cfg"
+    for key in KEY_VALUES.keys() - set(reads):
+        assert run(command, *base, _flag(key), KEY_VALUES[key], "--outdir", str(out)) == 2, key
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg.write_text(f"{key}={KEY_VALUES[key]}\n")
+        assert run(command, *base, "--config", str(cfg), "--outdir", str(out)) == 2, key
+        err = capsys.readouterr().err
+        if reads:
+            assert f"config error: {command} does not use {key}" in err
+        else:
+            assert "unrecognized arguments: --config" in err
+        assert not out.exists()
+    if command not in RUN_ARGS:
+        return
+    # a run.cfg of another subcommand is refused too
+    other = "selftest" if command == "generate" else "generate"
+    cfg.write_text(f"command={other}\n")
+    assert run(command, "--config", str(cfg), "--outdir", str(out)) == 2
+    assert f"config error: {command} does not use command={other}" in capsys.readouterr().err
+    assert not out.exists()
+    # run.cfg records the command and the keys it reads (of the operator and
+    # noise keys, those of D and gaussian), and replays to identical bytes
+    code = run(command, *RUN_ARGS[command], "--outdir", str(out))
+    assert code in (0, 1)
+    recorded = {line.split("=", 1)[0] for line in (out / "run.cfg").read_text().splitlines()}
+    assert recorded == {"command", *reads} - {"alpha", "gamma", "c"}
+    again = tmp_path / "again"
+    assert run(command, "--config", str(out / "run.cfg"), "--outdir", str(again)) == code
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        assert filecmp.cmp(out / name, again / name, shallow=False), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--margin", "nan"],
+        ["generate", "--margin", "inf"],
+        ["generate", "--step", "inf"],
+        ["generate", "--box", "0:inf"],
+        ["generate", "--operator", "DaI", "--alpha", "inf"],
+        ["generate", "--sigma2", "inf"],
+        ["generate", "--exponent", "cauchy", "--c", "inf"],
+        ["generate", "--operator", "frac_laplacian", "--gamma", "inf"],
+        ["generate", "--lambda", "-1"],
+        ["generate", "--lambda", "nan"],
+        ["generate", "--lambda", "inf"],
+        ["verify", "--ladder", "0,1,2"],
+        ["verify", "--ladder", "1,4,inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_or_non_positive_values_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()

@@ -14,13 +14,14 @@ from levyspline.exponents import (
     cauchy,
     default_xi_grid,
     evaluate,
-    exponent_from_kv,
-    exponent_to_kv,
     gaussian,
     laplace,
     poissonization_contraction_check,
     poissonize,
 )
+from levyspline.grid import Box, Grid
+from levyspline.operators import make_operator
+from levyspline.verify import NoiseFloor, build_cf_bank, convergence_study
 
 
 def test_evaluate_frozen_values():
@@ -150,11 +151,21 @@ def test_poissonization_error_decays_like_one_over_n():
     assert -1.1 < slope < -0.9
 
 
-def test_kv_round_trip():
-    for f in (gaussian(1.5), laplace(2.5), cauchy(0.7)):
-        assert exponent_from_kv(exponent_to_kv(f)) == f
-    with pytest.raises(ExponentError):
-        exponent_from_kv("family=weibull k=2")
+def test_summary_exponent_line():
+    # the exponent line of a study's summary.txt names the family and its
+    # parameter at 17 significant digits
+    grid = Grid(Box.cube(0.0, 10.0, 1), 0.05)
+    bank = build_cf_bank(grid)
+    for f, line in (
+        (gaussian(1.5), "exponent: family=gaussian sigma2=1.5"),
+        (laplace(2.5), "exponent: family=laplace sigma2=2.5"),
+        (cauchy(0.7), "exponent: family=cauchy c=0.69999999999999996"),
+    ):
+        try:
+            report = convergence_study(f, make_operator("D"), (1.0, 4.0, 16.0), 100, bank)
+        except NoiseFloor as exc:
+            report = exc.report
+        assert report.summary_text().splitlines()[2] == line
 
 
 def test_characteristic_function_is_positive_definite():

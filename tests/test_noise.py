@@ -26,7 +26,6 @@ def test_rng_stream_determinism():
     np.testing.assert_array_equal(a, b)
     c = RngStream(42, 4).generator().random(8)
     assert not np.array_equal(a, c)
-    assert RngStream(42).child(4) == RngStream(42, 4)
 
 
 def test_sample_field_shapes_and_metadata():

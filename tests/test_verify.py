@@ -266,21 +266,24 @@ def _analytic_domain_shape(monkeypatch, op, grid):
 
 def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
     # a study draws impulses on, and analytic_cf integrates over, the
-    # window plus the margin the CLI records, also where the operator's
-    # rule is not a whole number of steps (2.2525 at step 0.01; 138.155
-    # at step 0.05)
+    # window plus the operator's rule in whole steps (grid_margin), which
+    # is also the margin generate records by default, where the rule is
+    # not a whole number of steps too (2.2525 at step 0.01; 138.155 at
+    # step 0.05)
     for args in (
         ("--operator", "frac_laplacian", "--gamma", "1.5", "--box", "0:9.01", "--step", "0.01"),
         ("--operator", "DaIxDaIy", "--alpha", "0.1", "--box", "0:10", "--step", "0.05"),
     ):
-        cfg, op, grid, _ = _resolve(_build_parser().parse_args(["verify", *args]))
+        _, op, grid, _ = _resolve(_build_parser().parse_args(["verify", *args]))
+        margin = grid_margin(op, grid)
         engine = _rung_engine(op, grid)
-        assert engine.box == sampling_box(op, grid.box, cfg.margin)
+        assert engine.box == sampling_box(op, grid.box, margin)
         domain = Grid(engine.box, grid.step).shape
         assert _analytic_domain_shape(monkeypatch, op, grid) == domain
         if not op.causal:
             assert engine.shape == domain
-    assert cfg.margin == 2764 * 0.05 and engine.box.lo == (-cfg.margin,) * 2
+        assert _resolve(_build_parser().parse_args(["generate", *args]))[0].margin == margin
+    assert margin == 2764 * 0.05 and engine.box.lo == (-margin,) * 2
 
 
 def test_whole_step_margins_keep_the_rule_box_bit_for_bit():

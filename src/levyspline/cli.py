@@ -48,6 +48,7 @@ from .operators import (
 )
 from .synthesis import (
     SynthesisError,
+    UnsupportedReference,
     ensemble,
     read_realization_binary,
     read_realization_csv,
@@ -299,7 +300,11 @@ def cmd_generate(cfg, op, grid, f, ns):
 
 def cmd_reference(cfg, op, grid, f, ns):
     outdir = ns.outdir
-    real = reference_levy_path(f, op, grid, RngStream(cfg.seed, 0))
+    # an operator with no exact reference is refused before any output
+    try:
+        real = reference_levy_path(f, op, grid, RngStream(cfg.seed, 0))
+    except UnsupportedReference as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
     _write_realization(real, cfg, outdir)
     _write_cfg(cfg, outdir)

@@ -52,8 +52,14 @@ def _laplace_draw(gen, f, t, size):
 
 
 def _cauchy_draw(gen, f, t, size):
-    """Cauchy(c t) by tangent inversion of a uniform."""
-    return (f.c * t) * np.tan(math.pi * (gen.random(size) - 0.5))
+    """Cauchy(c t) by tangent inversion of a uniform: (c t) tan(pi (u - 1/2)),
+    computed in place in the uniforms' array."""
+    u = gen.random(size)
+    u -= 0.5
+    u *= math.pi
+    np.tan(u, out=u)
+    u *= f.c * t
+    return u
 
 
 _FAMILIES = {

@@ -69,7 +69,7 @@ class Box:
 
     @property
     def volume(self):
-        return float(np.prod(self.lengths))
+        return float(math.prod(self.lengths))
 
     def expand(self, left, right=0.0):
         """Enlarge every axis by `left` below lo and `right` above hi."""

@@ -66,7 +66,12 @@ class ImpulseField:
             raise NoiseError("locations and amplitudes must pair up")
         if self.box.dim != self.dim:
             raise NoiseError("box dimension must match field dimension")
-        if locs.size and not np.all(self.box.contains(locs)):
+        # each axis's min and max hold every point to the box (a NaN fails
+        # both); one reduction per column, not a comparison array per point
+        box = self.box
+        if locs.size and not all(
+            lo <= x.min() and x.max() <= hi for x, lo, hi in zip(locs.T, box.lo, box.hi)
+        ):
             raise NoiseError("every impulse location must lie inside the box")
 
     @property

@@ -74,13 +74,16 @@ class GridRealization:
 
 def _bin_ceil(coords, lo, h, n):
     """First grid index at or beyond each coordinate, snapped against
-    floating-point jitter, clipped into [0, n-1].  Only the subtraction
-    allocates, so the rest runs in place without touching `coords`."""
+    floating-point jitter, clipped into [0, n-1].  The subtraction and the
+    final cast to intp allocate; ceil and clip run in place in the float
+    domain, so a coordinate far beyond the grid clips to n-1 before the
+    cast instead of overflowing it."""
     r = np.subtract(coords, lo, dtype=float)
     r /= h
     r -= BIN_SNAP
-    idx = np.ceil(r, out=r).astype(np.intp)
-    return np.clip(idx, 0, n - 1, out=idx)
+    np.ceil(r, out=r)
+    np.clip(r, 0, n - 1, out=r)
+    return r.astype(np.intp)
 
 
 def _check_margin(field, op, grid):
@@ -117,15 +120,32 @@ def synthesize_spline(field, op, grid):
     )
 
 
-def _pinned_window_mask(x, grid):
-    """Impulses strictly right of the window start and not beyond its end.
+def _causal_kept(coords, op, grid):
+    """The impulses a causal scatter keeps: on every axis those not beyond
+    the window end, and for a pinned operator those strictly right of the
+    window start; slice(None) when it keeps them all.
 
-    For pinned causal 1-D synthesis an impulse at x_k <= lo contributes a
-    pure null-space mode, which the pinning removes exactly, so dropping
-    it is algebraically exact rather than a truncation.
+    A causal kernel is zero left of its impulse, so an impulse beyond the
+    window end adds nothing to the window.  For pinned causal 1-D synthesis
+    an impulse at x_k <= lo contributes a pure null-space mode, which the
+    pinning removes exactly, so dropping it is algebraically exact rather
+    than a truncation.  Per-axis min and max decide; the mask is built only
+    when an impulse is dropped.
     """
-    lo, hi = grid.box.lo[0], grid.box.hi[0]
-    return (x > lo + BIN_SNAP * grid.step) & (x <= hi)
+    if not coords[0].size:
+        return slice(None)
+    start = grid.box.lo[0] + BIN_SNAP * grid.step
+    his = grid.box.hi
+    if all(x.max() <= hi for x, hi in zip(coords, his)) and not (
+        op.pinned and coords[0].min() <= start
+    ):
+        return slice(None)
+    mask = coords[0] <= his[0]
+    for x, hi in zip(coords[1:], his[1:]):
+        mask &= x <= hi
+    if op.pinned:
+        mask &= coords[0] > start
+    return mask
 
 
 def _poly_kernel(m, h):
@@ -157,27 +177,46 @@ def _factor_kernel(factor, h):
 
     An impulse of amplitude a at x, binned to the node x_b = x + delta,
     adds to the nodes i >= b the sum over terms j of filters[j] run over
-    moments(a, delta)[j] placed at b.  D^n expands ((i - b) h + delta)^(n-1)
-    / (n-1)! into the offset moments a delta^j / j! times polynomial kernels
-    of degree n - 1 - j; D + alpha I is a exp(-alpha delta) times the
-    one-pole recursion r^(i - b), r = exp(-alpha h).
+    moments(a, offset)[j] placed at b, where offset() returns a fresh array
+    of the deltas.  D^n expands ((i - b) h + delta)^(n-1) / (n-1)! into the
+    offset moments a delta^j / j! times polynomial kernels of degree
+    n - 1 - j, so D^1's one moment is the amplitude itself and never calls
+    offset(); D + alpha I is a exp(-alpha delta), computed inside the offset
+    array, times the one-pole recursion r^(i - b), r = exp(-alpha h).
     """
     n, alpha = factor
     if alpha is None:
 
-        def moments(a, delta):
+        def moments(a, offset):
             out = [a]
-            for j in range(1, n):
-                out.append(out[-1] * delta / j)
+            if n > 1:
+                delta = offset()
+                for j in range(1, n):
+                    out.append(out[-1] * delta / j)
             return out
 
         return moments, [_poly_kernel(n - 1 - j, h) for j in range(n)]
     r = math.exp(-alpha * h)
 
-    def moments(a, delta):
-        return [a * np.exp(-alpha * delta)]
+    def moments(a, offset):
+        w = offset()
+        w *= -alpha
+        np.exp(w, out=w)
+        w *= a
+        return [w]
 
     return moments, [lambda arr, axis: one_pole(arr, r, axis)]
+
+
+def _offset(nodes, idx, x):
+    """offset() -> nodes[idx] - x, a fresh array, for _factor_kernel's moments."""
+
+    def offset():
+        delta = nodes[idx]
+        delta -= x
+        return delta
+
+    return offset
 
 
 def _axis_kernels(op, grid):
@@ -210,30 +249,31 @@ class _Engine:
         self.cells = math.prod(self.shape)
 
     def scatter(self, locations, amplitudes):
-        """Impulses kept (pinning drops those at or left of the window
-        start; slice(None) when it drops none), their flat cells on the
-        scatter grid, and one (axis filters, weights) pair per kernel term."""
+        """Impulses kept (a causal scatter drops those beyond the window end
+        and, pinned, those at or left of its start; slice(None) when it
+        drops none), their flat cells on the scatter grid, and one (axis
+        filters, weights) pair per kernel term.  A causal axis bins each
+        impulse to the first node at or beyond it; the node-minus-impulse
+        offset is computed only for a factor whose moments read it."""
         grid, h = self.grid, self.grid.step
         coords = [locations[:, axis] for axis in range(grid.dim)]
-        kept = slice(None)
-        if self.op.pinned:
-            mask = _pinned_window_mask(coords[0], grid)
-            if not mask.all():
-                kept = mask
-                coords = [coords[0][kept]]
-        amps = amplitudes[kept]
         if self.op.causal:
-            bins, weights = [], [amps]
+            kept = _causal_kept(coords, self.op, grid)
+            if not isinstance(kept, slice):
+                coords = [x[kept] for x in coords]
+            bins, weights = [], [amplitudes[kept]]
             for x, (nodes, moments, _) in zip(coords, self.kernels):
                 idx = _bin_ceil(x, nodes[0], h, nodes.size)
                 bins.append(idx)
-                weights = [w for a in weights for w in moments(a, nodes[idx] - x)]
+                offset = _offset(nodes, idx, x)
+                weights = [w for a in weights for w in moments(a, offset)]
         else:
+            kept = slice(None)
             bins = [
                 np.clip(np.round((x - lo) / h).astype(int), 0, n - 1)
                 for x, lo, n in zip(coords, self.origin, self.shape)
             ]
-            weights = [amps / h**grid.dim]
+            weights = [amplitudes / h**grid.dim]
         flat = bins[0]
         for idx, n in zip(bins[1:], self.shape[1:]):
             flat = flat * n + idx
@@ -286,7 +326,8 @@ def reference_levy_path(f, op, grid, rng):
     """
     if op.family != "D" or op.n != 1 or grid.dim != 1:
         raise UnsupportedReference(
-            "exact references exist only for the first-derivative operator"
+            "exact references exist only for the first-derivative operator "
+            f"(operator=D n=1), not {format_operator_config(op)}"
         )
     (n,) = grid.shape
     h = grid.step

@@ -323,10 +323,30 @@ def test_operator_keys_the_family_ignores(tmp_path, capsys):
     assert "operator=DxDy\ndim=2\n" in text
 
 
-def test_runtime_error_exit_3(tmp_path):
-    # reference only supports the first-derivative operator
-    code = run("reference", "--operator", "DaI", "--alpha", "0.1", "--outdir", str(tmp_path))
+def test_reference_refuses_other_operators_exit_2(tmp_path, capsys):
+    # reference draws only the first-derivative operator; any other is a
+    # config error, with its reason and no output directory
+    for args in (
+        ("--operator", "DaI", "--alpha", "0.1"),
+        ("--operator", "D", "--n", "2"),
+        ("--operator", "DxDy", "--step", "0.5"),
+        ("--operator", "DaIxDaIy", "--alpha", "1", "--step", "0.5"),
+        ("--operator", "frac_laplacian", "--gamma", "1.5"),
+    ):
+        out = tmp_path / "r"
+        assert run("reference", *args, "--outdir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: exact references exist only"), err
+        assert not out.exists()
+
+
+def test_runtime_error_exit_3(tmp_path, capsys):
+    # an output directory below a regular file fails at run time
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run("reference", "--outdir", str(blocker / "out"))
     assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_help_exits_zero():

@@ -127,6 +127,16 @@ def test_gaussian_draw_is_the_scaled_standard_normal():
         np.testing.assert_array_equal(got, want)
 
 
+def test_cauchy_draw_is_the_tangent_inversion_bit_for_bit():
+    # the in-place draw makes the operations of (c t) tan(pi (u - 1/2)) on
+    # the same uniforms, in the same order
+    for c, t, n in ((0.7, 0.25, 5000), (3.0, 1 / 64, 9), (1.0, 1.0, 0)):
+        got = JumpLaw(cauchy(c), t).sample(np.random.default_rng(4), n)
+        u = np.random.default_rng(4).random(n)
+        want = (c * t) * np.tan(math.pi * (u - 0.5))
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 10, 100])
 @pytest.mark.parametrize(
     "f", [gaussian(1.0), gaussian(4.0), laplace(2.0), cauchy(1.0)], ids=lambda f: f.family

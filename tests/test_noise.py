@@ -154,6 +154,18 @@ def test_field_containment_validated():
             rate=1.0,
             seed=0,
         )
+    # the box is closed: its corners are inside, one ulp beyond either
+    # side of either axis is not, and neither is a NaN
+    box = Box((0.0, -1.0), (10.0, 2.0))
+    corners = np.array([[0.0, -1.0], [10.0, 2.0], [5.0, 0.5]])
+    ImpulseField(2, box, corners, np.ones(3), 1.0, 0)
+    for axis in range(2):
+        lo, hi = box.lo[axis], box.hi[axis]
+        for bad in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan):
+            locs = corners.copy()
+            locs[2, axis] = bad
+            with pytest.raises(NoiseError):
+                ImpulseField(2, box, locs, np.ones(3), 1.0, 0)
 
 
 def test_impulse_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Spline synthesis from impulse fields, reference paths, and persistence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from levyspline.synthesis import (
     read_realization_csv,
     reference_levy_path,
     synthesize_spline,
+    _bin_ceil,
     _Engine,
-    _pinned_window_mask,
+    _factor_kernel,
     write_realization_binary,
     write_realization_csv,
 )
@@ -298,6 +300,26 @@ def test_causal_synthesis_equals_green_superposition():
         assert_matches_green_sum(field, op, grid)
 
 
+def test_causal_2d_synthesis_ignores_impulses_beyond_the_window():
+    # a causal kernel is zero left of its impulse, so an impulse right of
+    # (or above) the window adds nothing to it; binning once clipped such
+    # an impulse into the last node (DxDy put 3.0 on row 20, DaIxDaIy 3e)
+    grid = Grid(Box.cube(0.0, 10.0, 2), 0.5)
+    gen = np.random.default_rng(23)
+    for op in (make_operator("DxDy"), make_operator("DaIxDaIy", alpha=1.0)):
+        lo = -math.ceil(margin_rule(op, grid.box)) - 1.0
+        box = Box.cube(lo, 12.0, 2)
+        inside = gen.uniform(0.0, 10.0, (30, 2))
+        margin = gen.uniform(lo, 0.0, (4, 2))
+        beyond = np.array([[11.0, 5.0], [5.0, 11.0], [11.5, 11.5], [10.25, -0.5]])
+        locs = np.concatenate([inside, margin, beyond])
+        amps = np.concatenate([gen.normal(size=34), np.full(4, 3.0)])
+        field = ImpulseField(2, box, locs, amps, 1.0, 0)
+        assert_matches_green_sum(field, op, grid)
+        alone = ImpulseField(2, box, beyond[:2], amps[-2:], 1.0, 0)
+        assert not synthesize_spline(alone, op, grid).samples.any()
+
+
 def test_n_fold_derivative_synthesis_has_no_impulse_limit():
     op = make_operator("D", n=2)
     k = 10_001
@@ -420,21 +442,28 @@ def oracle_bin_ceil(coords, lo, h, n):
 
 
 def oracle_scatter(engine, locations, amplitudes):
-    """_Engine.scatter as first written: the pinning mask is applied even
-    when it keeps every impulse."""
+    """_Engine.scatter as first written, with the kept rule of causal
+    operators (every axis keeps x <= hi, a pinned one also x > lo): the
+    mask is applied even when it keeps every impulse, and every factor
+    gets its offsets."""
     grid, h = engine.grid, engine.grid.step
     coords = [locations[:, axis] for axis in range(grid.dim)]
     kept = slice(None)
-    if engine.op.pinned:
-        kept = _pinned_window_mask(coords[0], grid)
-        coords = [coords[0][kept]]
+    if engine.op.causal:
+        kept = np.ones(locations.shape[0], dtype=bool)
+        for x, hi in zip(coords, grid.box.hi):
+            kept &= x <= hi
+        if engine.op.pinned:
+            kept &= coords[0] > grid.box.lo[0] + BIN_SNAP * h
+        coords = [x[kept] for x in coords]
     amps = amplitudes[kept]
     if engine.op.causal:
         bins, weights = [], [amps]
         for x, (nodes, moments, _) in zip(coords, engine.kernels):
             idx = oracle_bin_ceil(x, nodes[0], h, nodes.size)
             bins.append(idx)
-            weights = [w for a in weights for w in moments(a, nodes[idx] - x)]
+            delta = nodes[idx] - x
+            weights = [w for a in weights for w in moments(a, delta.copy)]
     else:
         bins = [
             np.clip(np.round((x - lo) / h).astype(int), 0, n - 1)
@@ -493,8 +522,8 @@ def test_scatter_equals_the_first_written_scatter_bit_for_bit():
             for (filters, weights), (want_filters, want_weights) in zip(terms, want_terms):
                 assert filters == want_filters
                 np.testing.assert_array_equal(weights, want_weights)
-            # only the mixed set has impulses for pinning to drop
-            assert isinstance(kept, slice) == (k < 2 or not op.pinned)
+            # only the mixed set has impulses for a causal scatter to drop
+            assert isinstance(kept, slice) == (k < 2 or not op.causal)
 
 
 def test_study_offsets_equal_owner_times_cells():
@@ -516,3 +545,40 @@ def test_study_offsets_equal_owner_times_cells():
             if op.pinned:
                 assert isinstance(kept, slice) == (left == 0.0)
 
+
+def test_bin_ceil_clips_far_coordinates_before_the_cast():
+    # ceil and clip run on floats, so a coordinate far beyond the grid clips
+    # to the last node instead of overflowing the cast to intp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        idx = _bin_ceil(np.array([1e300, 1e25, -1e300, 2.505]), 0.0, 0.01, 1001)
+    assert idx.dtype == np.intp
+    np.testing.assert_array_equal(idx, [1000, 1000, 0, 251])
+
+
+def test_factor_moments_read_offsets_only_where_needed():
+    gen = np.random.default_rng(8)
+    a = gen.standard_normal(1000)
+    delta = 0.01 * gen.random(1000)
+    saved = a.copy()
+
+    def no_offset():
+        raise AssertionError("the D^1 moment reads no offset")
+
+    # D^1 (and each DxDy factor): the weight is the amplitude itself
+    moments, _ = _factor_kernel((1, None), 0.01)
+    (w,) = moments(a, no_offset)
+    assert w is a
+    # D + alpha I: a exp(-alpha delta) bit for bit, in the offset array
+    for alpha in (0.1, 0.37, 5.0):
+        moments, _ = _factor_kernel((1, alpha), 0.01)
+        fresh = delta.copy()
+        (w,) = moments(a, lambda: fresh)
+        assert w is fresh
+        assert w.tobytes() == (a * np.exp(-alpha * delta)).tobytes()
+    # D^3: a, a delta, a delta^2 / 2 from one offset array
+    moments, _ = _factor_kernel((3, None), 0.01)
+    got = moments(a, delta.copy)
+    want = [a, a * delta / 1, a * delta / 1 * delta / 2]
+    assert [g.tobytes() for g in got] == [v.tobytes() for v in want]
+    np.testing.assert_array_equal(a, saved)

@@ -42,7 +42,6 @@ from .verify import (
     build_identity_bank,
     convergence_study,
     empirical_cf,
-    marginal_gof,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "green",
     "laplace",
     "make_operator",
-    "marginal_gof",
     "margin_rule",
     "parse_operator_config",
     "poissonization_contraction_check",

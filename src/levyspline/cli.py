@@ -364,6 +364,9 @@ def cmd_plotdata(_cfg, _op, _grid, _f, ns):
     except (OSError, SynthesisError, OperatorError, KeyError, ValueError) as exc:
         print(f"plotdata: cannot read {input_path}: {exc}", file=sys.stderr)
         return 2
+    if not np.isfinite(real.samples).all():
+        print(f"plotdata: {input_path} holds non-finite samples", file=sys.stderr)
+        return 2
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "plot.dat"), "w") as fh:
         fh.writelines(grid_text(real.grid.axes, real.samples, " ", scan_breaks=True))

@@ -4,9 +4,13 @@ The theorem under test says the compound-Poisson processes with exponent
 f_n = n (exp(f/n) - 1) converge in law to the process with exponent f.
 Pointwise convergence of characteristic functionals E[exp(i <s, phi>)]
 over a finite test-function bank is the measurable surrogate: this module
-estimates empirical functionals from ensembles, computes the analytic
-limit exp(integral f(T phi)), and fits the error decay across a rate
-ladder.  Marginal goodness-of-fit tests back up the functional picture.
+estimates empirical functionals, computes the analytic limit
+exp(integral f(T phi)), and fits the error decay across a rate ladder.
+Every study pairing runs through one block loop (block_pairings): draw a
+block of members, scatter it once, and pair every member with every test
+function by the synthesis engine's adjoint tables.  A point value is the
+pairing s(x_i) = <s, delta_i / w_i> (point_bank), so the same loop gives
+the marginals that back up the functional picture.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import PoissonizedExponent, evaluate, exponent_to_kv, poissonize
+from .exponents import evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
 from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
-from .synthesis import _Engine
+from .synthesis import BIN_SNAP, _Engine
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -168,6 +172,33 @@ def build_identity_bank(grid, zero_mean=False):
             wide = _product_bump(grid, cfs, ZERO_MEAN_WIDEN * wf)
             phi = phi - (np.sum(weights * phi) / np.sum(weights * wide)) * wide
         names.append(f"zmbump{k}" if zero_mean else f"bump{k}")
+        phis.append(phi)
+    return TestFunctionBank(grid=grid, names=names, phis=phis)
+
+
+def point_bank(grid, points):
+    """Point evaluations as a bank: delta_i / w_i at each grid node x_i, so
+    that the quadrature pairing <s, delta_i / w_i> is s(x_i).
+
+    A point is a coordinate (1-D) or a tuple of one per axis; raises
+    VerifyError unless it is a node of the grid's closed window.
+    """
+    weights = grid.weight_array()
+    names, phis = [], []
+    for point in points:
+        coords = np.atleast_1d(np.asarray(point, dtype=float))
+        if coords.shape != (grid.dim,):
+            raise VerifyError(f"point {point!r} does not have {grid.dim} coordinates")
+        pos = (coords - grid.box.lo) / grid.step
+        idx = np.round(pos)
+        if not np.all((idx >= 0) & (idx < grid.shape)):
+            raise VerifyError(f"point {point!r} lies outside the window {grid.box.format()}")
+        if np.any(np.abs(pos - idx) > BIN_SNAP):
+            raise VerifyError(f"point {point!r} is not a grid node")
+        node = tuple(idx.astype(int))
+        phi = np.zeros(grid.shape)
+        phi[node] = 1.0 / weights[node]
+        names.append("s(" + ",".join(f"{v:g}" for v in coords) + ")")
         phis.append(phi)
     return TestFunctionBank(grid=grid, names=names, phis=phis)
 
@@ -370,11 +401,13 @@ def _member_offsets(block, cells):
     return np.repeat(np.arange(block.members) * cells, block.counts)
 
 
-def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals for one ladder rung without densifying paths.
+def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
+    """Yield the pairings <s, phi> of `count` rate-`lam` members with every
+    bank function, one (members, len(bank)) array per block, without
+    densifying paths.
 
     <s, phi> = <w, L^{-1*} phi>: the pairing tables are the synthesis
-    engine's adjoint, built once per rung.  Each block is drawn and
+    engine's adjoint, built once per call.  Each block is drawn and
     scattered once; per kernel term one bincount fills a (member, cell)
     histogram and one matrix product with the table pairs every member
     with every test function.  This equals synthesize-then-quadrature on
@@ -383,7 +416,6 @@ def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     engine = _rung_engine(op, bank.grid)
     cells = engine.cells
     tables = engine.tables(bank.phis)
-    acc = np.zeros(len(bank), dtype=complex)
     for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
         kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
         flat += _member_offsets(block, cells)[kept]
@@ -391,6 +423,13 @@ def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
         for table, (_, weights) in zip(tables, terms):
             hist = np.bincount(flat, weights, minlength=block.members * cells)
             t = t + hist.reshape(block.members, cells) @ table
+        yield t
+
+
+def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
+    """Empirical functionals and standard errors of one ladder rung."""
+    acc = np.zeros(len(bank), dtype=complex)
+    for t in block_pairings(f, op, lam, count, bank, base_seed, stream_offset):
         acc += np.exp(1j * t).sum(axis=0)
     return _cf_mean_se(acc, count)
 
@@ -463,21 +502,6 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
     return report
 
 
-def marginal_values(realizations, t):
-    """Stream s(t) over an ensemble of one-dimensional realizations."""
-    vals = []
-    idx = None
-    for real in realizations:
-        if idx is None:
-            grid = real.grid
-            pos = (t - grid.box.lo[0]) / grid.step
-            idx = int(round(pos))
-            if idx <= 0 or idx > grid.shape[0] - 1:
-                raise VerifyError("marginal time must lie inside the window")
-        vals.append(real.samples[idx])
-    return np.asarray(vals)
-
-
 def compound_marginal_reference(lam, jump_law, t, draws, seed):
     """Direct draws of sum_{k <= N} a_k with N ~ Poisson(lam t).
 
@@ -494,29 +518,3 @@ def compound_marginal_reference(lam, jump_law, t, draws, seed):
     bounds = np.concatenate([[0], np.cumsum(counts)])
     csum = np.concatenate([[0.0], np.cumsum(amps)])
     return csum[bounds[1:]] - csum[bounds[:-1]]
-
-
-def marginal_gof(realizations, t, target, reference_draws=10**6, reference_seed=0):
-    """Two-sided KS p-value of {s_i(t)} against the marginal law of the target.
-
-    Gaussian and Cauchy targets use exact marginal distributions (asymptotic
-    Kolmogorov p-values); compound-Poisson targets are compared against a
-    brute-force direct-sum reference sample.
-    """
-    # scipy.stats is imported here, not with the package: it is the only
-    # scipy the package uses, and importing it costs about a second.
-    from scipy import stats
-
-    vals = marginal_values(realizations, t)
-    if isinstance(target, PoissonizedExponent):
-        ref = compound_marginal_reference(
-            target.lam, target.jump_law, t, reference_draws, reference_seed
-        )
-        return float(stats.ks_2samp(vals, ref, mode="asymp").pvalue)
-    if target.family == "gaussian":
-        return float(
-            stats.kstest(vals, "norm", args=(0.0, math.sqrt(target.sigma2 * t)), mode="asymp").pvalue
-        )
-    if target.family == "cauchy":
-        return float(stats.kstest(vals, "cauchy", args=(0.0, target.c * t), mode="asymp").pvalue)
-    raise VerifyError(f"no marginal law available for family {target.family!r}")

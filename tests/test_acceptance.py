@@ -16,16 +16,17 @@ from scipy import stats
 from levyspline.cli import main
 from levyspline.exponents import cauchy, gaussian, laplace, poissonize
 from levyspline.grid import Box, Grid
-from levyspline.noise import RngStream, read_impulse_csv, sample_impulse_field
+from levyspline.noise import RngStream, read_impulse_csv
 from levyspline.operators import make_operator
 from levyspline.synthesis import ensemble, reference_levy_path, synthesize_spline
 from levyspline.verify import (
+    block_pairings,
     build_cf_bank,
     build_identity_bank,
     compound_marginal_reference,
     convergence_study,
     left_inverse_residual,
-    marginal_values,
+    point_bank,
 )
 from levyspline.exponents import poissonization_contraction_check
 
@@ -43,7 +44,7 @@ def report(ok, text):
 
 def _functional_study(f):
     op = make_operator("D")
-    bank = build_cf_bank(WINDOW, op)
+    bank = build_cf_bank(WINDOW)
     t0 = time.time()
     rep = convergence_study(f, op, LADDER, STUDY_ENSEMBLE, bank, base_seed=0)
     return rep, time.time() - t0
@@ -82,19 +83,14 @@ def test_criterion_02_cauchy_functional_convergence():
 def test_criterion_03_variance_identity_across_rates():
     op = make_operator("D")
     count = 10_000
+    times = (1.0, 5.0, 10.0)
+    bank = point_bank(WINDOW, times)
     t0 = time.time()
     worst = 0.0
     for base, seed0 in ((gaussian(1.0), 100), (laplace(1.0), 200)):
         for j, lam in enumerate((1.0, 10.0, 100.0)):
-            fn = poissonize(base, lam)
-
-            def make(stream, lam=lam, law=fn.jump_law):
-                field = sample_impulse_field(1, WINDOW.box, lam, law, stream)
-                return synthesize_spline(field, op, WINDOW)
-
-            paths = list(ensemble(make, count, seed0 + j))
-            for t in (1.0, 5.0, 10.0):
-                vals = marginal_values(paths, t)
+            values = np.concatenate(list(block_pairings(base, op, lam, count, bank, seed0 + j)))
+            for t, vals in zip(times, values.T):
                 var = float(np.var(vals))
                 centered = vals - vals.mean()
                 se_var = math.sqrt(
@@ -117,18 +113,14 @@ def test_criterion_04_marginal_normality_high_rate_not_low_rate():
     base = gaussian(1.0)
     sigma_t = math.sqrt(10.0)
 
-    def paths_at(lam, count, seed):
-        fn = poissonize(base, lam)
+    bank = point_bank(WINDOW, (10.0,))
 
-        def make(stream):
-            field = sample_impulse_field(1, WINDOW.box, lam, fn.jump_law, stream)
-            return synthesize_spline(field, op, WINDOW)
+    def marginal_at(lam, count, seed):
+        return np.concatenate(list(block_pairings(base, op, lam, count, bank, seed)))[:, 0]
 
-        return marginal_values(ensemble(make, count, seed), 10.0)
-
-    high = paths_at(200.0, 2000, 41)
+    high = marginal_at(200.0, 2000, 41)
     p_high = stats.kstest(high, "norm", args=(0.0, sigma_t), mode="asymp").pvalue
-    low = paths_at(0.5, 40_000, 43)
+    low = marginal_at(0.5, 40_000, 43)
     p_low = stats.kstest(low, "norm", args=(0.0, sigma_t), mode="asymp").pvalue
     # independent oracle: a direct compound-sum sample must agree with the
     # synthesized ensemble and itself reject normality at this size
@@ -161,7 +153,7 @@ def test_criterion_05_cauchy_reference_marginal():
     def make(stream):
         return reference_levy_path(f, op, WINDOW, stream)
 
-    vals = marginal_values(ensemble(make, 10_000, 51), 10.0)
+    vals = np.array([path.samples[-1] for path in ensemble(make, 10_000, 51)])
     p = stats.kstest(vals, "cauchy", args=(0.0, 10.0), mode="asymp").pvalue
     ok = p > 1e-3
     report(

@@ -237,6 +237,29 @@ def test_plotdata_missing_input_exit_2(tmp_path):
     assert run("plotdata", "--input", str(empty), "--outdir", str(tmp_path)) == 2
 
 
+def test_plotdata_refuses_non_finite_samples_exit_2(tmp_path, capsys):
+    # an inf in a 2-D csv and a nan in a 1-D bin are refused after loading,
+    # with the file named and no output directory
+    csv_src, bin_src = tmp_path / "csv", tmp_path / "bin"
+    run("generate", "--operator", "DxDy", "--lambda", "1", "--box", "0:2", "--step", "0.5",
+        "--seed", "3", "--outdir", str(csv_src))
+    run("generate", "--format", "bin", "--seed", "3", "--outdir", str(bin_src))
+    csv_path = csv_src / "realization.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",inf"
+    csv_path.write_text("\n".join(lines) + "\n")
+    bin_path = bin_src / "realization.bin"
+    samples = np.fromfile(bin_path, dtype="<f8")
+    samples[500] = np.nan
+    samples.tofile(bin_path)
+    for path in (csv_path, bin_path):
+        out = tmp_path / ("plot_" + path.suffix[1:])
+        capsys.readouterr()
+        assert run("plotdata", "--input", str(path), "--outdir", str(out)) == 2
+        assert f"plotdata: {path} holds non-finite samples" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_selftest_subcommand(tmp_path):
     out = tmp_path / "st"
     assert run("selftest", "--seed", "1", "--outdir", str(out)) == 0
@@ -460,7 +483,7 @@ def test_write_pgm_constant_field(tmp_path):
 
 
 def test_import_does_not_load_scipy():
-    # scipy.stats is imported lazily by marginal_gof; nothing else needs scipy
+    # the package needs no scipy: only the tests and the benchmark import it
     code = (
         "import sys, levyspline, levyspline.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,16 +1,16 @@
-"""Characteristic functionals, convergence studies, and marginal GOF."""
+"""Characteristic functionals, convergence studies, and point values."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from levyspline import verify
 from levyspline.cli import _build_parser, _resolve
 from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
 from levyspline.grid import Box, Grid
-from levyspline.noise import RngStream, sample_impulse_field
 from levyspline.operators import grid_margin, make_operator, margin_rule, sampling_box
 from levyspline.synthesis import GridRealization, ensemble, reference_levy_path, synthesize_spline
 from levyspline.verify import (
@@ -26,14 +26,14 @@ from levyspline.verify import (
     _rung_cf,
     _rung_engine,
     analytic_cf,
+    block_pairings,
     build_cf_bank,
     build_identity_bank,
     compound_marginal_reference,
     convergence_study,
     empirical_cf,
     left_inverse_residual,
-    marginal_gof,
-    marginal_values,
+    point_bank,
 )
 
 GRID1 = Grid(Box.cube(0.0, 10.0, 1), 0.01)
@@ -59,14 +59,14 @@ def constant_realizations(values):
 
 
 def test_cf_bank_shapes():
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     assert bank.names == ["bump1", "bump2", "bump3", "bump4", "plateau"]
     assert len(bank.phis) == 5
     for phi in bank.phis:
         assert phi.shape == GRID1.shape
         assert phi[0] == 0.0 and phi[-1] == 0.0  # compact support inside
     with pytest.raises(VerifyError):
-        build_cf_bank(Grid(Box.cube(0.0, 1.0, 2), 0.125), make_operator("DxDy"))
+        build_cf_bank(Grid(Box.cube(0.0, 1.0, 2), 0.125))
 
 
 def test_identity_bank_zero_mean():
@@ -78,7 +78,7 @@ def test_identity_bank_zero_mean():
 
 def test_empirical_cf_matches_manual_computation():
     # s_i constant c_i pairs to c_i * integral(phi)
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     phi = bank.phis[0]
     mass = float(np.sum(GRID1.weight_array() * phi))
     values = [0.3, -0.7, 1.1] * 40
@@ -93,7 +93,7 @@ def test_empirical_cf_matches_manual_computation():
 
 
 def test_empirical_cf_minimum_ensemble():
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     with pytest.raises(VerifyError):
         empirical_cf(constant_realizations([0.0] * 99), bank.phis[0])
 
@@ -114,7 +114,7 @@ def test_analytic_cf_worked_examples():
 
 
 def test_analytic_cf_agrees_with_reference_monte_carlo():
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     f = gaussian(1.0)
 
     def make(stream):
@@ -128,7 +128,7 @@ def test_analytic_cf_agrees_with_reference_monte_carlo():
 
 
 def test_analytic_cf_unit_modulus_bound():
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     for f in (gaussian(1.0), cauchy(1.0), poissonize(gaussian(1.0), 4.0)):
         for phi in bank.phis:
             assert abs(analytic_cf(f, OP_D, phi, GRID1)) <= 1.0 + 1e-12
@@ -306,7 +306,7 @@ def test_whole_step_margins_keep_the_rule_box_bit_for_bit():
 
 def test_convergence_study_report_contents():
     f = gaussian(1.0)
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     report = convergence_study(f, OP_D, (1.0, 4.0, 16.0, 64.0), 20000, bank, base_seed=0)
     assert report.empirical.shape == (4, 5)
     assert report.ladder == [1.0, 4.0, 16.0, 64.0]
@@ -323,7 +323,7 @@ def test_convergence_study_report_contents():
 
 def test_convergence_study_is_deterministic():
     f = cauchy(1.0)
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     a = convergence_study(f, OP_D, (1.0, 4.0, 16.0), 8000, bank, base_seed=9)
     b = convergence_study(f, OP_D, (1.0, 4.0, 16.0), 8000, bank, base_seed=9)
     np.testing.assert_array_equal(a.empirical, b.empirical)
@@ -331,7 +331,7 @@ def test_convergence_study_is_deterministic():
 
 
 def test_convergence_study_validation():
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     with pytest.raises(VerifyError):
         convergence_study(gaussian(1.0), OP_D, (1.0, 4.0), 500, bank)
     with pytest.raises(VerifyError):
@@ -342,7 +342,7 @@ def test_convergence_study_validation():
 
 def test_convergence_study_noise_floor():
     f = gaussian(1.0)
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     with pytest.raises(NoiseFloor) as exc_info:
         convergence_study(f, OP_D, (64.0, 128.0, 256.0), 200, bank, base_seed=0)
     report = exc_info.value.report
@@ -354,7 +354,7 @@ def test_convergence_study_noise_floor():
 
 def test_csv_report_round_trip_columns(tmp_path):
     f = gaussian(1.0)
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     report = convergence_study(f, OP_D, (1.0, 4.0, 16.0), 5000, bank, base_seed=1)
     path = tmp_path / "cfreport.csv"
     report.to_csv(path)
@@ -364,16 +364,6 @@ def test_csv_report_round_trip_columns(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "1" and row[1] == "bump1"
     assert abs(complex(float(row[2]), float(row[3]))) <= 1.0 + 1e-9
-
-
-def test_marginal_values_and_validation():
-    reals = constant_realizations([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(marginal_values(reals, 5.0), [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(marginal_values(reals, 10.0), [1.0, 2.0, 3.0])
-    with pytest.raises(VerifyError):
-        marginal_values(reals, 0.0)
-    with pytest.raises(VerifyError):
-        marginal_values(reals, 11.0)
 
 
 def test_compound_marginal_reference_moments():
@@ -391,34 +381,85 @@ def test_compound_marginal_reference_budget_cap():
     assert len(vals) <= 10**4
 
 
-def test_marginal_gof_accepts_matching_law():
+def point_values(f, op, lam, count, bank, base_seed):
+    """Every member's pairings with the bank, drawn in study blocks."""
+    return np.concatenate(list(block_pairings(f, op, lam, count, bank, base_seed)))
+
+
+def test_point_bank_names_and_refusals():
+    # nodes of the closed window are accepted, and named by their coordinates
+    assert point_bank(GRID1, (0.0, 2.5, 10.0)).names == ["s(0)", "s(2.5)", "s(10)"]
+    grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
+    assert point_bank(grid2, [(0.5, 4.0)]).names == ["s(0.5,4)"]
+    for grid, point, reason in (
+        (GRID1, -0.01, "outside the window"),
+        (GRID1, 10.01, "outside the window"),
+        (GRID1, math.nan, "outside the window"),
+        (grid2, (2.0, 4.1), "outside the window"),
+        (GRID1, 5.005, "not a grid node"),
+        (grid2, (0.55, 1.0), "not a grid node"),
+        (GRID1, (1.0, 2.0), "does not have 1 coordinates"),
+        (grid2, 1.0, "does not have 2 coordinates"),
+    ):
+        with pytest.raises(VerifyError, match=reason):
+            point_bank(grid, [np.zeros(grid.dim), point])
+
+
+def test_block_point_values_equal_synthesis():
+    # the point bank's block pairings are the synthesized samples at the
+    # nodes, member for member on the same blocks, for every operator
+    # family in one and two dimensions
+    grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
+    cases = (
+        (make_operator("D"), GRID1, cauchy(1.0)),
+        (make_operator("D", n=2), GRID1, gaussian(1.0)),
+        (make_operator("DaI", alpha=0.1), GRID1, cauchy(1.0)),
+        (make_operator("frac_laplacian", gamma=1.5), GRID1, gaussian(1.0)),
+        (make_operator("DxDy"), grid2, gaussian(1.0)),
+        (make_operator("DaIxDaIy", alpha=0.5), grid2, cauchy(1.0)),
+        (make_operator("frac_laplacian", gamma=1.2, dim=2), grid2, gaussian(1.0)),
+    )
+    for op, grid, f in cases:
+        if grid.dim == 1:
+            points, nodes = (0.0, 3.07, 10.0), ((0,), (307,), (1000,))
+        else:
+            points, nodes = ((0.0, 0.0), (0.5, 3.2), (4.0, 1.0)), ((0, 0), (5, 32), (40, 10))
+        lam, count = 4.0 / grid.dim, 60
+        fast = point_values(f, op, lam, count, point_bank(grid, points), 23)
+        engine = _rung_engine(op, grid)
+        slow = np.array([
+            [synthesize_spline(fld, op, grid).samples[node] for node in nodes]
+            for block in _rung_blocks(f, engine, lam, count, 23, 0)
+            for fld in block.fields()
+        ])
+        assert fast.shape == slow.shape == (count, 3)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+
+
+def test_reference_marginal_accepts_its_gaussian_law():
+    # the exact path's t=10 value is N(0, 10): KS accepts it and rejects N(0, 20)
     f = gaussian(1.0)
 
     def make(stream):
         return reference_levy_path(f, OP_D, GRID1, stream)
 
-    paths = list(ensemble(make, 5000, 8))
-    assert marginal_gof(paths, 10.0, f) > 1e-3
-    # inflated variance must be rejected
-    assert marginal_gof(paths, 10.0, gaussian(2.0)) < 1e-3
+    vals = np.array([path.samples[-1] for path in ensemble(make, 5000, 8)])
+    assert stats.kstest(vals, "norm", args=(0.0, math.sqrt(10.0)), mode="asymp").pvalue > 1e-3
+    assert stats.kstest(vals, "norm", args=(0.0, math.sqrt(20.0)), mode="asymp").pvalue < 1e-3
 
 
-def test_marginal_gof_compound_target():
+def test_block_point_values_match_the_compound_oracle():
     lam = 5.0
-    f = poissonize(gaussian(1.0), lam)
-
-    def make(stream):
-        field = sample_impulse_field(1, GRID1.box, lam, f.jump_law, stream)
-        return synthesize_spline(field, OP_D, GRID1)
-
-    paths = ensemble(make, 4000, 15)
-    assert marginal_gof(paths, 10.0, f) > 1e-3
+    f = gaussian(1.0)
+    vals = point_values(f, OP_D, lam, 4000, point_bank(GRID1, [10.0]), 15)[:, 0]
+    ref = compound_marginal_reference(lam, poissonize(f, lam).jump_law, 10.0, 10**6, seed=0)
+    assert stats.ks_2samp(vals, ref, mode="asymp").pvalue > 1e-3
 
 
 def test_psd_spot_check():
     # the limit functional of a valid exponent is positive definite, so the
     # Gram matrix [cf(phi_j - phi_k)] must be PSD up to round-off
-    bank = build_cf_bank(GRID1, OP_D)
+    bank = build_cf_bank(GRID1)
     phis = [0.3 * phi for phi in bank.phis[:4]]
     for f in (gaussian(1.0), cauchy(1.0)):
         mat = np.array([[analytic_cf(f, OP_D, a - b, GRID1) for b in phis] for a in phis])

@@ -136,8 +136,10 @@ def sample_impulse_block(dim, box, lam, jumps, rng, members):
     counts = gen.poisson(mean_count, int(members))
     total = int(counts.sum())
     locations = gen.random((total, dim))
-    locations *= box.lengths
-    locations += box.lo
+    # per column, so numpy's inner loop runs over the points, not the axes
+    for x, lo, length in zip(locations.T, box.lo, box.lengths):
+        x *= length
+        x += lo
     amplitudes = jumps.sample(gen, total)
     return ImpulseBlock(
         dim=dim,

@@ -28,7 +28,8 @@ MIN_SUPPORT_SPAN = 16
 # (doubles overflow near exp(709)).
 ONE_POLE_LOG_RANGE = 600.0
 # Fourier multipliers kept per (shape, step, power): a frac_laplacian study
-# uses about four (padded synthesis, T, adjoint, discrete L).
+# uses about three (synthesis and T on the sampling box's torus, adjoint,
+# discrete L).
 SPECTRAL_CACHE_SIZE = 8
 
 

@@ -10,8 +10,9 @@ term, then invert L.  Causal families bin each impulse to the first node
 at or beyond it, weighted by its offset, and run each axis's causal
 kernel (cumulative sums or the one-pole recursion), which equals the
 Green superposition at the nodes; the fractional Laplacian rounds to the
-nearest node of the padded window and divides by ||omega||^gamma.  The
-engine's adjoint is the pairing table of every convergence study.
+nearest node of the torus whose period is the sampling box, so every node
+holds one full cell, and divides by ||omega||^gamma.  The engine's adjoint
+is the pairing table of every convergence study.
 """
 
 from __future__ import annotations
@@ -228,8 +229,9 @@ class _Engine:
     """Scatter grid, kernel terms and adjoint of one operator on one window.
 
     Causal operators scatter onto the window, the fractional Laplacian onto
-    the window padded out to the field `box`.  Build one per synthesis
-    call or study rung, not per block.
+    the torus whose period is the field `box`: one node per step of the
+    box, starting at its low corner, so its high corner wraps to node 0.
+    Build one per synthesis call or study rung, not per block.
     """
 
     def __init__(self, op, grid, box):
@@ -243,7 +245,7 @@ class _Engine:
             pads_lo = [int(round((lo - blo) / h)) for lo, blo in zip(grid.box.lo, box.lo)]
             pads_hi = [int(round((bhi - hi) / h)) for hi, bhi in zip(grid.box.hi, box.hi)]
             self.filters = [()]
-            self.shape = tuple(nl + n + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
+            self.shape = tuple(nl + n - 1 + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
             self.origin = [lo - nl * h for lo, nl in zip(grid.box.lo, pads_lo)]
             self.crop = tuple(slice(nl, nl + n) for nl, n in zip(pads_lo, grid.shape))
         self.cells = math.prod(self.shape)
@@ -254,7 +256,9 @@ class _Engine:
         drops none), their flat cells on the scatter grid, and one (axis
         filters, weights) pair per kernel term.  A causal axis bins each
         impulse to the first node at or beyond it; the node-minus-impulse
-        offset is computed only for a factor whose moments read it."""
+        offset is computed only for a factor whose moments read it.  A
+        spectral axis bins it to the nearest torus node, modulo the
+        period."""
         grid, h = self.grid, self.grid.step
         coords = [locations[:, axis] for axis in range(grid.dim)]
         if self.op.causal:
@@ -270,7 +274,7 @@ class _Engine:
         else:
             kept = slice(None)
             bins = [
-                np.clip(np.round((x - lo) / h).astype(int), 0, n - 1)
+                np.round((x - lo) / h).astype(int) % n
                 for x, lo, n in zip(coords, self.origin, self.shape)
             ]
             weights = [amplitudes / h**grid.dim]
@@ -299,8 +303,8 @@ class _Engine:
         one (cells, len(phis)) table per kernel term, so that <s, phi> is
         the sum over terms of hist @ table.  Causal filters run
         time-reversed; the spectral path takes w phi minus its window
-        mean, padded, through the symmetric spectral division (the
-        scatter weights already carry 1 / h^dim)."""
+        mean, embedded in the torus, through the symmetric spectral
+        division (the scatter weights already carry 1 / h^dim)."""
         grid = self.grid
         axes = tuple(range(1, grid.dim + 1))
         wphis = grid.weight_array() * np.stack(phis)

@@ -250,8 +250,10 @@ def analytic_cf(f, op, phi, grid):
 
     The integration domain is the box a study draws on: the window plus
     the grid margin (none for the pinned operators, whose pinning cancels
-    every contribution from the left of the window).  A
-    TailTruncationWarning signals an integrand that has not died off at
+    every contribution from the left of the window).  The spectral path
+    integrates over the torus its synthesis runs on, one node per step of
+    that box, each weighted h^dim (the trapezoid rule on a periodic grid).
+    A TailTruncationWarning signals an integrand that has not died off at
     the domain edge.
     """
     phi = np.asarray(phi, dtype=float)
@@ -260,7 +262,11 @@ def analytic_cf(f, op, phi, grid):
     margin = grid_margin(op, grid)
     pad = round(margin / grid.step)
     domain = Grid(sampling_box(op, grid.box, margin), grid.step)
-    embedded = np.zeros(domain.shape)
+    if op.causal:
+        shape, weights = domain.shape, domain.weight_array()
+    else:
+        shape, weights = _Engine(op, grid, domain.box).shape, grid.step**grid.dim
+    embedded = np.zeros(shape)
     embedded[tuple(slice(pad, pad + n) for n in grid.shape)] = phi
     tphi = apply_T(op, embedded, domain.step)
     integrand = evaluate(f, tphi)
@@ -275,7 +281,7 @@ def analytic_cf(f, op, phi, grid):
                 TailTruncationWarning,
                 stacklevel=2,
             )
-    total = complex(np.sum(domain.weight_array() * integrand))
+    total = complex(np.sum(weights * integrand))
     out = complex(np.exp(total))
     return out
 

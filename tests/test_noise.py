@@ -74,6 +74,23 @@ def test_sample_block_draw_order_is_replayable():
         sample_impulse_block(2, box, 1.5, GAUSS, RngStream(11, 40), 0)
 
 
+def test_locations_scale_per_axis_bit_for_bit():
+    # each column is scaled and shifted on its own: the bytes equal the
+    # broadcast u * lengths + lo, in 1-D and on boxes whose axes differ
+    for box in (
+        Box.cube(-2.5, 12.5, 1),
+        Box((-2.5, 0.3), (12.5, 7.1)),
+        Box((-138.15, -1.0), (10.0, 11.0)),
+    ):
+        block = sample_impulse_block(box.dim, box, 40.0, GAUSS, RngStream(21, 3), 5)
+        gen = RngStream(21, 3).generator()
+        total = int(gen.poisson(40.0 * box.volume, 5).sum())
+        u = gen.random((total, box.dim))
+        assert total > 1000
+        want = u * np.asarray(box.lengths) + np.asarray(box.lo)
+        assert block.locations.tobytes() == want.tobytes()
+
+
 def test_jump_law_moves_only_the_amplitudes():
     # counts and locations are drawn before any amplitude, so blocks from
     # one stream share them whatever the jump law

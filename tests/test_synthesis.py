@@ -1,5 +1,6 @@
 """Spline synthesis from impulse fields, reference paths, and persistence."""
 
+import itertools
 import math
 import warnings
 
@@ -190,19 +191,20 @@ def test_spectral_synthesis_properties():
 
 def spectral_by_add_at(field, op, grid):
     """The spectral synthesis written out as a standalone scatter: round
-    each impulse to the nearest node of the window padded out to the field
-    box, add a / h^dim with np.add.at, divide, crop, subtract the mean."""
+    each impulse to the nearest node of the torus whose period is the field
+    box (one node per step, the box's high end wrapping to node 0), add
+    a / h^dim with np.add.at, divide, crop, subtract the mean."""
     h = grid.step
     pads_lo = [int(round((grid.box.lo[k] - field.box.lo[k]) / h)) for k in range(grid.dim)]
     pads_hi = [int(round((field.box.hi[k] - grid.box.hi[k]) / h)) for k in range(grid.dim)]
-    shape = tuple(nl + n + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
+    shape = tuple(nl + n - 1 + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
     acc = np.zeros(shape)
     if field.count:
         idx = []
         for k in range(grid.dim):
             lo_pad = grid.box.lo[k] - pads_lo[k] * h
             i = np.round((field.locations[:, k] - lo_pad) / h).astype(int)
-            idx.append(np.clip(i, 0, shape[k] - 1))
+            idx.append(i % shape[k])
         np.add.at(acc, tuple(idx), field.amplitudes / h**grid.dim)
     full = spectral_divide(acc, h, op.gamma)
     window = full[tuple(slice(nl, nl + n) for nl, n in zip(pads_lo, grid.shape))]
@@ -445,7 +447,8 @@ def oracle_scatter(engine, locations, amplitudes):
     """_Engine.scatter as first written, with the kept rule of causal
     operators (every axis keeps x <= hi, a pinned one also x > lo): the
     mask is applied even when it keeps every impulse, and every factor
-    gets its offsets."""
+    gets its offsets; a spectral axis wraps its nearest node modulo the
+    torus period."""
     grid, h = engine.grid, engine.grid.step
     coords = [locations[:, axis] for axis in range(grid.dim)]
     kept = slice(None)
@@ -466,7 +469,7 @@ def oracle_scatter(engine, locations, amplitudes):
             weights = [w for a in weights for w in moments(a, delta.copy)]
     else:
         bins = [
-            np.clip(np.round((x - lo) / h).astype(int), 0, n - 1)
+            np.round((x - lo) / h).astype(int) % n
             for x, lo, n in zip(coords, engine.origin, engine.shape)
         ]
         weights = [amps / h**grid.dim]
@@ -524,6 +527,35 @@ def test_scatter_equals_the_first_written_scatter_bit_for_bit():
                 np.testing.assert_array_equal(weights, want_weights)
             # only the mixed set has impulses for a causal scatter to drop
             assert isinstance(kept, slice) == (k < 2 or not op.causal)
+
+
+def test_spectral_cells_have_their_exact_measure():
+    # the spectral engine scatters onto the torus whose period is the
+    # sampling box, one node per step: the box's two ends are one torus
+    # point (node 0), an offset under half a step rounds to its node, and a
+    # uniform lattice over the box puts the same count on every node
+    for grid in (GRID1, GRID2_SMALL):
+        op = make_operator("frac_laplacian", gamma=1.5, dim=grid.dim)
+        box = sampling_box(op, grid.box, margin_rule(op, grid.box))
+        engine = _Engine(op, grid, box)
+        h, dim = grid.step, grid.dim
+        n = round(box.lengths[0] / h)
+        assert engine.shape == (n,) * dim
+        lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        _, flat, _ = engine.scatter(corners, np.ones(len(corners)))
+        np.testing.assert_array_equal(flat, 0)
+        nodes = np.arange(n)
+        for shift in (-0.49, 0.0, 0.49):
+            along = lo + (nodes[:, None] + shift) * h
+            _, flat, _ = engine.scatter(along, np.ones(n))
+            np.testing.assert_array_equal(flat, nodes * sum(n**k for k in range(dim)))
+        per = 10 if dim == 1 else 4
+        ticks = (np.arange(n * per) + 0.5) * (h / per)
+        lattice = np.stack(np.meshgrid(*([ticks] * dim), indexing="ij"), -1).reshape(-1, dim)
+        lattice += lo
+        _, flat, _ = engine.scatter(lattice, np.ones(len(lattice)))
+        np.testing.assert_array_equal(np.bincount(flat, minlength=engine.cells), per**dim)
 
 
 def test_study_offsets_equal_owner_times_cells():

@@ -210,7 +210,8 @@ def test_convergence_study_fast_path_equals_pipeline():
 def test_block_members_bound_the_scattered_histogram():
     # a block's (member, cell) histogram plus its expected impulses stay
     # within BLOCK_CELLS, counted on the cells the engine scatters onto:
-    # the window for causal operators, the padded window for frac_laplacian
+    # the window for causal operators, the sampling box's torus for
+    # frac_laplacian
     grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
     for op, grid, lam in (
         (make_operator("D"), GRID1, 4.0),
@@ -222,10 +223,11 @@ def test_block_members_bound_the_scattered_histogram():
         per_member = engine.cells + math.ceil(lam * engine.box.volume)
         members = _block_members(engine, lam)
         assert members * per_member <= BLOCK_CELLS < (members + 1) * per_member
-    # the 1-D spectral rung scatters onto 1,501 cells, not the 1,001 window
-    # points, so a block holds 41 members rather than 61
+    # the 1-D spectral rung scatters onto the 1,500 cells of its torus (the
+    # 15-long box in steps of 0.01), not the 1,001 window points, so a
+    # block holds 42 members rather than 61
     spectral = _rung_engine(make_operator("frac_laplacian", gamma=1.5), GRID1)
-    assert spectral.cells == 1501 and _block_members(spectral, 4.0) == 41
+    assert spectral.cells == 1500 and _block_members(spectral, 4.0) == 42
 
 
 def test_rung_cf_equals_pipeline_in_two_dimensions():
@@ -269,7 +271,9 @@ def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
     # window plus the operator's rule in whole steps (grid_margin), which
     # is also the margin generate records by default, where the rule is
     # not a whole number of steps too (2.2525 at step 0.01; 138.155 at
-    # step 0.05)
+    # step 0.05); the spectral path scatters onto and integrates over the
+    # torus of that box, one node per step, one node fewer per axis than
+    # the box's grid
     for args in (
         ("--operator", "frac_laplacian", "--gamma", "1.5", "--box", "0:9.01", "--step", "0.01"),
         ("--operator", "DaIxDaIy", "--alpha", "0.1", "--box", "0:10", "--step", "0.05"),
@@ -279,9 +283,10 @@ def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
         engine = _rung_engine(op, grid)
         assert engine.box == sampling_box(op, grid.box, margin)
         domain = Grid(engine.box, grid.step).shape
-        assert _analytic_domain_shape(monkeypatch, op, grid) == domain
         if not op.causal:
+            domain = tuple(n - 1 for n in domain)
             assert engine.shape == domain
+        assert _analytic_domain_shape(monkeypatch, op, grid) == domain
         assert _resolve(_build_parser().parse_args(["generate", *args]))[0].margin == margin
     assert margin == 2764 * 0.05 and engine.box.lo == (-margin,) * 2
 

@@ -30,7 +30,6 @@ from .operators import (
 )
 from .synthesis import (
     GridRealization,
-    ensemble,
     reference_levy_path,
     synthesize_spline,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "cauchy",
     "convergence_study",
     "empirical_cf",
-    "ensemble",
     "evaluate",
     "gaussian",
     "green",

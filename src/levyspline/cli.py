@@ -36,7 +36,7 @@ from .exponents import (
     poissonize,
 )
 from .grid import Box, Grid, GridSpecError, fmt17, grid_text
-from .noise import NoiseError, RngStream, sample_impulse_field, write_impulse_csv
+from .noise import NoiseError, RngStream, expected_count, sample_impulse_field, write_impulse_csv
 from .operators import (
     OPERATOR_PARAMS,
     OperatorError,
@@ -49,7 +49,6 @@ from .operators import (
 from .synthesis import (
     SynthesisError,
     UnsupportedReference,
-    ensemble,
     read_realization_binary,
     read_realization_csv,
     reference_levy_path,
@@ -64,8 +63,8 @@ from .verify import (
     build_cf_bank,
     build_identity_bank,
     convergence_study,
-    empirical_cf,
     left_inverse_residual,
+    rung_cf,
     study_ladder,
 )
 
@@ -234,6 +233,8 @@ def _resolve(ns):
             cfg["seed"] = int(env)
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
+    if "seed" in reads and cfg["seed"] < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     if "operator" not in reads:
         return RunConfig(**cfg), None, None, None
 
@@ -269,6 +270,11 @@ def _resolve(ns):
                 f"{op.family} needs a margin of at least {fmt17(rule)} per side "
                 f"(its rule in whole steps); margin={fmt17(cfg['margin'])} is too small"
             )
+    if "lambda" in reads:
+        try:  # the impulse-count guard, on the box the run draws on
+            expected_count(cfg["lam"], sampling_box(op, grid.box, cfg["margin"]))
+        except NoiseError as exc:
+            raise ConfigError(str(exc)) from exc
     return RunConfig(**cfg), op, grid, f
 
 
@@ -313,11 +319,13 @@ def cmd_reference(cfg, op, grid, f, ns):
 
 def cmd_verify(cfg, op, grid, f, ns):
     outdir = ns.outdir
-    # refuse, before any output, what the study would refuse
+    # refuse, before any output, what the study would refuse, the
+    # impulse-count guard at its top rung included
     try:
         bank = build_cf_bank(grid)
-        study_ladder(cfg.ladder, cfg.ensemble)
-    except VerifyError as exc:
+        top = study_ladder(cfg.ladder, cfg.ensemble)[-1]
+        expected_count(top, sampling_box(op, grid.box, grid_margin(op, grid)))
+    except (NoiseError, VerifyError) as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
     verdict = []
@@ -413,21 +421,12 @@ def cmd_selftest(cfg, _op, _grid, _f, ns):
     op = make_operator("D")
     bank = build_cf_bank(grid)
     for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
-
-        def make(stream, f=f):
-            return reference_levy_path(f, op, grid, stream)
-
-        paths = list(ensemble(make, 1000, cfg.seed))
-        ok = True
-        detail = []
-        for name, phi in zip(bank.names, bank.phis):
-            est = empirical_cf(paths, phi)
-            ana = analytic_cf(f, op, phi, grid)
-            err = abs(est.value - ana)
-            tol = 4.0 * max(est.se, 1e-6)
-            ok = ok and err <= tol
-            detail.append(f"{name}:err={err:.3g},tol={tol:.3g}")
-        results.append((f"reference-vs-analytic[{f.family}]", ok, " ".join(detail)))
+        # 1000 members of the limit process, drawn in study blocks
+        values, ses = rung_cf(f, op, math.inf, 1000, bank, cfg.seed, 0)
+        errs = np.abs(values - [analytic_cf(f, op, phi, grid) for phi in bank.phis])
+        tols = 4.0 * np.maximum(ses, 1e-6)
+        detail = " ".join(f"{n}:err={e:.3g},tol={t:.3g}" for n, e, t in zip(bank.names, errs, tols))
+        results.append((f"reference-vs-analytic[{f.family}]", bool(np.all(errs <= tols)), detail))
 
     fine = Grid(Box.cube(0.0, 10.0, 1), 0.001)
     bank1 = build_identity_bank(fine)

@@ -112,6 +112,15 @@ class ImpulseBlock:
         ]
 
 
+def expected_count(lam, box):
+    """lam * box.volume, the expected impulse count of one field on `box`;
+    raises NoiseError above MAX_EXPECTED_COUNT."""
+    mean = lam * box.volume
+    if mean > MAX_EXPECTED_COUNT:
+        raise NoiseError(f"expected impulse count {mean:.3g} exceeds guard {MAX_EXPECTED_COUNT:g}")
+    return mean
+
+
 def sample_impulse_block(dim, box, lam, jumps, rng, members):
     """Draw `members` independent Poisson impulse fields on `box` with rate `lam`.
 
@@ -127,11 +136,7 @@ def sample_impulse_block(dim, box, lam, jumps, rng, members):
         raise NoiseError("jumps must be a JumpLaw")
     if members < 1:
         raise NoiseError("a block needs at least one member")
-    mean_count = lam * box.volume
-    if mean_count > MAX_EXPECTED_COUNT:
-        raise NoiseError(
-            f"expected impulse count {mean_count:.3g} exceeds guard {MAX_EXPECTED_COUNT:g}"
-        )
+    mean_count = expected_count(lam, box)
     gen = rng.generator()
     counts = gen.poisson(mean_count, int(members))
     total = int(counts.sum())

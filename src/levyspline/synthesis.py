@@ -3,8 +3,9 @@
 synthesize_spline turns an impulse field into the random L-spline
 s = p0 + sum_k a_k rho_L(. - x_k) sampled on a window grid, with the
 null-space term pinned (s(lo) = 0 for causal 1-D operators, zero window
-mean for the spectral path).  reference_levy_path draws the limiting
-process exactly for the first-derivative operator.  Every operator runs
+mean for the spectral path).  reference_levy_path runs the limit noise,
+one increment per cell (limit_cell_block), through the same engine: an
+exact limit-process path for the first derivative.  Every operator runs
 on one O(K + G) engine: scatter the impulses with one bincount per kernel
 term, then invert L.  Causal families bin each impulse to the first node
 at or beyond it, weighted by its offset, and run each axis's causal
@@ -26,7 +27,7 @@ import numpy as np
 
 from .exponents import JumpLaw
 from .grid import Box, Grid, fmt17, grid_text
-from .noise import RngStream
+from .noise import ImpulseBlock
 from .operators import (
     OperatorSpec,
     format_operator_config,
@@ -322,42 +323,34 @@ class _Engine:
         return [t.reshape(len(phis), self.cells).T for t in out]
 
 
-def reference_levy_path(f, op, grid, rng):
-    """Exact-in-law path of the limit process for the first derivative.
-
-    The increments over one step h are i.i.d. draws from the base law at
-    time h, JumpLaw(f, h), whose characteristic function is exp(h f(xi)).
-    """
+def limit_cell_block(f, engine, rng, members):
+    """`members` draws of the limit noise (rate inf) as one ImpulseBlock,
+    from one sample call: an impulse at each cell's node, whose amplitude is
+    the noise's increment over the cell.  For the first derivative a cell is
+    a step (x_{i-1}, x_i], its increment JumpLaw(f, h), with characteristic
+    function exp(h f(xi)).  Raises UnsupportedReference for every other operator."""
+    op, grid = engine.op, engine.grid
     if op.family != "D" or op.n != 1 or grid.dim != 1:
         raise UnsupportedReference(
             "exact references exist only for the first-derivative operator "
             f"(operator=D n=1), not {format_operator_config(op)}"
         )
-    (n,) = grid.shape
-    h = grid.step
-    inc = JumpLaw(f, h).sample(rng.generator(), n - 1)
-    samples = np.concatenate([[0.0], np.cumsum(inc)])
-    return GridRealization(
-        dim=1,
-        box=grid.box,
-        step=h,
-        samples=samples,
-        operator=op,
-        provenance=f"reference({f.family})",
-        seed=rng.seed,
-    )
+    # a node past the window end by round-off would be dropped by the scatter
+    nodes = np.minimum(grid.axis(0)[1:], grid.box.hi[0])
+    amplitudes = JumpLaw(f, grid.step).sample(rng.generator(), members * nodes.size)
+    counts, locations = np.full(members, nodes.size), np.tile(nodes, members)[:, None]
+    return ImpulseBlock(1, engine.box, counts, locations, amplitudes, math.inf, rng.seed, rng.index)
 
 
-def ensemble(factory, count, base_seed, start_index=0):
-    """Yield count realizations, one RngStream per index.
-
-    factory(stream) must build the realization for that stream; outputs
-    are keyed by index so any execution order gives the same ensemble.
-    """
-    if count < 1:
-        raise SynthesisError("ensemble size must be at least 1")
-    for i in range(int(count)):
-        yield factory(RngStream(base_seed, start_index + i))
+def reference_levy_path(f, op, grid, rng):
+    """Exact-in-law path of the limit process: the one-member
+    limit_cell_block drawn from `rng`, run through the engine (for the
+    first derivative, 0 at the window start plus one increment per step)."""
+    engine = _Engine(op, grid, grid.box)
+    block = limit_cell_block(f, engine, rng, 1)
+    _, flat, terms = engine.scatter(block.locations, block.amplitudes)
+    samples = engine.synthesize(flat, terms)
+    return GridRealization(1, grid.box, grid.step, samples, op, f"reference({f.family})", rng.seed)
 
 
 def write_realization_csv(real, path):

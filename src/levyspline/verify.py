@@ -10,7 +10,8 @@ Every study pairing runs through one block loop (block_pairings): draw a
 block of members, scatter it once, and pair every member with every test
 function by the synthesis engine's adjoint tables.  A point value is the
 pairing s(x_i) = <s, delta_i / w_i> (point_bank), so the same loop gives
-the marginals that back up the functional picture.
+the marginals that back up the functional picture.  At the rate lam = inf
+the loop draws the limit process itself (synthesis.limit_cell_block).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .exponents import evaluate, exponent_to_kv, poissonize
 from .grid import Grid, fmt17
 from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
-from .synthesis import BIN_SNAP, _Engine
+from .synthesis import BIN_SNAP, _Engine, limit_cell_block
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -373,26 +374,29 @@ def _rung_engine(op, grid):
 
 def _block_members(engine, lam):
     """Members per ensemble block, fixed by the cells the engine scatters
-    onto and the rung's expected impulse count (never by the seed or the
-    realized counts)."""
-    per_member = engine.cells + math.ceil(lam * engine.box.volume)
-    return max(1, BLOCK_CELLS // per_member)
+    onto and the rung's expected impulse count, one per cell at lam = inf
+    (never by the seed or the realized counts)."""
+    impulses = engine.cells if lam == math.inf else math.ceil(lam * engine.box.volume)
+    return max(1, BLOCK_CELLS // (engine.cells + impulses))
 
 
 def _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
-    """The rung's `count` members as ImpulseBlocks on the engine's box.
+    """The rung's `count` members as ImpulseBlocks on the engine's box
+    (at lam = inf, limit_cell_block's one impulse per cell).
 
     The block starting at member i draws from RngStream(base_seed,
     stream_offset + i), so rungs with disjoint member ranges never share
     a stream.
     """
-    jumps = poissonize(f, lam).jump_law
+    jumps = None if lam == math.inf else poissonize(f, lam).jump_law
     size = _block_members(engine, lam)
     for start in range(0, count, size):
         stream = RngStream(base_seed, stream_offset + start)
-        yield sample_impulse_block(
-            engine.grid.dim, engine.box, lam, jumps, stream, min(size, count - start)
-        )
+        members = min(size, count - start)
+        if jumps is None:
+            yield limit_cell_block(f, engine, stream, members)
+        else:
+            yield sample_impulse_block(engine.grid.dim, engine.box, lam, jumps, stream, members)
 
 
 def _cf_mean_se(acc, count):
@@ -410,7 +414,7 @@ def _member_offsets(block, cells):
 def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
     """Yield the pairings <s, phi> of `count` rate-`lam` members with every
     bank function, one (members, len(bank)) array per block, without
-    densifying paths.
+    densifying paths (lam = inf: the limit process, see limit_cell_block).
 
     <s, phi> = <w, L^{-1*} phi>: the pairing tables are the synthesis
     engine's adjoint, built once per call.  Each block is drawn and
@@ -432,8 +436,8 @@ def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
         yield t
 
 
-def _rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals and standard errors of one ladder rung."""
+def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
+    """Empirical functionals and standard errors of one rung (lam = inf: the limit)."""
     acc = np.zeros(len(bank), dtype=complex)
     for t in block_pairings(f, op, lam, count, bank, base_seed, stream_offset):
         acc += np.exp(1j * t).sum(axis=0)
@@ -473,7 +477,7 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
     empirical = np.zeros((len(ladder), nphi), dtype=complex)
     se = np.zeros((len(ladder), nphi))
     for r, lam in enumerate(ladder):
-        empirical[r], se[r] = _rung_cf(f, op, lam, int(count), bank, base_seed, r * int(count))
+        empirical[r], se[r] = rung_cf(f, op, lam, int(count), bank, base_seed, r * int(count))
     abs_err = np.abs(empirical - analytic[None, :])
     mean_err = abs_err.mean(axis=1)
     mean_se = se.mean(axis=1)

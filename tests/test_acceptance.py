@@ -18,7 +18,7 @@ from levyspline.exponents import cauchy, gaussian, laplace, poissonize
 from levyspline.grid import Box, Grid
 from levyspline.noise import RngStream, read_impulse_csv
 from levyspline.operators import make_operator
-from levyspline.synthesis import ensemble, reference_levy_path, synthesize_spline
+from levyspline.synthesis import synthesize_spline
 from levyspline.verify import (
     block_pairings,
     build_cf_bank,
@@ -147,13 +147,10 @@ def test_criterion_04_marginal_normality_high_rate_not_low_rate():
 
 
 def test_criterion_05_cauchy_reference_marginal():
-    f = cauchy(1.0)
-    op = make_operator("D")
-
-    def make(stream):
-        return reference_levy_path(f, op, WINDOW, stream)
-
-    vals = np.array([path.samples[-1] for path in ensemble(make, 10_000, 51)])
+    # t=10 values of 10,000 limit-process members, drawn in study blocks
+    bank = point_bank(WINDOW, (10.0,))
+    pairs = block_pairings(cauchy(1.0), make_operator("D"), math.inf, 10_000, bank, 51)
+    vals = np.concatenate(list(pairs))[:, 0]
     p = stats.kstest(vals, "cauchy", args=(0.0, 10.0), mode="asymp").pvalue
     ok = p > 1e-3
     report(

@@ -597,3 +597,31 @@ def test_non_finite_or_non_positive_values_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--outdir", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    # a seed below 0 is refused by flag, config file and environment alike
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-1\n")
+    for command in ("generate", "verify"):
+        for env, args in ((None, ["--seed", "-1"]), (None, ["--config", str(cfg)]), ("-3", [])):
+            if env is None:
+                monkeypatch.delenv("LEVYSPLINE_SEED", raising=False)
+            else:
+                monkeypatch.setenv("LEVYSPLINE_SEED", env)
+            out = tmp_path / "o"
+            assert main([command, *args, "--outdir", str(out)]) == 2, (command, args, env)
+            assert capsys.readouterr().err == "config error: seed must be a nonnegative integer\n"
+            assert not out.exists()
+
+
+def test_impulse_count_guard_exits_2_before_any_output(tmp_path, capsys):
+    # generate's rate and verify's top rung, on the box each draws on
+    for argv in (["generate", "--lambda", "1e300"],
+                 ["verify", "--ladder", "1,4,1e12", "--ensemble", "100"]):
+        out = tmp_path / "o"
+        assert main(argv + ["--outdir", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: expected impulse count "), err
+        assert "exceeds guard 1e+09" in err
+        assert not out.exists()

@@ -24,7 +24,6 @@ from levyspline.synthesis import (
     MarginTooSmall,
     SynthesisError,
     UnsupportedReference,
-    ensemble,
     read_realization_binary,
     read_realization_csv,
     reference_levy_path,
@@ -379,18 +378,20 @@ def test_reference_path_requires_first_derivative():
         reference_levy_path(gaussian(1.0), make_operator("D", n=2), GRID1, RngStream(0))
 
 
-def test_ensemble_streams():
-    def make(stream):
-        return reference_levy_path(gaussian(1.0), make_operator("D"), GRID1, stream)
-
-    first = [r.samples for r in ensemble(make, 3, 77)]
-    again = [r.samples for r in ensemble(make, 3, 77)]
-    for a, b in zip(first, again):
-        np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(first[0], first[1])
-    # start_index reproduces the tail of a longer run
-    tail = [r.samples for r in ensemble(make, 1, 77, start_index=2)]
-    np.testing.assert_array_equal(tail[0], first[2])
+def test_reference_path_is_the_cumulated_increments():
+    # the engine's one-member limit block gives the direct formula bit for
+    # bit: the path is 0 at the window start plus the running sum of n - 1
+    # JumpLaw(f, h) draws from RngStream(seed, 0), on the 1,001-node window
+    # and on one whose last node lies past the window end by round-off
+    op = make_operator("D")
+    for grid in (GRID1, Grid(Box.cube(0.0, 2.3, 1), 0.1)):
+        (n,) = grid.shape
+        for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
+            for seed in (0, 7):
+                inc = JumpLaw(f, grid.step).sample(RngStream(seed, 0).generator(), n - 1)
+                want = np.concatenate([[0.0], np.cumsum(inc)])
+                got = reference_levy_path(f, op, grid, RngStream(seed, 0)).samples
+                assert got.tobytes() == want.tobytes(), (grid, f.family, seed)
 
 
 def test_realization_csv_round_trip(tmp_path):

@@ -12,7 +12,7 @@ from levyspline.cli import _build_parser, _resolve
 from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
 from levyspline.grid import Box, Grid
 from levyspline.operators import grid_margin, make_operator, margin_rule, sampling_box
-from levyspline.synthesis import GridRealization, ensemble, reference_levy_path, synthesize_spline
+from levyspline.synthesis import GridRealization, UnsupportedReference, synthesize_spline
 from levyspline.verify import (
     BLOCK_CELLS,
     CFEstimate,
@@ -23,7 +23,6 @@ from levyspline.verify import (
     _block_members,
     _cf_mean_se,
     _rung_blocks,
-    _rung_cf,
     _rung_engine,
     analytic_cf,
     block_pairings,
@@ -34,6 +33,7 @@ from levyspline.verify import (
     empirical_cf,
     left_inverse_residual,
     point_bank,
+    rung_cf,
 )
 
 GRID1 = Grid(Box.cube(0.0, 10.0, 1), 0.01)
@@ -114,17 +114,13 @@ def test_analytic_cf_worked_examples():
 
 
 def test_analytic_cf_agrees_with_reference_monte_carlo():
+    # 20,000 members of the limit process, drawn in study blocks
     bank = build_cf_bank(GRID1)
     f = gaussian(1.0)
-
-    def make(stream):
-        return reference_levy_path(f, OP_D, GRID1, stream)
-
-    paths = list(ensemble(make, 20000, 3))
-    for phi in bank.phis:
-        est = empirical_cf(paths, phi)
+    values, ses = rung_cf(f, OP_D, math.inf, 20000, bank, 3, 0)
+    for phi, value, se in zip(bank.phis, values, ses):
         ana = analytic_cf(f, OP_D, phi, GRID1)
-        assert abs(est.value - ana) < 4.0 * est.se
+        assert abs(value - ana) < 4.0 * se
 
 
 def test_analytic_cf_unit_modulus_bound():
@@ -162,7 +158,7 @@ def test_left_inverse_residuals_fine_grid():
 
 
 def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Oracle for _rung_cf: synthesize every member of the same blocks and
+    """Oracle for rung_cf: synthesize every member of the same blocks and
     pair by quadrature."""
     grid = bank.grid
     weights = grid.weight_array()
@@ -179,10 +175,12 @@ def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
 def test_convergence_study_fast_path_equals_pipeline():
     # the adjoint-table estimator must reproduce the synthesize-then-pair
     # pipeline on the same blocks of draws to round-off for every n-fold
-    # derivative, the exponential kernel and the fractional Laplacian; at
-    # rate 4 a causal ensemble spans three full blocks and ends in a
-    # partial one, at rate 0.05 most members draw no impulse at all
-    size = _block_members(_rung_engine(make_operator("D"), GRID1), 4.0)
+    # derivative, the exponential kernel and the fractional Laplacian, and
+    # for the limit cell noise (rate inf); at rates 4 and inf a causal
+    # ensemble spans three full blocks and ends in a partial one, at rate
+    # 0.05 most members draw no impulse at all
+    engine_d = _rung_engine(make_operator("D"), GRID1)
+    size = _block_members(engine_d, 4.0)
     dense = 3 * size + size // 2
     cases = [("D", {"n": n}, f, 4.0, dense) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
     cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 4.0, dense))
@@ -190,10 +188,12 @@ def test_convergence_study_fast_path_equals_pipeline():
     cases.append(("DaI", {"alpha": 0.1}, cauchy(1.0), 0.05, 300))
     cases.append(("frac_laplacian", {"gamma": 1.5}, gaussian(1.0), 4.0, dense))
     cases.append(("frac_laplacian", {"gamma": 0.7}, cauchy(1.0), 4.0, dense))
+    limit_size = _block_members(engine_d, math.inf)
+    cases.append(("D", {"n": 1}, cauchy(1.0), math.inf, 3 * limit_size + limit_size // 2))
     for fam, kw, f, lam, count in cases:
         op = make_operator(fam, **kw)
         bank = build_cf_bank(GRID1, op)
-        fast, fast_se = _rung_cf(f, op, lam, count, bank, 17, 600)
+        fast, fast_se = rung_cf(f, op, lam, count, bank, 17, 600)
         slow, slow_se = _generic_rung_cf(f, op, lam, count, bank, 17, 600)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
@@ -204,7 +204,7 @@ def test_convergence_study_fast_path_equals_pipeline():
         if lam == 0.05:
             assert sum(int(np.sum(b.counts == 0)) for b in blocks) > count // 2
         elif op.causal:
-            assert len(blocks) == 4 and blocks[-1].members < size
+            assert len(blocks) == 4 and blocks[-1].members < _block_members(engine, lam)
 
 
 def test_block_members_bound_the_scattered_histogram():
@@ -243,7 +243,7 @@ def test_rung_cf_equals_pipeline_in_two_dimensions():
         ident = build_identity_bank(grid, zero_mean=not op.causal)
         bank = replace(ident, phis=[0.3 * phi for phi in ident.phis])
         f = gaussian(1.0)
-        fast, fast_se = _rung_cf(f, op, 1.0, 40, bank, 5, 0)
+        fast, fast_se = rung_cf(f, op, 1.0, 40, bank, 5, 0)
         slow, slow_se = _generic_rung_cf(f, op, 1.0, 40, bank, 5, 0)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
@@ -443,14 +443,22 @@ def test_block_point_values_equal_synthesis():
 
 def test_reference_marginal_accepts_its_gaussian_law():
     # the exact path's t=10 value is N(0, 10): KS accepts it and rejects N(0, 20)
-    f = gaussian(1.0)
-
-    def make(stream):
-        return reference_levy_path(f, OP_D, GRID1, stream)
-
-    vals = np.array([path.samples[-1] for path in ensemble(make, 5000, 8)])
+    vals = point_values(gaussian(1.0), OP_D, math.inf, 5000, point_bank(GRID1, [10.0]), 8)[:, 0]
     assert stats.kstest(vals, "norm", args=(0.0, math.sqrt(10.0)), mode="asymp").pvalue > 1e-3
     assert stats.kstest(vals, "norm", args=(0.0, math.sqrt(20.0)), mode="asymp").pvalue < 1e-3
+
+
+def test_limit_rung_refuses_operators_it_cannot_draw():
+    # the limit cell noise exists for the first derivative only
+    grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
+    for op, grid in (
+        (make_operator("DaI", alpha=0.1), GRID1),
+        (make_operator("D", n=2), GRID1),
+        (make_operator("DxDy"), grid2),
+    ):
+        bank = point_bank(grid, [np.zeros(grid.dim)])
+        with pytest.raises(UnsupportedReference, match="first-derivative"):
+            next(block_pairings(gaussian(1.0), op, math.inf, 10, bank, 0))
 
 
 def test_block_point_values_match_the_compound_oracle():

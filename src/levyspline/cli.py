@@ -329,7 +329,6 @@ def cmd_verify(cfg, op, grid, f, ns):
         raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
     verdict = []
-    report = None
     try:
         report = convergence_study(f, op, cfg.ladder, cfg.ensemble, bank, base_seed=cfg.seed)
         ok_slope = SLOPE_BAND[0] <= report.slope <= SLOPE_BAND[1]
@@ -345,13 +344,9 @@ def cmd_verify(cfg, op, grid, f, ns):
         verdict.append("verdict=FAIL reason=NOISE_FLOOR")
         print(f"verify: NOISE_FLOOR: {exc}", file=sys.stderr)
         code = 1
-    if report is not None:
-        report.to_csv(os.path.join(outdir, "cfreport.csv"))
-        summary = report.summary_text() + "\n"
-    else:
-        summary = "no rungs completed\n"
+    report.to_csv(os.path.join(outdir, "cfreport.csv"))
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write(summary + "\n".join(verdict) + "\n")
+        fh.write(report.summary_text() + "\n" + "\n".join(verdict) + "\n")
     _write_cfg(cfg, outdir)
     return code
 

@@ -12,11 +12,20 @@ function by the synthesis engine's adjoint tables.  A point value is the
 pairing s(x_i) = <s, delta_i / w_i> (point_bank), so the same loop gives
 the marginals that back up the functional picture.  At the rate lam = inf
 the loop draws the limit process itself (synthesis.limit_cell_block).
+
+Each block draws from its own RngStream, so a rung's blocks are independent
+work: rung_cf cuts them into contiguous shares, one per usable CPU, pairs
+the first share itself and each other share in a forked child, and adds
+the per-block sums in block order.  Its results, and every file written
+from them, have the same bytes for any number of shares.  A rung too small
+to repay a fork runs as one share, and so does every rung on a platform
+without fork or in a process that runs other threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +49,19 @@ MAX_REFERENCE_VALUES = 10**7
 # histogram cells (scatter cells per member) plus its expected impulses
 # stay near this count, which bounds a rung's working memory at every rate.
 BLOCK_CELLS = 2**16
+# A rung is split across forked workers only when each share holds at
+# least SHARE_WORK units of work, a unit being one scatter cell of one
+# member; an expected impulse counts IMPULSE_WORK units, about what its
+# draw, bin and weights cost against a cell's histogram and pairing work.
+# On a 2-vCPU Xeon guest (1-D `D` and `DaI` rungs, 0:10 at step 0.01,
+# alternating serial and two-share runs), two shares beat one in 73 of
+# 324 runs below 2 * SHARE_WORK units and in 82 of 144 runs from there
+# to 10^7 units: the threshold sits where the fork, pipe, reap and the
+# child's copy-on-write faults cost what the second CPU saves.  A rung
+# uses at most MAX_WORKERS processes, the most that were measured.
+SHARE_WORK = 2**21
+IMPULSE_WORK = 6
+MAX_WORKERS = 2
 
 # Test-function geometry, as fractions of the box length.  The bump
 # amplitudes are tuned so the rate-1 rung sits well inside the nonlinear
@@ -372,25 +394,35 @@ def _rung_engine(op, grid):
     return _Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
 
 
+def _member_impulses(engine, lam):
+    """A member's expected impulse count on the engine's box, one per cell
+    at lam = inf (never the seed or the realized counts)."""
+    return engine.cells if lam == math.inf else math.ceil(lam * engine.box.volume)
+
+
 def _block_members(engine, lam):
-    """Members per ensemble block, fixed by the cells the engine scatters
-    onto and the rung's expected impulse count, one per cell at lam = inf
-    (never by the seed or the realized counts)."""
-    impulses = engine.cells if lam == math.inf else math.ceil(lam * engine.box.volume)
-    return max(1, BLOCK_CELLS // (engine.cells + impulses))
+    """Members per ensemble block: a member holds its scatter cells and its
+    expected impulses in the block's working set."""
+    return max(1, BLOCK_CELLS // (engine.cells + _member_impulses(engine, lam)))
 
 
-def _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
+def _member_work(engine, lam):
+    """A member's work in units of one scatter cell (see SHARE_WORK)."""
+    return engine.cells + IMPULSE_WORK * _member_impulses(engine, lam)
+
+
+def _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks=slice(None)):
     """The rung's `count` members as ImpulseBlocks on the engine's box
-    (at lam = inf, limit_cell_block's one impulse per cell).
+    (at lam = inf, limit_cell_block's one impulse per cell), or the blocks
+    in the slice `blocks` of them.
 
     The block starting at member i draws from RngStream(base_seed,
     stream_offset + i), so rungs with disjoint member ranges never share
-    a stream.
+    a stream, and a block draws the same whichever range holds it.
     """
     jumps = None if lam == math.inf else poissonize(f, lam).jump_law
     size = _block_members(engine, lam)
-    for start in range(0, count, size):
+    for start in range(0, count, size)[blocks]:
         stream = RngStream(base_seed, stream_offset + start)
         members = min(size, count - start)
         if jumps is None:
@@ -424,9 +456,15 @@ def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
     the same draws to round-off, for every operator.
     """
     engine = _rung_engine(op, bank.grid)
-    cells = engine.cells
     tables = engine.tables(bank.phis)
-    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
+    yield from _pairings(f, engine, tables, lam, count, base_seed, stream_offset)
+
+
+def _pairings(f, engine, tables, lam, count, base_seed, stream_offset, blocks=slice(None)):
+    """block_pairings on a built engine and its tables, for the blocks in
+    the slice `blocks` of the rung."""
+    cells = engine.cells
+    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks):
         kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
         flat += _member_offsets(block, cells)[kept]
         t = 0.0
@@ -436,11 +474,113 @@ def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
         yield t
 
 
+def _usable_cpus():
+    """Workers a rung may use: the CPUs this process may run on, at most
+    MAX_WORKERS; 1 where it cannot fork safely: no fork or affinity on the
+    platform, or other threads running, whose locks a forked child could
+    inherit held."""
+    import threading
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+
+
+def _rung_shares(engine, lam, count):
+    """The rung's blocks cut into contiguous slices, one per worker: one
+    per usable CPU, but no more than there are blocks or SHARE_WORK of
+    work (_member_work per member) to give each."""
+    nblocks = -(-count // _block_members(engine, lam))
+    work = count * _member_work(engine, lam)
+    workers = max(1, min(_usable_cpus(), nblocks, work // SHARE_WORK))
+    return [slice(k * nblocks // workers, (k + 1) * nblocks // workers) for k in range(workers)]
+
+
+def _share_sums(f, engine, tables, lam, count, base_seed, stream_offset, blocks):
+    """sum over members of exp(i <s, phi>), one row per block of the slice."""
+    rows = _pairings(f, engine, tables, lam, count, base_seed, stream_offset, blocks)
+    return np.array([np.exp(1j * t).sum(axis=0) for t in rows], dtype=complex)
+
+
+def _fork_share(args):
+    """Fork a child that computes _share_sums(*args) and writes its bytes to
+    a pipe; return (pid, read end).  The child never returns: it leaves by
+    os._exit, with status 0 only when every byte was written.  When the
+    share raises, the child writes the exception's text instead and exits 1."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    payload, code = _share_sums(*args).tobytes(), 0
+                except Exception as exc:
+                    import traceback
+
+                    payload, code = "".join(traceback.format_exception_only(exc)).encode(), 1
+                view = memoryview(payload)
+                while view:
+                    view = view[os.write(write_fd, view) :]
+                status = code
+            finally:
+                os._exit(status)
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return pid, read_fd
+
+
 def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals and standard errors of one rung (lam = inf: the limit)."""
+    """Empirical functionals and standard errors of one rung (lam = inf: the limit).
+
+    The rung's blocks are cut into contiguous shares (_rung_shares).  This
+    process builds the engine and its tables, then forks one child per
+    share after the first, which inherit them, pairs the first share
+    itself, and reads one sum per block back from each child.  The block
+    sums are then added in block order, so the result has the same bytes
+    for any number of shares.  Raises VerifyError, quoting the child's
+    error, when a child fails or sends back too few bytes.
+    """
+    engine = _rung_engine(op, bank.grid)
+    args = (f, engine, engine.tables(bank.phis), lam, count, base_seed, stream_offset)
+    shares = _rung_shares(engine, lam, count)
+    children = []  # (pid, read end, block slice) of every forked share
+    statuses = {}  # pid -> wait status of every child reaped
+    try:
+        for blocks in shares[1:]:
+            children.append((*_fork_share(args + (blocks,)), blocks))
+        sums = [_share_sums(*args, shares[0])]
+        for pid, fd, blocks in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            statuses[pid] = os.waitpid(pid, 0)[1]
+            expected = (blocks.stop - blocks.start) * len(bank) * np.dtype(complex).itemsize
+            if statuses[pid] != 0 or len(data) != expected:
+                code = os.waitstatus_to_exitcode(statuses[pid])
+                said = data.decode(errors="replace").strip() if code else ""
+                raise VerifyError(
+                    f"rung lambda={lam:g}: the worker pairing blocks {blocks.start}-"
+                    f"{blocks.stop - 1} exited with status {code} after sending "
+                    f"{len(data)} of {expected} bytes" + (f": {said}" if said else "")
+                )
+            sums.append(np.frombuffer(data, dtype=complex).reshape(-1, len(bank)))
+    finally:
+        for pid, fd, _ in children:
+            os.close(fd)
+            if pid not in statuses:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     acc = np.zeros(len(bank), dtype=complex)
-    for t in block_pairings(f, op, lam, count, bank, base_seed, stream_offset):
-        acc += np.exp(1j * t).sum(axis=0)
+    for row in np.concatenate(sums):
+        acc += row
     return _cf_mean_se(acc, count)
 
 

@@ -1,6 +1,8 @@
 """Characteristic functionals, convergence studies, and point values."""
 
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +335,115 @@ def test_convergence_study_is_deterministic():
     b = convergence_study(f, OP_D, (1.0, 4.0, 16.0), 8000, bank, base_seed=9)
     np.testing.assert_array_equal(a.empirical, b.empirical)
     assert a.slope == b.slope
+
+
+def _workers(monkeypatch, n):
+    """Force n usable CPUs, and split every rung that has n blocks."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(verify, "SHARE_WORK", 1)
+
+
+PARALLEL_CASES = (
+    ("D", {}, gaussian(1.0)),
+    ("D", {}, cauchy(1.0)),
+    ("DaI", {"alpha": 0.1}, cauchy(1.0)),
+    ("D", {"n": 2}, gaussian(1.0)),
+    ("frac_laplacian", {"gamma": 1.5}, gaussian(1.0)),
+)
+
+
+def _study_bytes(f, op, bank):
+    try:
+        report = convergence_study(f, op, (1.0, 4.0, 64.0), 300, bank, base_seed=4)
+    except NoiseFloor as exc:
+        report = exc.report
+    return report.empirical.tobytes(), report.se.tobytes(), np.float64(report.slope).tobytes()
+
+
+# the frac_laplacian study's limit functional raises TailTruncationWarning
+# at the default margin; this test compares bytes only
+@pytest.mark.filterwarnings("ignore::levyspline.verify.TailTruncationWarning")
+def test_rung_cf_and_studies_have_the_same_bytes_for_any_worker_count(monkeypatch):
+    # the block sums come back in block order whichever process paired
+    # them, so 1, 2 and 3 workers give bit-equal functionals, errors and
+    # slopes; 300 members make at least 5 blocks on every rung below
+    bank = build_cf_bank(GRID1)
+    seen = {}
+    for n in (1, 2, 3):
+        _workers(monkeypatch, n)
+        for fam, kw, f in PARALLEL_CASES:
+            op = make_operator(fam, **kw)
+            for lam in (1.0, 64.0):
+                assert len(verify._rung_shares(_rung_engine(op, GRID1), lam, 300)) == n
+            mean, se = rung_cf(f, op, 64.0, 300, bank, 4, 900)
+            seen.setdefault((fam, str(kw), str(f)), []).append(
+                (mean.tobytes(), se.tobytes()) + _study_bytes(f, op, bank)
+            )
+        mean, se = rung_cf(cauchy(1.0), OP_D, math.inf, 300, bank, 4, 0)
+        seen.setdefault("limit", []).append((mean.tobytes(), se.tobytes()))
+    for runs in seen.values():
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _fail_in(monkeypatch, where):
+    """Make _share_sums fail in the parent or in every forked child."""
+    parent, real = os.getpid(), verify._share_sums
+
+    def share_sums(*args):
+        in_child = os.getpid() != parent
+        if where == "child raises" and in_child or where == "parent raises" and not in_child:
+            raise RuntimeError(where)
+        out = real(*args)
+        return out[:-1] if where == "child short" and in_child else out
+
+    monkeypatch.setattr(verify, "_share_sums", share_sums)
+
+
+@pytest.mark.parametrize("where", ["child raises", "child short", "parent raises"])
+def test_a_failed_share_raises_and_leaves_no_process(monkeypatch, where):
+    _workers(monkeypatch, 3)
+    _fail_in(monkeypatch, where)
+    bank = build_cf_bank(GRID1)
+    error, match = {
+        # a child's own error is quoted
+        "child raises": (VerifyError, "blocks 1-2 .* status 1 .*: RuntimeError: child raises"),
+        "child short": (VerifyError, "blocks 1-2 .* status 0 after sending"),
+        "parent raises": (RuntimeError, "parent raises"),
+    }[where]
+    with pytest.raises(error, match=match):
+        rung_cf(gaussian(1.0), OP_D, 1.0, 300, bank, 4, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_rung_below_the_work_threshold_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    bank = build_cf_bank(GRID1)
+    fds = len(os.listdir("/dev/fd"))
+    # the largest rung with less than two shares' work stays serial
+    small = (2 * verify.SHARE_WORK - 1) // verify._member_work(_rung_engine(OP_D, GRID1), 1.0)
+    rung_cf(gaussian(1.0), OP_D, 1.0, small, bank, 4, 0)
+    # one member more is split, and the first fork is refused
+    with pytest.raises(AssertionError, match="forked"):
+        rung_cf(gaussian(1.0), OP_D, 1.0, small + 1, bank, 4, 0)
+    # the refused fork's pipe is closed
+    assert len(os.listdir("/dev/fd")) == fds
+
+
+def test_no_fork_while_other_threads_run():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10.0,))
+    thread.start()
+    try:
+        assert verify._usable_cpus() == 1
+    finally:
+        release.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
 
 
 def test_convergence_study_validation():

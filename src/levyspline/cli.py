@@ -69,7 +69,6 @@ from .verify import (
 )
 
 SEED_ENV_VAR = "LEVYSPLINE_SEED"
-SLOPE_BAND = (-1.3, -0.7)
 
 
 def float_list(text):
@@ -328,27 +327,17 @@ def cmd_verify(cfg, op, grid, f, ns):
     except (NoiseError, VerifyError) as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
-    verdict = []
     try:
         report = convergence_study(f, op, cfg.ladder, cfg.ensemble, bank, base_seed=cfg.seed)
-        ok_slope = SLOPE_BAND[0] <= report.slope <= SLOPE_BAND[1]
-        ok_monotone = report.mean_monotone(2.0)
-        verdict.append(f"slope_band={SLOPE_BAND[0]:g}..{SLOPE_BAND[1]:g}")
-        verdict.append(f"slope_in_band={'yes' if ok_slope else 'no'}")
-        verdict.append(f"monotone={'yes' if ok_monotone else 'no'}")
-        passed = ok_slope and ok_monotone
-        verdict.append(f"verdict={'PASS' if passed else 'FAIL'}")
-        code = 0 if passed else 1
     except NoiseFloor as exc:
         report = exc.report
-        verdict.append("verdict=FAIL reason=NOISE_FLOOR")
         print(f"verify: NOISE_FLOOR: {exc}", file=sys.stderr)
-        code = 1
+    passed, verdict = report.verdict()
     report.to_csv(os.path.join(outdir, "cfreport.csv"))
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(report.summary_text() + "\n" + "\n".join(verdict) + "\n")
     _write_cfg(cfg, outdir)
-    return code
+    return 0 if passed else 1
 
 
 def _load_realization(path):

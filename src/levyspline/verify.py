@@ -6,6 +6,10 @@ Pointwise convergence of characteristic functionals E[exp(i <s, phi>)]
 over a finite test-function bank is the measurable surrogate: this module
 estimates empirical functionals, computes the analytic limit
 exp(integral f(T phi)), and fits the error decay across a rate ladder.
+A study has one verdict (CFReport.verdict): it passes when the slope fitted
+over the rungs whose mean error exceeds NOISE_SPLIT mean SEs lies in
+SLOPE_BAND and no test function's error rises between adjacent rungs by
+more than MONOTONE_SLACK times their larger SE (below two rungs: NOISE_FLOOR).
 Every study pairing runs through one block loop (block_pairings): draw a
 block of members, scatter it once, and pair every member with every test
 function by the synthesis engine's adjoint tables.  A point value is the
@@ -41,6 +45,10 @@ from .synthesis import BIN_SNAP, _Engine, limit_cell_block
 MIN_ENSEMBLE = 100
 # Rungs qualify for the slope fit when bias exceeds this multiple of SE.
 NOISE_SPLIT = 3.0
+# The verdict's closed slope band, and the rise between adjacent rungs a
+# test function's error may take, in the pair's larger standard error.
+SLOPE_BAND = (-1.3, -0.7)
+MONOTONE_SLACK = 2.0
 # Relative level at which truncated integrand tails trigger a warning.
 TAIL_LEVEL = 1e-8
 # Soft cap on total jump amplitudes drawn for a compound-sum reference.
@@ -311,62 +319,62 @@ def analytic_cf(f, op, phi, grid):
 
 @dataclass
 class CFReport:
-    """Empirical versus analytic characteristic functionals on a rate ladder."""
+    """Empirical (rungs, nphi) versus analytic (nphi,) characteristic
+    functionals on a rate ladder, and the study's conclusions: abs_err per
+    rung and function; mean_err and mean_se per rung; qualified, the rungs
+    with mean_err > NOISE_SPLIT * mean_se; slope, the log-log fit of
+    mean_err over them (NaN below two).  verdict() passes a slope in
+    SLOPE_BAND when no function's error rises between adjacent rungs by
+    more than MONOTONE_SLACK times their larger standard error."""
 
     operator_desc: str
     exponent_desc: str
     ensemble_size: int
     ladder: list
     phi_names: list
-    empirical: np.ndarray  # (rungs, nphi) complex
-    se: np.ndarray  # (rungs, nphi)
-    analytic: np.ndarray  # (nphi,) complex
-    abs_err: np.ndarray  # (rungs, nphi)
-    mean_err: np.ndarray  # (rungs,)
-    mean_se: np.ndarray  # (rungs,)
-    qualified: np.ndarray  # (rungs,) bool
-    slope: float
+    empirical: np.ndarray
+    se: np.ndarray
+    analytic: np.ndarray
+
+    def __post_init__(self):
+        self.abs_err = np.abs(self.empirical - self.analytic[None, :])
+        self.mean_err = self.abs_err.mean(axis=1)
+        self.mean_se = self.se.mean(axis=1)
+        self.qualified = self.mean_err > NOISE_SPLIT * self.mean_se
+        self.slope = math.nan
+        if int(self.qualified.sum()) >= 2:
+            rates = np.asarray(self.ladder)[self.qualified]
+            fit = np.polyfit(np.log(rates), np.log(self.mean_err[self.qualified]), 1)
+            self.slope = float(fit[0])
 
     def to_csv(self, path):
         lines = ["lambda,phi,re_emp,im_emp,se,re_ana,im_ana,abs_err"]
         for r, lam in enumerate(self.ladder):
             for j, name in enumerate(self.phi_names):
-                emp = self.empirical[r, j]
-                ana = self.analytic[j]
-                lines.append(
-                    ",".join(
-                        [
-                            fmt17(lam),
-                            name,
-                            fmt17(emp.real),
-                            fmt17(emp.imag),
-                            fmt17(self.se[r, j]),
-                            fmt17(ana.real),
-                            fmt17(ana.imag),
-                            fmt17(self.abs_err[r, j]),
-                        ]
-                    )
-                )
+                emp, ana = self.empirical[r, j], self.analytic[j]
+                values = (emp.real, emp.imag, self.se[r, j], ana.real, ana.imag, self.abs_err[r, j])
+                lines.append(",".join([fmt17(lam), name, *map(fmt17, values)]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def per_phi_monotone(self, slack=2.0):
+    def per_phi_monotone(self, slack=MONOTONE_SLACK):
         """Errors non-increasing along the ladder, per test function,
-        allowing `slack` standard errors of room."""
-        for j in range(len(self.phi_names)):
-            for r in range(len(self.ladder) - 1):
-                allowed = self.abs_err[r, j] + slack * max(self.se[r, j], self.se[r + 1, j])
-                if self.abs_err[r + 1, j] > allowed:
-                    return False
-        return True
+        allowing `slack` times the larger standard error of each rung pair."""
+        allowed = self.abs_err[:-1] + slack * np.maximum(self.se[:-1], self.se[1:])
+        return not np.any(self.abs_err[1:] > allowed)
 
-    def mean_monotone(self, slack=2.0):
-        for r in range(len(self.ladder) - 1):
-            if self.mean_err[r + 1] > self.mean_err[r] + slack * max(
-                self.mean_se[r], self.mean_se[r + 1]
-            ):
-                return False
-        return True
+    def verdict(self):
+        """(passed, lines): passed when the slope lies in SLOPE_BAND and
+        per_phi_monotone() holds; `lines` are summary.txt's verdict lines,
+        one NOISE_FLOOR line for a NaN slope."""
+        if math.isnan(self.slope):
+            return False, ["verdict=FAIL reason=NOISE_FLOOR"]
+        lo, hi = SLOPE_BAND
+        checks = {"slope_in_band": lo <= self.slope <= hi, "monotone": self.per_phi_monotone()}
+        passed = all(checks.values())
+        lines = [f"slope_band={lo:g}..{hi:g}"]
+        lines += [f"{name}={'yes' if ok else 'no'}" for name, ok in checks.items()]
+        return passed, lines + [f"verdict={'PASS' if passed else 'FAIL'}"]
 
     def summary_text(self):
         lines = [
@@ -605,45 +613,22 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
     Every rung builds the poissonized generator at its rate, estimates the
     empirical functional per bank entry from `count` realizations, and
     compares against the analytic functional of the limit exponent.  The
-    log-log error slope is fitted over rungs whose mean error exceeds
-    NOISE_SPLIT standard errors; fewer than two such rungs raises
+    CFReport fits the log-log error slope over rungs whose mean error
+    exceeds NOISE_SPLIT standard errors; fewer than two such rungs raises
     NoiseFloor (carrying the partial report).
     """
     ladder = study_ladder(ladder, count)
-    nphi = len(bank)
     analytic = np.array([analytic_cf(f, op, phi, bank.grid) for phi in bank.phis])
     if np.any(np.abs(analytic) > 1.0 + 1e-12):
         raise VerifyError("analytic functional exceeded unit modulus")
-    empirical = np.zeros((len(ladder), nphi), dtype=complex)
-    se = np.zeros((len(ladder), nphi))
-    for r, lam in enumerate(ladder):
-        empirical[r], se[r] = rung_cf(f, op, lam, int(count), bank, base_seed, r * int(count))
-    abs_err = np.abs(empirical - analytic[None, :])
-    mean_err = abs_err.mean(axis=1)
-    mean_se = se.mean(axis=1)
-    qualified = mean_err > NOISE_SPLIT * mean_se
-    if int(qualified.sum()) >= 2:
-        slope = float(
-            np.polyfit(np.log(np.asarray(ladder)[qualified]), np.log(mean_err[qualified]), 1)[0]
-        )
-    else:
-        slope = math.nan
+    rungs = [rung_cf(f, op, lam, int(count), bank, base_seed, r * int(count))
+             for r, lam in enumerate(ladder)]
+    empirical, se = (np.array(part) for part in zip(*rungs))
     report = CFReport(
-        operator_desc=format_operator_config(op),
-        exponent_desc=exponent_to_kv(f),
-        ensemble_size=int(count),
-        ladder=ladder,
-        phi_names=list(bank.names),
-        empirical=empirical,
-        se=se,
-        analytic=analytic,
-        abs_err=abs_err,
-        mean_err=mean_err,
-        mean_se=mean_se,
-        qualified=qualified,
-        slope=slope,
+        format_operator_config(op), exponent_to_kv(f), int(count), ladder, list(bank.names),
+        empirical, se, analytic,
     )
-    if math.isnan(slope):
+    if math.isnan(report.slope):
         raise NoiseFloor(
             "every ladder rung sits within the Monte Carlo noise floor; "
             "increase the ensemble or lower the ladder",

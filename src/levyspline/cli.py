@@ -59,6 +59,7 @@ from .synthesis import (
 from .verify import (
     NoiseFloor,
     VerifyError,
+    _rung_engine,
     analytic_cf,
     build_cf_bank,
     build_identity_bank,
@@ -319,11 +320,12 @@ def cmd_reference(cfg, op, grid, f, ns):
 def cmd_verify(cfg, op, grid, f, ns):
     outdir = ns.outdir
     # refuse, before any output, what the study would refuse, the
-    # impulse-count guard at its top rung included
+    # impulse-count guard at its top rung, on the box that rung draws on,
+    # included
     try:
         bank = build_cf_bank(grid)
         top = study_ladder(cfg.ladder, cfg.ensemble)[-1]
-        expected_count(top, sampling_box(op, grid.box, grid_margin(op, grid)))
+        expected_count(top, _rung_engine(op, bank).box)
     except (NoiseError, VerifyError) as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)

@@ -12,7 +12,10 @@ SLOPE_BAND and no test function's error rises between adjacent rungs by
 more than MONOTONE_SLACK times their larger SE (below two rungs: NOISE_FLOOR).
 Every study pairing runs through one block loop (block_pairings): draw a
 block of members, scatter it once, and pair every member with every test
-function by the synthesis engine's adjoint tables.  A point value is the
+function by the synthesis engine's adjoint tables.  For a causal operator
+the loop draws on the window cut one node past the bank's support
+(_rung_engine): no impulse beyond it reaches a test function, so the cut
+changes the draws and not their law.  A point value is the
 pairing s(x_i) = <s, delta_i / w_i> (point_bank), so the same loop gives
 the marginals that back up the functional picture.  At the rate lam = inf
 the loop draws the limit process itself (synthesis.limit_cell_block).
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import evaluate, exponent_to_kv, poissonize
-from .grid import Grid, fmt17
+from .grid import Box, Grid, fmt17
 from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
 from .synthesis import BIN_SNAP, _Engine, limit_cell_block
@@ -396,10 +399,45 @@ class CFReport:
         return "\n".join(lines)
 
 
-def _rung_engine(op, grid):
+def _support_grid(grid, phis):
+    """The grid's window cut on each axis to one node past the last node
+    where some function of `phis` is nonzero.  A causal table row is zero
+    from that node on, so every impulse the cut drops, or bins to its new
+    end node, pairs to zero; the end node's halved trapezoid weight falls
+    where every function is zero.  An axis keeps its whole window when the
+    support reaches its end, and every axis does when no function is
+    nonzero."""
+    support = np.zeros(grid.shape, dtype=bool)
+    for phi in phis:
+        support |= phi != 0
+    if not support.any():
+        return grid
+    lo, hi, h = grid.box.lo, list(grid.box.hi), grid.step
+    for axis, n in enumerate(grid.shape):
+        others = tuple(a for a in range(grid.dim) if a != axis)
+        stop = int(np.flatnonzero(support.any(axis=others))[-1]) + 2
+        if stop < n:
+            hi[axis] = lo[axis] + (stop - 1) * h
+    return Grid(Box(lo, tuple(hi)), h)
+
+
+def _rung_engine(op, bank):
     """The synthesis engine of one study rung, on the window plus the grid
-    margin: the box analytic_cf integrates over."""
-    return _Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
+    margin: the box analytic_cf integrates over, except that a causal
+    operator's window ends on each axis one node past the bank's support
+    (_support_grid).  <s, phi> depends on the noise only where
+    L^{-1*} phi is nonzero, which for a causal L ends where phi does, and
+    a Poisson noise restricted to a sub-box is the same noise on that
+    sub-box, so the crop leaves every rung's law as it is and draws,
+    scatters and pairs only impulses the bank can see."""
+    grid = _support_grid(bank.grid, bank.phis) if op.causal else bank.grid
+    return _Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, bank.grid)))
+
+
+def _rung_tables(engine, bank):
+    """The engine's pairing tables of the bank functions cut to its window."""
+    window = tuple(slice(n) for n in engine.grid.shape)
+    return engine.tables([phi[window] for phi in bank.phis])
 
 
 def _member_impulses(engine, lam):
@@ -463,23 +501,29 @@ def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
     with every test function.  This equals synthesize-then-quadrature on
     the same draws to round-off, for every operator.
     """
-    engine = _rung_engine(op, bank.grid)
-    tables = engine.tables(bank.phis)
+    engine = _rung_engine(op, bank)
+    tables = _rung_tables(engine, bank)
     yield from _pairings(f, engine, tables, lam, count, base_seed, stream_offset)
 
 
 def _pairings(f, engine, tables, lam, count, base_seed, stream_offset, blocks=slice(None)):
     """block_pairings on a built engine and its tables, for the blocks in
     the slice `blocks` of the rung."""
-    cells = engine.cells
     for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks):
-        kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
-        flat += _member_offsets(block, cells)[kept]
-        t = 0.0
-        for table, (_, weights) in zip(tables, terms):
-            hist = np.bincount(flat, weights, minlength=block.members * cells)
-            t = t + hist.reshape(block.members, cells) @ table
-        yield t
+        yield _pair_block(engine, tables, block)
+
+
+def _pair_block(engine, tables, block):
+    """The (members, len(bank)) pairings of one block: one scatter, then per
+    kernel term one (member, cell) histogram times its table."""
+    cells = engine.cells
+    kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
+    flat += _member_offsets(block, cells)[kept]
+    t = 0.0
+    for table, (_, weights) in zip(tables, terms):
+        hist = np.bincount(flat, weights, minlength=block.members * cells)
+        t = t + hist.reshape(block.members, cells) @ table
+    return t
 
 
 def _usable_cpus():
@@ -555,8 +599,8 @@ def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     for any number of shares.  Raises VerifyError, quoting the child's
     error, when a child fails or sends back too few bytes.
     """
-    engine = _rung_engine(op, bank.grid)
-    args = (f, engine, engine.tables(bank.phis), lam, count, base_seed, stream_offset)
+    engine = _rung_engine(op, bank)
+    args = (f, engine, _rung_tables(engine, bank), lam, count, base_seed, stream_offset)
     shares = _rung_shares(engine, lam, count)
     children = []  # (pid, read end, block slice) of every forked share
     statuses = {}  # pid -> wait status of every child reaped

@@ -625,3 +625,31 @@ def test_impulse_count_guard_exits_2_before_any_output(tmp_path, capsys):
         assert err.startswith("config error: expected impulse count "), err
         assert "exceeds guard 1e+09" in err
         assert not out.exists()
+
+
+def test_verify_guards_the_box_its_top_rung_draws_on(tmp_path, monkeypatch, capsys):
+    # the default D study's bank ends before 3.6, so its rungs draw on 0:3.6:
+    # a top rung of 2.7e8 expects 9.7e8 impulses there (2.7e9 on the whole
+    # window) and reaches the study, stubbed here; 2.8e8 expects 1.008e9,
+    # which the study's own draw refuses too, and exits 2 with no output
+    from levyspline import cli
+    from levyspline.exponents import gaussian
+    from levyspline.grid import Box, Grid
+    from levyspline.noise import NoiseError
+    from levyspline.operators import make_operator
+    from levyspline.verify import VerifyError, block_pairings, build_cf_bank
+
+    def study(*args, **kwargs):
+        raise VerifyError("study reached")
+
+    monkeypatch.setattr(cli, "convergence_study", study)
+    out = tmp_path / "o"
+    assert run("verify", "--ladder", "1,4,2.7e8", "--ensemble", "100", "--outdir", str(out)) == 3
+    assert capsys.readouterr().err == "error: study reached\n"
+    out = tmp_path / "p"
+    assert run("verify", "--ladder", "1,4,2.8e8", "--ensemble", "100", "--outdir", str(out)) == 2
+    assert "exceeds guard 1e+09" in capsys.readouterr().err
+    assert not out.exists()
+    bank = build_cf_bank(Grid(Box.cube(0.0, 10.0, 1), 0.01))
+    with pytest.raises(NoiseError, match="exceeds guard"):
+        next(block_pairings(gaussian(1.0), make_operator("D"), 2.8e8, 100, bank, 0))

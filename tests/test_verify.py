@@ -15,6 +15,7 @@ from levyspline import verify
 from levyspline.cli import _build_parser, _resolve
 from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
 from levyspline.grid import Box, Grid
+from levyspline.noise import ImpulseBlock, RngStream, sample_impulse_block
 from levyspline.operators import grid_margin, make_operator, margin_rule, sampling_box
 from levyspline.synthesis import GridRealization, UnsupportedReference, synthesize_spline
 from levyspline.verify import (
@@ -26,8 +27,10 @@ from levyspline.verify import (
     VerifyError,
     _block_members,
     _cf_mean_se,
+    _pair_block,
     _rung_blocks,
     _rung_engine,
+    _rung_tables,
     analytic_cf,
     block_pairings,
     build_cf_bank,
@@ -41,6 +44,7 @@ from levyspline.verify import (
 )
 
 GRID1 = Grid(Box.cube(0.0, 10.0, 1), 0.01)
+GRID2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
 OP_D = make_operator("D")
 
 
@@ -161,15 +165,23 @@ def test_left_inverse_residuals_fine_grid():
             assert left_inverse_residual(op, phi, fine.step) < 1e-3
 
 
+def _full_window_fields(op, block, grid):
+    """The block's members as fields on the full sampling box of `grid`, so
+    that synthesis runs on the whole window whatever box the rung drew on."""
+    box = sampling_box(op, grid.box, grid_margin(op, grid))
+    return [replace(fld, box=box) for fld in block.fields()]
+
+
 def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Oracle for rung_cf: synthesize every member of the same blocks and
-    pair by quadrature."""
+    """Oracle for rung_cf: synthesize every member of the same blocks on the
+    full window and pair by quadrature."""
     grid = bank.grid
     weights = grid.weight_array()
     weighted = [weights * phi for phi in bank.phis]
     acc = np.zeros(len(bank), dtype=complex)
-    for block in _rung_blocks(f, _rung_engine(op, grid), lam, count, base_seed, stream_offset):
-        for fld in block.fields():
+    engine = _rung_engine(op, bank)
+    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
+        for fld in _full_window_fields(op, block, grid):
             real = synthesize_spline(fld, op, grid)
             t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
             acc += np.exp(1j * t)
@@ -183,7 +195,7 @@ def test_convergence_study_fast_path_equals_pipeline():
     # for the limit cell noise (rate inf); at rates 4 and inf a causal
     # ensemble spans three full blocks and ends in a partial one, at rate
     # 0.05 most members draw no impulse at all
-    engine_d = _rung_engine(make_operator("D"), GRID1)
+    engine_d = _rung_engine(make_operator("D"), build_cf_bank(GRID1))
     size = _block_members(engine_d, 4.0)
     dense = 3 * size + size // 2
     cases = [("D", {"n": n}, f, 4.0, dense) for n in (1, 2, 3) for f in (gaussian(1.0), cauchy(1.0))]
@@ -201,7 +213,7 @@ def test_convergence_study_fast_path_equals_pipeline():
         slow, slow_se = _generic_rung_cf(f, op, lam, count, bank, 17, 600)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
-        engine = _rung_engine(op, GRID1)
+        engine = _rung_engine(op, bank)
         blocks = list(_rung_blocks(f, engine, lam, count, 17, 600))
         assert sum(b.members for b in blocks) == count
         assert all(b.members == _block_members(engine, lam) for b in blocks[:-1])
@@ -214,23 +226,23 @@ def test_convergence_study_fast_path_equals_pipeline():
 def test_block_members_bound_the_scattered_histogram():
     # a block's (member, cell) histogram plus its expected impulses stay
     # within BLOCK_CELLS, counted on the cells the engine scatters onto:
-    # the window for causal operators, the sampling box's torus for
-    # frac_laplacian
+    # the window cut to the bank's support for causal operators, the
+    # sampling box's torus for frac_laplacian
     grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
-    for op, grid, lam in (
-        (make_operator("D"), GRID1, 4.0),
-        (make_operator("DaIxDaIy", alpha=0.5), grid2, 1.0),
-        (make_operator("frac_laplacian", gamma=1.5), GRID1, 4.0),
-        (make_operator("frac_laplacian", gamma=1.5, dim=2), grid2, 1.0),
+    for op, bank, lam in (
+        (make_operator("D"), build_cf_bank(GRID1), 4.0),
+        (make_operator("DaIxDaIy", alpha=0.5), build_identity_bank(grid2), 1.0),
+        (make_operator("frac_laplacian", gamma=1.5), build_cf_bank(GRID1), 4.0),
+        (make_operator("frac_laplacian", gamma=1.5, dim=2), build_identity_bank(grid2, True), 1.0),
     ):
-        engine = _rung_engine(op, grid)
+        engine = _rung_engine(op, bank)
         per_member = engine.cells + math.ceil(lam * engine.box.volume)
         members = _block_members(engine, lam)
         assert members * per_member <= BLOCK_CELLS < (members + 1) * per_member
     # the 1-D spectral rung scatters onto the 1,500 cells of its torus (the
     # 15-long box in steps of 0.01), not the 1,001 window points, so a
     # block holds 42 members rather than 61
-    spectral = _rung_engine(make_operator("frac_laplacian", gamma=1.5), GRID1)
+    spectral = _rung_engine(make_operator("frac_laplacian", gamma=1.5), build_cf_bank(GRID1))
     assert spectral.cells == 1500 and _block_members(spectral, 4.0) == 42
 
 
@@ -253,6 +265,86 @@ def test_rung_cf_equals_pipeline_in_two_dimensions():
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
 
 
+def _restricted(block, box):
+    """The block's impulses that lie in `box`, member by member."""
+    inside = np.all((block.locations >= box.lo) & (block.locations <= box.hi), axis=1)
+    member = np.repeat(np.arange(block.members), block.counts)
+    counts = np.bincount(member[inside], minlength=block.members)
+    return ImpulseBlock(
+        block.dim, box, counts, block.locations[inside], block.amplitudes[inside],
+        block.rate, block.seed, block.stream,
+    )
+
+
+CROP_CASES = (
+    ("D", {"n": 1}, GRID1),
+    ("D", {"n": 2}, GRID1),
+    ("D", {"n": 3}, GRID1),
+    ("DaI", {"alpha": 0.1}, GRID1),
+    ("DaI", {"alpha": 1.0}, GRID1),
+    ("DxDy", {}, GRID2),
+    ("DaIxDaIy", {"alpha": 0.5}, GRID2),
+)
+
+
+@pytest.mark.parametrize(
+    "fam, kw, grid", CROP_CASES,
+    ids=["-".join([fam] + [f"{k}{v}" for k, v in kw.items()]) for fam, kw, _ in CROP_CASES],
+)
+def test_a_cropped_rung_pairs_its_block_as_the_full_window(fam, kw, grid):
+    # a causal rung's engine ends one node past the bank's support; a block
+    # drawn on the full sampling box and paired on the full window pairs
+    # the same as its impulses inside the cropped box on the cropped engine
+    op = make_operator(fam, **kw)
+    if grid.dim == 1:
+        bank = build_cf_bank(grid)
+    else:
+        ident = build_identity_bank(grid)
+        bank = replace(ident, phis=[0.3 * phi for phi in ident.phis])
+    full = verify._Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
+    full_tables = full.tables(bank.phis)
+    cut = _rung_engine(op, bank)
+    cut_tables = _rung_tables(cut, bank)
+    assert cut.cells < full.cells and cut.box.volume < full.box.volume
+    if grid is GRID1:
+        assert cut.grid.box.hi == (3.6,) and cut.cells == 361
+    for f in (gaussian(1.0), cauchy(1.0)):
+        for lam in (1.0, 64.0):
+            jumps = poissonize(f, lam).jump_law
+            block = sample_impulse_block(grid.dim, full.box, lam, jumps, RngStream(11, 0), 20)
+            whole = _pair_block(full, full_tables, block)
+            part = _restricted(block, cut.box)
+            assert part.counts.sum() < block.counts.sum()
+            np.testing.assert_allclose(
+                _pair_block(cut, cut_tables, part), whole, rtol=0,
+                atol=1e-12 * np.abs(whole).max(),
+            )
+
+
+def test_rung_engines_that_keep_the_whole_window():
+    # the spectral engine, a bank that reaches the window end on every axis
+    # and an all-zero bank draw on the full sampling box
+    cases = (
+        (make_operator("frac_laplacian", gamma=1.5), build_cf_bank(GRID1)),
+        (OP_D, point_bank(GRID1, [2.0, 10.0])),
+        (make_operator("DaI", alpha=0.1), point_bank(GRID1, [10.0])),
+        (make_operator("DxDy"), point_bank(GRID2, [(4.0, 1.0), (1.0, 4.0)])),
+        (make_operator("DaIxDaIy", alpha=0.5), point_bank(GRID2, [(4.0, 4.0)])),
+        (OP_D, verify.TestFunctionBank(GRID1, ["zero"], [np.zeros(GRID1.shape)])),
+    )
+    for op, bank in cases:
+        engine = _rung_engine(op, bank)
+        grid = bank.grid
+        assert engine.grid == grid
+        assert engine.box == sampling_box(op, grid.box, grid_margin(op, grid))
+
+
+def _whole_window_bank(grid):
+    """One test function that is nonzero on the whole window, so that no
+    rung engine is cut to its support."""
+    return verify.TestFunctionBank(grid, ["one"], [np.ones(grid.shape)])
+
+
 def _analytic_domain_shape(monkeypatch, op, grid):
     """The shape of the domain analytic_cf integrates over, read from the
     array it passes to apply_T (the integral itself is not computed)."""
@@ -271,11 +363,11 @@ def _analytic_domain_shape(monkeypatch, op, grid):
 
 
 def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
-    # a study draws impulses on, and analytic_cf integrates over, the
-    # window plus the operator's rule in whole steps (grid_margin), which
-    # is also the margin generate records by default, where the rule is
-    # not a whole number of steps too (2.2525 at step 0.01; 138.155 at
-    # step 0.05); the spectral path scatters onto and integrates over the
+    # a study whose bank spans the window draws impulses on, and
+    # analytic_cf integrates over, the window plus the operator's rule in
+    # whole steps (grid_margin), which is also the margin generate records
+    # by default, where the rule is not a whole number of steps too (2.2525
+    # at step 0.01; 138.155 at step 0.05); the spectral path scatters onto and integrates over the
     # torus of that box, one node per step, one node fewer per axis than
     # the box's grid
     for args in (
@@ -284,7 +376,7 @@ def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
     ):
         _, op, grid, _ = _resolve(_build_parser().parse_args(["verify", *args]))
         margin = grid_margin(op, grid)
-        engine = _rung_engine(op, grid)
+        engine = _rung_engine(op, _whole_window_bank(grid))
         assert engine.box == sampling_box(op, grid.box, margin)
         domain = Grid(engine.box, grid.step).shape
         if not op.causal:
@@ -296,8 +388,8 @@ def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
 
 
 def test_whole_step_margins_keep_the_rule_box_bit_for_bit():
-    # where the margin rule is a whole number of steps, the study draws on
-    # exactly the rule's box, so these studies draw the same impulses
+    # where the margin rule is a whole number of steps, a study whose bank
+    # spans the window draws on exactly the rule's box
     for step in (0.01, 0.02, 0.05, 0.1):
         for op in (
             make_operator("frac_laplacian", gamma=1.5),
@@ -310,7 +402,7 @@ def test_whole_step_margins_keep_the_rule_box_bit_for_bit():
             grid = Grid(Box.cube(0.0, 10.0, op.dim), step)
             rule = margin_rule(op, grid.box)
             assert grid_margin(op, grid) == rule == (0.0 if op.causal else 2.5)
-            assert _rung_engine(op, grid).box == sampling_box(op, grid.box, rule)
+            assert _rung_engine(op, _whole_window_bank(grid)).box == sampling_box(op, grid.box, rule)
 
 
 def test_convergence_study_report_contents():
@@ -351,9 +443,9 @@ PARALLEL_CASES = (
 )
 
 
-def _study_bytes(f, op, bank):
+def _study_bytes(f, op, bank, count):
     try:
-        report = convergence_study(f, op, (1.0, 4.0, 64.0), 300, bank, base_seed=4)
+        report = convergence_study(f, op, (1.0, 4.0, 64.0), count, bank, base_seed=4)
     except NoiseFloor as exc:
         report = exc.report
     return report.empirical.tobytes(), report.se.tobytes(), np.float64(report.slope).tobytes()
@@ -365,19 +457,23 @@ def _study_bytes(f, op, bank):
 def test_rung_cf_and_studies_have_the_same_bytes_for_any_worker_count(monkeypatch):
     # the block sums come back in block order whichever process paired
     # them, so 1, 2 and 3 workers give bit-equal functionals, errors and
-    # slopes; 300 members make at least 5 blocks on every rung below
+    # slopes; three rate-1 blocks of members make at least 3 blocks on
+    # every rung below, and so do 300 members of the limit rung
     bank = build_cf_bank(GRID1)
     seen = {}
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
         for fam, kw, f in PARALLEL_CASES:
             op = make_operator(fam, **kw)
+            engine = _rung_engine(op, bank)
+            count = 3 * _block_members(engine, 1.0)
             for lam in (1.0, 64.0):
-                assert len(verify._rung_shares(_rung_engine(op, GRID1), lam, 300)) == n
-            mean, se = rung_cf(f, op, 64.0, 300, bank, 4, 900)
+                assert len(verify._rung_shares(engine, lam, count)) == n
+            mean, se = rung_cf(f, op, 64.0, count, bank, 4, 900)
             seen.setdefault((fam, str(kw), str(f)), []).append(
-                (mean.tobytes(), se.tobytes()) + _study_bytes(f, op, bank)
+                (mean.tobytes(), se.tobytes()) + _study_bytes(f, op, bank, count)
             )
+        assert len(verify._rung_shares(_rung_engine(OP_D, bank), math.inf, 300)) == n
         mean, se = rung_cf(cauchy(1.0), OP_D, math.inf, 300, bank, 4, 0)
         seen.setdefault("limit", []).append((mean.tobytes(), se.tobytes()))
     for runs in seen.values():
@@ -403,6 +499,8 @@ def test_a_failed_share_raises_and_leaves_no_process(monkeypatch, where):
     _workers(monkeypatch, 3)
     _fail_in(monkeypatch, where)
     bank = build_cf_bank(GRID1)
+    # five blocks: the children pair blocks 1-2 and 3-4
+    count = 5 * _block_members(_rung_engine(OP_D, bank), 1.0)
     error, match = {
         # a child's own error is quoted
         "child raises": (VerifyError, "blocks 1-2 .* status 1 .*: RuntimeError: child raises"),
@@ -410,7 +508,7 @@ def test_a_failed_share_raises_and_leaves_no_process(monkeypatch, where):
         "parent raises": (RuntimeError, "parent raises"),
     }[where]
     with pytest.raises(error, match=match):
-        rung_cf(gaussian(1.0), OP_D, 1.0, 300, bank, 4, 0)
+        rung_cf(gaussian(1.0), OP_D, 1.0, count, bank, 4, 0)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -424,7 +522,7 @@ def test_a_rung_below_the_work_threshold_never_forks(monkeypatch):
     bank = build_cf_bank(GRID1)
     fds = len(os.listdir("/dev/fd"))
     # the largest rung with less than two shares' work stays serial
-    small = (2 * verify.SHARE_WORK - 1) // verify._member_work(_rung_engine(OP_D, GRID1), 1.0)
+    small = (2 * verify.SHARE_WORK - 1) // verify._member_work(_rung_engine(OP_D, bank), 1.0)
     rung_cf(gaussian(1.0), OP_D, 1.0, small, bank, 4, 0)
     # one member more is split, and the first fork is refused
     with pytest.raises(AssertionError, match="forked"):
@@ -582,12 +680,15 @@ def test_block_point_values_equal_synthesis():
         else:
             points, nodes = ((0.0, 0.0), (0.5, 3.2), (4.0, 1.0)), ((0, 0), (5, 32), (40, 10))
         lam, count = 4.0 / grid.dim, 60
-        fast = point_values(f, op, lam, count, point_bank(grid, points), 23)
-        engine = _rung_engine(op, grid)
+        bank = point_bank(grid, points)
+        fast = point_values(f, op, lam, count, bank, 23)
+        # the 2-D causal rungs draw up to 3.3 on their second axis, one node
+        # past the last point, and synthesis runs on the whole window
+        engine = _rung_engine(op, bank)
         slow = np.array([
             [synthesize_spline(fld, op, grid).samples[node] for node in nodes]
             for block in _rung_blocks(f, engine, lam, count, 23, 0)
-            for fld in block.fields()
+            for fld in _full_window_fields(op, block, grid)
         ])
         assert fast.shape == slow.shape == (count, 3)
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())

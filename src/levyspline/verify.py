@@ -21,12 +21,13 @@ the marginals that back up the functional picture.  At the rate lam = inf
 the loop draws the limit process itself (synthesis.limit_cell_block).
 
 Each block draws from its own RngStream, so a rung's blocks are independent
-work: rung_cf cuts them into contiguous shares, one per usable CPU, pairs
-the first share itself and each other share in a forked child, and adds
-the per-block sums in block order.  Its results, and every file written
-from them, have the same bytes for any number of shares.  A rung too small
-to repay a fork runs as one share, and so does every rung on a platform
-without fork or in a process that runs other threads.
+work: _study_cf cuts each rung's blocks into contiguous shares, one per
+usable CPU, forks one worker per share index above 0 for the whole study,
+pairs share 0 of every rung itself and share w of every rung in worker w,
+and adds each rung's block sums in block order.  Its results, and every
+file written from them, have the same bytes for any number of shares.  A
+rung too small to repay a fork runs as one share, and so does every rung on
+a platform without fork or in a process that runs other threads.
 """
 
 from __future__ import annotations
@@ -556,11 +557,11 @@ def _share_sums(f, engine, tables, lam, count, base_seed, stream_offset, blocks)
     return np.array([np.exp(1j * t).sum(axis=0) for t in rows], dtype=complex)
 
 
-def _fork_share(args):
-    """Fork a child that computes _share_sums(*args) and writes its bytes to
-    a pipe; return (pid, read end).  The child never returns: it leaves by
-    os._exit, with status 0 only when every byte was written.  When the
-    share raises, the child writes the exception's text instead and exits 1."""
+def _fork_worker(args, plans, w):
+    """Fork worker w, a child that writes the payload of
+    _worker_payload(args, plans, w) to a pipe; return (pid, read end).  The
+    child never returns: it leaves by os._exit, with the payload's status
+    only when every byte was written, and status 1 otherwise."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -568,12 +569,7 @@ def _fork_share(args):
             status = 1
             try:
                 os.close(read_fd)
-                try:
-                    payload, code = _share_sums(*args).tobytes(), 0
-                except Exception as exc:
-                    import traceback
-
-                    payload, code = "".join(traceback.format_exception_only(exc)).encode(), 1
+                payload, code = _worker_payload(args, plans, w)
                 view = memoryview(payload)
                 while view:
                     view = view[os.write(write_fd, view) :]
@@ -588,40 +584,91 @@ def _fork_share(args):
     return pid, read_fd
 
 
-def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
-    """Empirical functionals and standard errors of one rung (lam = inf: the limit).
+def _worker_payload(args, plans, w):
+    """Worker w's (payload, status): one row of sums per block of share w
+    of every rung cut into more than w shares, rung after rung, and 0; or,
+    when a share raises, the rung's index, a newline and the exception's
+    text, and 1.  Every share is paired before a byte is written, so a
+    payload larger than the pipe never stalls the worker while the parent
+    is still pairing its own shares."""
+    rows = []
+    for r, shares in enumerate(plans):
+        if len(shares) > w:
+            try:
+                rows.append(_share_sums(*args[r], shares[w]).tobytes())
+            except Exception as exc:
+                import traceback
 
-    The rung's blocks are cut into contiguous shares (_rung_shares).  This
-    process builds the engine and its tables, then forks one child per
-    share after the first, which inherit them, pairs the first share
-    itself, and reads one sum per block back from each child.  The block
-    sums are then added in block order, so the result has the same bytes
-    for any number of shares.  Raises VerifyError, quoting the child's
-    error, when a child fails or sends back too few bytes.
+                return f"{r}\n{''.join(traceback.format_exception_only(exc))}".encode(), 1
+    return b"".join(rows), 0
+
+
+def _worker_error(rungs, plans, w, status, data, sizes):
+    """The VerifyError of worker w, which exited with wait status `status`
+    after sending `data` where rung r's share wanted sizes[r] bytes: it
+    names the rung the worker reported failing on, or else the first rung
+    whose bytes did not all arrive, and quotes the worker's error."""
+    code = os.waitstatus_to_exitcode(status)
+    head, newline, said = data.partition(b"\n") if code else (b"", b"", b"")
+    if newline and head.isdigit() and int(head) in sizes:
+        r = int(head)
+    else:
+        said, at = b"", 0
+        for r, size in sizes.items():
+            at += size
+            if at > len(data):
+                break
+    (lam, _), blocks = rungs[r], plans[r][w]
+    said = said.decode(errors="replace").strip()
+    return VerifyError(
+        f"rung lambda={lam:g}: the worker pairing blocks {blocks.start}-{blocks.stop - 1} "
+        f"exited with status {code} after sending {len(data)} of {sum(sizes.values())} bytes"
+        + (f": {said}" if said else "")
+    )
+
+
+def _study_cf(f, op, rungs, count, bank, base_seed):
+    """Empirical functionals and standard errors of `count` members on each
+    rung of `rungs`, a list of (lam, stream_offset) pairs (lam = inf: the
+    limit), as one (mean, se) pair per rung.
+
+    The engine and its pairing tables depend on the operator and the bank
+    alone, so they are built once.  Each rung's blocks are cut into
+    contiguous shares (_rung_shares).  This process forks one worker per
+    share index above 0 that some rung uses, at most MAX_WORKERS - 1 for
+    all the rungs, which inherit the engine and tables; pairs share 0 of
+    every rung itself; then reads each worker's block sums and reaps it.
+    Worker w pairs share w of every rung cut into more than w shares.  The
+    block sums of each rung are added in block order, so the result has
+    the same bytes for any number of workers, and no worker outlives the
+    call.  Raises VerifyError, naming the rung and blocks and quoting the
+    worker's error, when a worker fails or sends back the wrong bytes.
     """
     engine = _rung_engine(op, bank)
-    args = (f, engine, _rung_tables(engine, bank), lam, count, base_seed, stream_offset)
-    shares = _rung_shares(engine, lam, count)
-    children = []  # (pid, read end, block slice) of every forked share
-    statuses = {}  # pid -> wait status of every child reaped
+    tables = _rung_tables(engine, bank)
+    args = [(f, engine, tables, lam, count, base_seed, offset) for lam, offset in rungs]
+    plans = [_rung_shares(engine, lam, count) for lam, _ in rungs]
+    row = len(bank) * np.dtype(complex).itemsize
+    sums = [[] for _ in rungs]  # each rung's block sums, share by share
+    children = []  # (pid, read end, worker index) of every forked worker
+    statuses = {}  # pid -> wait status of every worker reaped
     try:
-        for blocks in shares[1:]:
-            children.append((*_fork_share(args + (blocks,)), blocks))
-        sums = [_share_sums(*args, shares[0])]
-        for pid, fd, blocks in children:
+        for w in range(1, max(map(len, plans))):
+            children.append((*_fork_worker(args, plans, w), w))
+        for r, shares in enumerate(plans):
+            sums[r].append(_share_sums(*args[r], shares[0]))
+        for pid, fd, w in children:
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             statuses[pid] = os.waitpid(pid, 0)[1]
-            expected = (blocks.stop - blocks.start) * len(bank) * np.dtype(complex).itemsize
-            if statuses[pid] != 0 or len(data) != expected:
-                code = os.waitstatus_to_exitcode(statuses[pid])
-                said = data.decode(errors="replace").strip() if code else ""
-                raise VerifyError(
-                    f"rung lambda={lam:g}: the worker pairing blocks {blocks.start}-"
-                    f"{blocks.stop - 1} exited with status {code} after sending "
-                    f"{len(data)} of {expected} bytes" + (f": {said}" if said else "")
-                )
-            sums.append(np.frombuffer(data, dtype=complex).reshape(-1, len(bank)))
+            sizes = {r: (s[w].stop - s[w].start) * row for r, s in enumerate(plans) if len(s) > w}
+            if statuses[pid] != 0 or len(data) != sum(sizes.values()):
+                raise _worker_error(rungs, plans, w, statuses[pid], data, sizes)
+            view, at = memoryview(data), 0
+            for r, size in sizes.items():
+                part = np.frombuffer(view[at : at + size], dtype=complex)
+                sums[r].append(part.reshape(-1, len(bank)))
+                at += size
     finally:
         for pid, fd, _ in children:
             os.close(fd)
@@ -630,10 +677,21 @@ def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    acc = np.zeros(len(bank), dtype=complex)
-    for row in np.concatenate(sums):
-        acc += row
-    return _cf_mean_se(acc, count)
+    out = []
+    for parts in sums:
+        acc = np.zeros(len(bank), dtype=complex)
+        for block in np.concatenate(parts):
+            acc += block
+        out.append(_cf_mean_se(acc, count))
+    return out
+
+
+def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
+    """Empirical functionals and standard errors of one rung (lam = inf: the
+    limit): the one-rung study of _study_cf, whose workers are forked for
+    this rung and reaped before it returns."""
+    [(mean, se)] = _study_cf(f, op, [(lam, stream_offset)], count, bank, base_seed)
+    return mean, se
 
 
 def study_ladder(ladder, count):
@@ -654,9 +712,11 @@ def study_ladder(ladder, count):
 def convergence_study(f, op, ladder, count, bank, base_seed=0):
     """Empirical vs analytic functionals along an ascending rate ladder.
 
-    Every rung builds the poissonized generator at its rate, estimates the
-    empirical functional per bank entry from `count` realizations, and
+    Every rung estimates the empirical functional per bank entry from
+    `count` realizations of the poissonized process at its rate, and
     compares against the analytic functional of the limit exponent.  The
+    rungs run as one _study_cf call: its workers are forked once for the
+    whole ladder and reaped before the study returns.  The
     CFReport fits the log-log error slope over rungs whose mean error
     exceeds NOISE_SPLIT standard errors; fewer than two such rungs raises
     NoiseFloor (carrying the partial report).
@@ -665,8 +725,8 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
     analytic = np.array([analytic_cf(f, op, phi, bank.grid) for phi in bank.phis])
     if np.any(np.abs(analytic) > 1.0 + 1e-12):
         raise VerifyError("analytic functional exceeded unit modulus")
-    rungs = [rung_cf(f, op, lam, int(count), bank, base_seed, r * int(count))
-             for r, lam in enumerate(ladder)]
+    rungs = _study_cf(f, op, [(lam, r * int(count)) for r, lam in enumerate(ladder)], int(count),
+                      bank, base_seed)
     empirical, se = (np.array(part) for part in zip(*rungs))
     report = CFReport(
         format_operator_config(op), exponent_to_kv(f), int(count), ladder, list(bank.names),

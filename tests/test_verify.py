@@ -480,12 +480,15 @@ def test_rung_cf_and_studies_have_the_same_bytes_for_any_worker_count(monkeypatc
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def _fail_in(monkeypatch, where):
-    """Make _share_sums fail in the parent or in every forked child."""
+def _fail_in(monkeypatch, where, lam=None):
+    """Make _share_sums fail in the parent or in every forked child, on
+    every rung or on the rung of rate `lam` alone."""
     parent, real = os.getpid(), verify._share_sums
 
     def share_sums(*args):
         in_child = os.getpid() != parent
+        if lam is not None and args[3] != lam:
+            return real(*args)
         if where == "child raises" and in_child or where == "parent raises" and not in_child:
             raise RuntimeError(where)
         out = real(*args)
@@ -529,6 +532,109 @@ def test_a_rung_below_the_work_threshold_never_forks(monkeypatch):
         rung_cf(gaussian(1.0), OP_D, 1.0, small + 1, bank, 4, 0)
     # the refused fork's pipe is closed
     assert len(os.listdir("/dev/fd")) == fds
+
+
+LADDER4 = (1.0, 4.0, 16.0, 64.0)
+
+
+def test_a_worker_that_fails_on_a_later_rung_names_that_rung(monkeypatch):
+    # the workers pair rates 1 and 4 and fail on 16: the error names the
+    # rate-16 blocks of the first worker, whose pipe is read first
+    _workers(monkeypatch, 3)
+    _fail_in(monkeypatch, "child raises", lam=16.0)
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    count = 5 * _block_members(engine, 1.0)
+    blocks = verify._rung_shares(engine, 16.0, count)[1]
+    match = (f"rung lambda=16: .* blocks {blocks.start}-{blocks.stop - 1} .* status 1 .*: "
+             "RuntimeError: child raises")
+    with pytest.raises(VerifyError, match=match):
+        convergence_study(gaussian(1.0), OP_D, LADDER4, count, bank, base_seed=4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    """The list that gets one entry per os.fork call of this process."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _study(f, op, ladder, count, bank):
+    try:
+        return convergence_study(f, op, ladder, count, bank, base_seed=4)
+    except NoiseFloor as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_study_forks_each_worker_once(monkeypatch, n):
+    # every rung of the ladder is cut into n shares, and the n - 1 workers
+    # forked for the first rung pair their share of every other rung too
+    _workers(monkeypatch, n)
+    forks = _count_forks(monkeypatch)
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    count = 3 * _block_members(engine, 1.0)
+    assert [len(verify._rung_shares(engine, lam, count)) for lam in LADDER4] == [n] * 4
+    _study(gaussian(1.0), OP_D, LADDER4, count, bank)
+    assert len(forks) == n - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_study_below_the_work_threshold_never_forks(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    # the top rung, the largest, has less than two shares' work
+    count = (2 * verify.SHARE_WORK - 1) // verify._member_work(engine, 64.0)
+    assert [len(verify._rung_shares(engine, lam, count)) for lam in LADDER4] == [1] * 4
+    _study(gaussian(1.0), OP_D, LADDER4, count, bank)
+    assert forks == []
+
+
+def test_a_study_has_the_same_bytes_on_a_mixed_ladder(monkeypatch):
+    # at the real work threshold 8,000 members leave rates 1 and 4 serial,
+    # cut rate 16 into 2 shares and rate 64 into up to 3, so the third
+    # process pairs the top rung alone
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    seen = []
+    for n, shares in ((1, [1, 1, 1, 1]), (2, [1, 1, 2, 2]), (3, [1, 1, 2, 3])):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda n=n: n)
+        assert [len(verify._rung_shares(engine, lam, 8000)) for lam in LADDER4] == shares
+        report = _study(gaussian(1.0), OP_D, LADDER4, 8000, bank)
+        seen.append((report.empirical.tobytes(), report.se.tobytes(),
+                     np.float64(report.slope).tobytes()))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+def test_a_worker_payload_larger_than_the_pipe_has_the_same_bytes(monkeypatch):
+    # one member per block: each worker pairs at least 1,200 blocks over
+    # the ladder and sends one 80-byte row per block, past the 64 KiB a
+    # pipe buffers, all after its last share is paired
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 1)
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    row = len(bank) * np.dtype(complex).itemsize
+    seen = []
+    for n in (1, 2, 3):
+        _workers(monkeypatch, n)
+        plans = [verify._rung_shares(engine, lam, 900) for lam in LADDER4]
+        for w in range(1, n):
+            assert sum((s[w].stop - s[w].start) * row for s in plans) > 64 * 1024
+        report = _study(cauchy(1.0), OP_D, LADDER4, 900, bank)
+        seen.append((report.empirical.tobytes(), report.se.tobytes(),
+                     np.float64(report.slope).tobytes()))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def test_no_fork_while_other_threads_run():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,22 +17,187 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+# Rows per chunk of every 17-digit text writer (grid_text, write_impulse_csv).
+CHUNK_ROWS = 4096
+
+# encode17 writes each number into a slot of three little-endian uint64
+# words, 24 bytes: byte 0 the separator that text17 puts before the number,
+# byte 1 the sign, byte 2 free for the one-byte shift that makes room for
+# the point, bytes 3-6 the zeros of "0.000", bytes 7-23 the 17 digits.
+# Masks from one table column per (sign, exponent, last nonzero digit)
+# zero every byte '%.17g' does not print, and text17 deletes the zero
+# bytes.  Slots are word-major, shape (3, n), so that each step is a pass
+# over contiguous arrays of n.
+_U64 = np.dtype("<u8")
+_WORDS = 3
+# the |v| whose text encode17 works out itself: there '%.17g' prints no
+# exponent, and |v| * 10**(16 - k) stays far from overflow and underflow
+_FAST_MIN, _FAST_MAX = 1e-4, 1e16
+# 10**e for e = 0..21, exact in binary64 (5**21 < 2**53), and each split by
+# Veltkamp's constant 2**27 + 1 into two 26-bit halves for Dekker's product
+_SPLIT = 134217729.0
+_POW10 = np.cumprod(np.r_[1.0, np.full(21, 10.0)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digit_tables():
+    """The ASCII digits of 0..9999, four bytes in the low half of a word;
+    and for the four 4-digit groups of digits 1-16, the place (1 to 16) of
+    the last nonzero digit of group i at index 10000 * i + group, 0 for a
+    zero group."""
+    digits = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    ascii4 = (digits + ord("0")).astype(np.uint8).view("<u4").ravel().astype(_U64)
+    last = np.max((digits != 0) * np.arange(1, 5), axis=1)
+    last16 = np.where(last != 0, last + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
+    return ascii4, last16.ravel()
+
+
+_DIGITS4, _LAST16 = _digit_tables()
+_GROUP_BASE = np.arange(0, 40000, 10000)[:, None]
+# the first word of every slot, its first digit '0': byte 1 '-', bytes 3-7 "00000"
+_WORD0 = np.frombuffer(b"\0-\x0000000", _U64)[0]
+
+
+def _mask_tables():
+    """Nine rows of words, three each: the bytes to take from the slot
+    shifted one byte down (the digits through the units), the bytes to
+    take from it unshifted (the sign and the fraction digits), and the
+    bytes to set (the point, or the fallback's '%.17g').  Column
+    (sign * 21 + x + 4) * 17 + last serves the decimal exponent x in
+    -4..16 and the place of the last nonzero digit in 0..16; the last
+    column, _FALLBACK, serves the per-value fallback."""
+    neg, x, last, byte = np.ix_([0, 1], np.arange(-4, 17), np.arange(17), np.arange(24))
+    u = x + 4  # the units digit is e[u] of e = "0000" + the digits
+    j = byte - 2  # byte 2 + j holds e[j] for j <= u, the point, then e[j - 1]
+    end = np.where(last + 4 > u, last + 5, u)  # through the last nonzero fraction digit
+    kept = (j >= np.minimum(u, 4)) & (j <= end)
+    masks = np.broadcast_arrays(
+        kept & (j <= u), kept & (j > u + 1) | (byte == 1) & (neg == 1), kept & (j == u + 1)
+    )
+    masks = np.stack(masks).reshape(3, -1, 24) * np.array([255, 255, ord(".")])[:, None, None]
+    fallback = np.zeros((3, 1, 24), int)
+    fallback[2, 0, 1:6] = np.frombuffer(b"%.17g", np.uint8)
+    tables = np.concatenate([masks, fallback], axis=1).astype(np.uint8).view(_U64)
+    return np.ascontiguousarray(tables.transpose(0, 2, 1).reshape(3 * _WORDS, -1))
+
+
+_MASKS = _mask_tables()
+_FALLBACK = _MASKS.shape[1] - 1
+_TEMPLATE = _MASKS[2 * _WORDS, _FALLBACK]  # the first word of a fallback slot
+
+
+def _times_pow10(a, k):
+    """(hi, lo) with hi + lo == a * 10**(16 - k) exactly: Dekker's
+    error-free product of a and the exact power, from 26-bit halves."""
+    e = 16 - k
+    hi = a * _POW10.take(e)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    sh, sl = _POW10_HI.take(e), _POW10_LO.take(e)
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    return hi, lo
+
+
+def encode17(values):
+    """Encode a float array as the text '%.17g' gives each value.
+
+    Returns `(values, slots)`: the values as a flat float64 array and a
+    `(3, n)` array of little-endian uint64 words, word-major, of 24-byte
+    text slots in which every byte not printed is zero.  For
+    1e-4 <= |v| < 1e16 and for zeros the digits come from
+    D = round-half-even(|v| * 10**(16 - k)), 10**k <= |v| < 10**(k + 1),
+    which hi + lo holds exactly; every other value (tiny, huge, subnormal,
+    inf, nan) holds the template '%.17g' that text17 fills with the value.
+    """
+    v = np.asarray(values, dtype=float).reshape(-1)
+    n = v.size
+    a = np.abs(v)
+    slow = ~((a >= _FAST_MIN) & (a < _FAST_MAX))
+    a[slow] = 2.0  # a stand-in inside a decade; its digits are dropped
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _times_pow10(a, k)
+    # log10 can miss the decade by one next to a power of ten, where the
+    # exact product falls outside [1e16, 1e17); such an hi is at an end
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if edge.size:
+        he, le = hi[edge], lo[edge]
+        up = (he > 1e17) | (he == 1e17) & (le >= 0)
+        down = (he < 1e16) | (he == 1e16) & (le < 0)
+        k[edge] += up.astype(np.intp) - down
+        hi[edge], lo[edge] = _times_pow10(a[edge], k[edge])
+    # hi is an even integer (ulp >= 2 above 2**53), so rounding lo half to
+    # even rounds hi + lo half to even.  The largest double below
+    # 10**(k + 1) gives D <= 10**17 - 8 for every k here, so no value
+    # rounds up into the next decade
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d[slow] = 0
+    k[slow] = 0
+
+    # the digits of D: the first, then four groups of four
+    top = d // 10**16
+    d -= top * 10**16
+    halves = np.empty((2, n), np.int64)
+    halves[0] = d // 10**8
+    halves[1] = d - halves[0] * 10**8
+    groups = np.empty((4, n), np.int64)
+    groups[::2] = halves // 10**4
+    groups[1::2] = halves - groups[::2] * 10**4
+    digits = _DIGITS4.take(groups)
+    slots = np.empty((_WORDS, n), _U64)
+    slots[0] = top.astype(_U64) << 56 | _WORD0
+    slots[1:] = digits[::2] | digits[1::2] << 32
+    groups += _GROUP_BASE
+    last = _LAST16.take(groups).max(axis=0)
+
+    column = (np.signbit(v) * 21 + k + 4) * 17 + last
+    column[slow & (v != 0)] = _FALLBACK
+    shifted, unshifted, point = _MASKS.take(column, axis=1).reshape(3, _WORDS, n)
+    down = slots >> 8
+    down[:-1] |= slots[1:] << 56
+    down &= shifted
+    slots &= unshifted
+    slots |= down
+    slots |= point
+    return v, slots
+
+
+def text17(cells, sep, ends=None):
+    """The rows `c0<sep>c1...<sep>cm`, one per value of the encode17
+    `cells`, each ended by a newline; the bool array `ends` marks the rows
+    followed by a blank line.  `sep` is one ASCII character, not '%'."""
+    newline = np.full((1, len(cells[0][0])), ord("\n"), _U64)
+    if ends is not None:
+        newline[0, ends] |= ord("\n") << 8
+    buf = np.concatenate([slots for _, slots in cells] + [newline])
+    buf[_WORDS:-1:_WORDS] |= ord(sep)
+    text = buf.T.tobytes().translate(None, b"\0").decode("ascii")
+    if "%" in text:
+        values = np.column_stack([values for values, _ in cells])
+        fallback = np.column_stack([slots[0] == _TEMPLATE for _, slots in cells])
+        text %= tuple(values[fallback].tolist())
+    return text
+
+
 def grid_text(axes, values, sep, scan_breaks=False):
     """Yield the rows `x[<sep>y]<sep>v` of `values` sampled on the grid
     `axes`, in row-major order, each number as fmt17 writes it.
 
-    One chunk per run along the last axis: the axis labels are formatted
-    once and each run fills one '%.17g' template ('%.17g' % v is
-    format(v, '.17g')).  With `scan_breaks`, a blank line follows each run
-    of a grid with two or more axes, as gnuplot separates scan lines.
+    The axis labels are encoded once; each chunk of CHUNK_ROWS rows takes
+    its labels from them and encodes its samples.  With `scan_breaks`, a
+    blank line follows each run along the last axis of a grid with two or
+    more axes, as gnuplot separates scan lines.
     """
-    cells = [f"{fmt17(t)}{sep}%.17g" for t in axes[-1]]
-    leads = [[fmt17(t) + sep for t in axis] for axis in axes[:-1]]
-    end = "\n\n" if scan_breaks and leads else "\n"
-    runs = np.reshape(values, (-1, len(cells)))
-    for labels, run in zip(itertools.product(*leads), runs):
-        lead = "".join(labels)
-        yield (lead + ("\n" + lead).join(cells) + end) % tuple(run.tolist())
+    labels = [encode17(axis) for axis in axes]
+    shape = tuple(len(axis) for axis in axes)
+    flat = np.reshape(values, -1)
+    for a in range(0, flat.size, CHUNK_ROWS):
+        index = np.unravel_index(np.arange(a, min(a + CHUNK_ROWS, flat.size)), shape)
+        cells = [(t.take(i), slots.take(i, axis=1)) for (t, slots), i in zip(labels, index)]
+        cells.append(encode17(flat[a : a + CHUNK_ROWS]))
+        ends = index[-1] == shape[-1] - 1 if scan_breaks and len(axes) > 1 else None
+        yield text17(cells, sep, ends)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import JumpLaw
-from .grid import Box, fmt17
+from .grid import CHUNK_ROWS, Box, encode17, fmt17, text17
 
 # Resource guard: reject fields whose expected impulse count exceeds this.
 MAX_EXPECTED_COUNT = 1e9
-
-# Impulse rows formatted and written per write_impulse_csv chunk.
-CSV_CHUNK_ROWS = 4096
 
 
 class NoiseError(Exception):
@@ -169,17 +166,16 @@ def sample_impulse_field(dim, box, lam, jumps, rng):
 
 def write_impulse_csv(field, path):
     """Write `# dim=.. box=.. lambda=.. seed=..` header plus x[,y],amplitude rows,
-    each number as fmt17 writes it, one '%.17g' template per chunk of rows."""
-    rows = np.column_stack([field.locations, field.amplitudes])
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    each number as fmt17 writes it, encoded column by column in chunks of
+    CHUNK_ROWS rows."""
+    columns = [*field.locations.T, field.amplitudes]
     with open(path, "w") as fh:
         fh.write(
             f"# dim={field.dim} box={field.box.format()} "
             f"lambda={fmt17(field.rate)} seed={field.seed}\n"
         )
-        for a in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[a : a + CSV_CHUNK_ROWS]
-            fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
+        for a in range(0, field.count, CHUNK_ROWS):
+            fh.write(text17([encode17(col[a : a + CHUNK_ROWS]) for col in columns], ","))
 
 
 def read_impulse_csv(path):

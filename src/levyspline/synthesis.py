@@ -391,10 +391,12 @@ def _parse_realization_header(header, path):
 def read_realization_csv(path):
     with open(path) as fh:
         header = fh.readline().strip()
-        dim, box, step, op, provenance, seed = _parse_realization_header(header, path)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, delimiter=",", usecols=dim, ndmin=1)
+    dim, box, step, op, provenance, seed = _parse_realization_header(header, path)
+    # loadtxt skips the header as a '#' comment; it reads a path faster than
+    # an open text handle
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, delimiter=",", usecols=dim, ndmin=1)
     if not values.size:
         raise SynthesisError(f"{path}: no samples")
     samples = values.reshape(Grid(box, step).shape)

@@ -18,7 +18,7 @@ def fmt17(x) -> str:
 
 
 # Rows per chunk of every 17-digit text writer (grid_text, write_impulse_csv).
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 2048
 
 # encode17 writes each number into a slot of three little-endian uint64
 # words, 24 bytes: byte 0 the separator that text17 puts before the number,
@@ -46,11 +46,12 @@ def _digit_tables():
     and for the four 4-digit groups of digits 1-16, the place (1 to 16) of
     the last nonzero digit of group i at index 10000 * i + group, 0 for a
     zero group."""
-    digits = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
-    ascii4 = (digits + ord("0")).astype(np.uint8).view("<u4").ravel().astype(_U64)
-    last = np.max((digits != 0) * np.arange(1, 5), axis=1)
-    last16 = np.where(last != 0, last + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
-    return ascii4, last16.ravel()
+    g = np.arange(10000, dtype=np.uint32)
+    ascii4 = g // 1000 | g // 100 % 10 << 8 | g // 10 % 10 << 16 | g % 10 << 24 | 0x30303030
+    place = np.select([g % 10 != 0, g % 100 != 0, g % 1000 != 0, g != 0],
+                      np.arange(4, 0, -1, dtype=np.uint8), np.uint8(0))
+    last16 = (place + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (place != 0)
+    return ascii4.astype(_U64), last16.ravel()
 
 
 _DIGITS4, _LAST16 = _digit_tables()
@@ -60,13 +61,13 @@ _WORD0 = np.frombuffer(b"\0-\x0000000", _U64)[0]
 
 
 def _mask_tables():
-    """Nine rows of words, three each: the bytes to take from the slot
+    """Three tables of words, one column of three words per (sign,
+    decimal exponent x in -4..16, place of the last nonzero digit in
+    0..16) at (sign * 21 + x + 4) * 17 + last, and a last column,
+    _FALLBACK, for the per-value fallback: the bytes to take from the slot
     shifted one byte down (the digits through the units), the bytes to
     take from it unshifted (the sign and the fraction digits), and the
-    bytes to set (the point, or the fallback's '%.17g').  Column
-    (sign * 21 + x + 4) * 17 + last serves the decimal exponent x in
-    -4..16 and the place of the last nonzero digit in 0..16; the last
-    column, _FALLBACK, serves the per-value fallback."""
+    bytes to set (the point, or the fallback's '%.17g')."""
     neg, x, last, byte = np.ix_([0, 1], np.arange(-4, 17), np.arange(17), np.arange(24))
     u = x + 4  # the units digit is e[u] of e = "0000" + the digits
     j = byte - 2  # byte 2 + j holds e[j] for j <= u, the point, then e[j - 1]
@@ -75,16 +76,17 @@ def _mask_tables():
     masks = np.broadcast_arrays(
         kept & (j <= u), kept & (j > u + 1) | (byte == 1) & (neg == 1), kept & (j == u + 1)
     )
-    masks = np.stack(masks).reshape(3, -1, 24) * np.array([255, 255, ord(".")])[:, None, None]
-    fallback = np.zeros((3, 1, 24), int)
+    fill = np.array([255, 255, ord(".")], np.uint8)[:, None, None]
+    masks = np.stack(masks).reshape(3, -1, 24) * fill
+    fallback = np.zeros((3, 1, 24), np.uint8)
     fallback[2, 0, 1:6] = np.frombuffer(b"%.17g", np.uint8)
-    tables = np.concatenate([masks, fallback], axis=1).astype(np.uint8).view(_U64)
-    return np.ascontiguousarray(tables.transpose(0, 2, 1).reshape(3 * _WORDS, -1))
+    tables = np.concatenate([masks, fallback], axis=1).view(_U64)
+    return [np.ascontiguousarray(t.T) for t in tables]
 
 
-_MASKS = _mask_tables()
-_FALLBACK = _MASKS.shape[1] - 1
-_TEMPLATE = _MASKS[2 * _WORDS, _FALLBACK]  # the first word of a fallback slot
+_SHIFTED, _UNSHIFTED, _SET = _mask_tables()
+_FALLBACK = _SET.shape[1] - 1
+_TEMPLATE = _SET[0, _FALLBACK]  # the first word of a fallback slot
 
 
 def _times_pow10(a, k):
@@ -100,22 +102,9 @@ def _times_pow10(a, k):
     return hi, lo
 
 
-def encode17(values):
-    """Encode a float array as the text '%.17g' gives each value.
-
-    Returns `(values, slots)`: the values as a flat float64 array and a
-    `(3, n)` array of little-endian uint64 words, word-major, of 24-byte
-    text slots in which every byte not printed is zero.  For
-    1e-4 <= |v| < 1e16 and for zeros the digits come from
-    D = round-half-even(|v| * 10**(16 - k)), 10**k <= |v| < 10**(k + 1),
-    which hi + lo holds exactly; every other value (tiny, huge, subnormal,
-    inf, nan) holds the template '%.17g' that text17 fills with the value.
-    """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    n = v.size
-    a = np.abs(v)
-    slow = ~((a >= _FAST_MIN) & (a < _FAST_MAX))
-    a[slow] = 2.0  # a stand-in inside a decade; its digits are dropped
+def _round17(a):
+    """The decade k, 10**k <= a < 10**(k + 1), and the 17 digits
+    D = round-half-even(a * 10**(16 - k)) of positive a in [1e-4, 1e16)."""
     k = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _times_pow10(a, k)
     # log10 can miss the decade by one next to a power of ten, where the
@@ -131,13 +120,15 @@ def encode17(values):
     # even rounds hi + lo half to even.  The largest double below
     # 10**(k + 1) gives D <= 10**17 - 8 for every k here, so no value
     # rounds up into the next decade
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    d[slow] = 0
-    k[slow] = 0
+    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
-    # the digits of D: the first, then four groups of four
+
+def _digit_slots(d):
+    """Slots holding '-', "0000" and the 17 digits of each D, and the
+    place (0 to 16) of each D's last nonzero digit."""
+    n = d.size
     top = d // 10**16
-    d -= top * 10**16
+    d = d - top * 10**16
     halves = np.empty((2, n), np.int64)
     halves[0] = d // 10**8
     halves[1] = d - halves[0] * 10**8
@@ -149,17 +140,36 @@ def encode17(values):
     slots[0] = top.astype(_U64) << 56 | _WORD0
     slots[1:] = digits[::2] | digits[1::2] << 32
     groups += _GROUP_BASE
-    last = _LAST16.take(groups).max(axis=0)
+    return slots, _LAST16.take(groups).max(axis=0)
 
+
+def encode17(values):
+    """Encode a float array as the text '%.17g' gives each value.
+
+    Returns `(values, slots)`: the values as a flat float64 array and a
+    `(3, n)` array of little-endian uint64 words, word-major, of 24-byte
+    text slots in which every byte not printed is zero.  For
+    1e-4 <= |v| < 1e16 and for zeros the digits come from
+    D = round-half-even(|v| * 10**(16 - k)), 10**k <= |v| < 10**(k + 1),
+    which hi + lo holds exactly; every other value (tiny, huge, subnormal,
+    inf, nan) holds the template '%.17g' that text17 fills with the value.
+    """
+    v = np.asarray(values, dtype=float).reshape(-1)
+    a = np.abs(v)
+    slow = ~((a >= _FAST_MIN) & (a < _FAST_MAX))
+    a[slow] = 2.0  # a stand-in inside a decade; its digits are dropped
+    k, d = _round17(a)
+    d[slow] = 0
+    k[slow] = 0
+    slots, last = _digit_slots(d)
     column = (np.signbit(v) * 21 + k + 4) * 17 + last
     column[slow & (v != 0)] = _FALLBACK
-    shifted, unshifted, point = _MASKS.take(column, axis=1).reshape(3, _WORDS, n)
-    down = slots >> 8
-    down[:-1] |= slots[1:] << 56
-    down &= shifted
-    slots &= unshifted
-    slots |= down
-    slots |= point
+    moved = slots >> 8  # the slot one byte down, across its three words
+    moved[:-1] |= slots[1:] << 56
+    moved &= _SHIFTED.take(column, axis=1)
+    slots &= _UNSHIFTED.take(column, axis=1)
+    slots |= moved
+    slots |= _SET.take(column, axis=1)
     return v, slots
 
 
@@ -172,7 +182,10 @@ def text17(cells, sep, ends=None):
         newline[0, ends] |= ord("\n") << 8
     buf = np.concatenate([slots for _, slots in cells] + [newline])
     buf[_WORDS:-1:_WORDS] |= ord(sep)
-    text = buf.T.tobytes().translate(None, b"\0").decode("ascii")
+    raw = buf.T.tobytes()
+    del buf  # hold at most two of the words, the bytes and the text at once
+    raw = raw.translate(None, b"\0")
+    text = raw.decode("ascii")
     if "%" in text:
         values = np.column_stack([values for values, _ in cells])
         fallback = np.column_stack([slots[0] == _TEMPLATE for _, slots in cells])

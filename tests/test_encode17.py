@@ -94,7 +94,10 @@ def oracle_grid_text(axes, values, sep, scan_breaks):
     return "".join(out)
 
 
-@pytest.mark.parametrize("points", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+GRID_POINTS = sorted({CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 4095, 4096, 4097})
+
+
+@pytest.mark.parametrize("points", GRID_POINTS)
 def test_one_dimensional_grids_around_the_chunk_size(points):
     rng = np.random.default_rng(points)
     axes = (-0.5 + 0.01 * np.arange(points),)

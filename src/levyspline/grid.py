@@ -33,10 +33,11 @@ _WORDS = 3
 # the |v| whose text encode17 works out itself: there '%.17g' prints no
 # exponent, and |v| * 10**(16 - k) stays far from overflow and underflow
 _FAST_MIN, _FAST_MAX = 1e-4, 1e16
-# 10**e for e = 0..21, exact in binary64 (5**21 < 2**53), and each split by
-# Veltkamp's constant 2**27 + 1 into two 26-bit halves for Dekker's product
+# 10**e for e = 0..21, from products exact up to 10**22 (5**22 < 2**53),
+# each split by Veltkamp's constant 2**27 + 1 into two 26-bit halves for
+# Dekker's product
 _SPLIT = 134217729.0
-_POW10 = np.cumprod(np.r_[1.0, np.full(21, 10.0)])
+_POW10 = np.cumprod(np.full(22, 10.0)) / 10.0
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 

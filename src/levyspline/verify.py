@@ -21,24 +21,26 @@ the marginals that back up the functional picture.  At the rate lam = inf
 the loop draws the limit process itself (synthesis.limit_cell_block).
 
 Each block draws from its own RngStream, so a rung's blocks are independent
-work: _study_cf cuts each rung's blocks into contiguous shares, one per
-usable CPU, forks one worker per share index above 0 for the whole study,
-pairs share 0 of every rung itself and share w of every rung in worker w,
+work: _study_cf cuts every rung's blocks into as many contiguous shares as
+the study has workers, one per usable CPU (workers.run forks them once per
+study), pairs share 0 of every rung itself and share w of every rung in
+worker w, which writes its block sums into a table shared by all of them,
 and adds each rung's block sums in block order.  Its results, and every
-file written from them, have the same bytes for any number of shares.  A
-rung too small to repay a fork runs as one share, and so does every rung on
-a platform without fork or in a process that runs other threads.
+file written from them, have the same bytes for any number of workers.  A
+study too small to repay a fork runs in one process, and so does every
+study on a platform without fork or in a process that runs other threads.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import mmap
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .exponents import evaluate, exponent_to_kv, poissonize
 from .grid import Box, Grid, fmt17
 from .noise import RngStream, sample_impulse_block
@@ -61,16 +63,17 @@ MAX_REFERENCE_VALUES = 10**7
 # histogram cells (scatter cells per member) plus its expected impulses
 # stay near this count, which bounds a rung's working memory at every rate.
 BLOCK_CELLS = 2**16
-# A rung is split across forked workers only when each share holds at
-# least SHARE_WORK units of work, a unit being one scatter cell of one
-# member; an expected impulse counts IMPULSE_WORK units, about what its
-# draw, bin and weights cost against a cell's histogram and pairing work.
-# On a 2-vCPU Xeon guest (1-D `D` and `DaI` rungs, 0:10 at step 0.01,
-# alternating serial and two-share runs), two shares beat one in 73 of
-# 324 runs below 2 * SHARE_WORK units and in 82 of 144 runs from there
-# to 10^7 units: the threshold sits where the fork, pipe, reap and the
-# child's copy-on-write faults cost what the second CPU saves.  A rung
-# uses at most MAX_WORKERS processes, the most that were measured.
+# A study is split across forked workers only when each holds at least
+# SHARE_WORK units of the study's work, a unit being one scatter cell of
+# one member of one rung; an expected impulse counts IMPULSE_WORK units,
+# about what its draw, bin and weights cost against a cell's histogram and
+# pairing work.  On a 2-vCPU Xeon guest (1-D `D` and `DaI` rungs, 0:10 at
+# step 0.01, alternating serial and two-share runs of one rung, each with
+# its own fork), two shares beat one in 73 of 324 runs below 2 * SHARE_WORK
+# units and in 82 of 144 runs from there to 10^7 units: the threshold sits
+# where a fork, its reap and the child's copy-on-write faults cost what the
+# second CPU saves, and a study pays them once for all its rungs.
+# A study uses at most MAX_WORKERS processes, the most that were measured.
 SHARE_WORK = 2**21
 IMPULSE_WORK = 6
 MAX_WORKERS = 2
@@ -527,28 +530,16 @@ def _pair_block(engine, tables, block):
     return t
 
 
-def _usable_cpus():
-    """Workers a rung may use: the CPUs this process may run on, at most
-    MAX_WORKERS; 1 where it cannot fork safely: no fork or affinity on the
-    platform, or other threads running, whose locks a forked child could
-    inherit held."""
-    import threading
-
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
-
-
-def _rung_shares(engine, lam, count):
-    """The rung's blocks cut into contiguous slices, one per worker: one
-    per usable CPU, but no more than there are blocks or SHARE_WORK of
-    work (_member_work per member) to give each."""
-    nblocks = -(-count // _block_members(engine, lam))
-    work = count * _member_work(engine, lam)
-    workers = max(1, min(_usable_cpus(), nblocks, work // SHARE_WORK))
-    return [slice(k * nblocks // workers, (k + 1) * nblocks // workers) for k in range(workers)]
+def _study_shares(engine, rungs, count):
+    """Each rung's blocks cut into contiguous slices, one per worker of the
+    study: one per usable CPU (at most MAX_WORKERS), but no more than the
+    largest rung has blocks or the study has SHARE_WORK of work
+    (_member_work per member of every rung) to give each.  A rung with
+    fewer blocks than workers leaves some slices empty."""
+    nblocks = [-(-count // _block_members(engine, lam)) for lam, _ in rungs]
+    work = count * sum(_member_work(engine, lam) for lam, _ in rungs)
+    n = max(1, min(workers.usable_cpus(MAX_WORKERS), max(nblocks), work // SHARE_WORK))
+    return [[slice(k * b // n, (k + 1) * b // n) for k in range(n)] for b in nblocks]
 
 
 def _share_sums(f, engine, tables, lam, count, base_seed, stream_offset, blocks):
@@ -557,130 +548,54 @@ def _share_sums(f, engine, tables, lam, count, base_seed, stream_offset, blocks)
     return np.array([np.exp(1j * t).sum(axis=0) for t in rows], dtype=complex)
 
 
-def _fork_worker(args, plans, w):
-    """Fork worker w, a child that writes the payload of
-    _worker_payload(args, plans, w) to a pipe; return (pid, read end).  The
-    child never returns: it leaves by os._exit, with the payload's status
-    only when every byte was written, and status 1 otherwise."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                payload, code = _worker_payload(args, plans, w)
-                view = memoryview(payload)
-                while view:
-                    view = view[os.write(write_fd, view) :]
-                status = code
-            finally:
-                os._exit(status)
-    except BaseException:
-        os.close(read_fd)
-        raise
-    finally:
-        os.close(write_fd)
-    return pid, read_fd
-
-
-def _worker_payload(args, plans, w):
-    """Worker w's (payload, status): one row of sums per block of share w
-    of every rung cut into more than w shares, rung after rung, and 0; or,
-    when a share raises, the rung's index, a newline and the exception's
-    text, and 1.  Every share is paired before a byte is written, so a
-    payload larger than the pipe never stalls the worker while the parent
-    is still pairing its own shares."""
-    rows = []
-    for r, shares in enumerate(plans):
-        if len(shares) > w:
-            try:
-                rows.append(_share_sums(*args[r], shares[w]).tobytes())
-            except Exception as exc:
-                import traceback
-
-                return f"{r}\n{''.join(traceback.format_exception_only(exc))}".encode(), 1
-    return b"".join(rows), 0
-
-
-def _worker_error(rungs, plans, w, status, data, sizes):
-    """The VerifyError of worker w, which exited with wait status `status`
-    after sending `data` where rung r's share wanted sizes[r] bytes: it
-    names the rung the worker reported failing on, or else the first rung
-    whose bytes did not all arrive, and quotes the worker's error."""
-    code = os.waitstatus_to_exitcode(status)
-    head, newline, said = data.partition(b"\n") if code else (b"", b"", b"")
-    if newline and head.isdigit() and int(head) in sizes:
-        r = int(head)
-    else:
-        said, at = b"", 0
-        for r, size in sizes.items():
-            at += size
-            if at > len(data):
-                break
-    (lam, _), blocks = rungs[r], plans[r][w]
-    said = said.decode(errors="replace").strip()
-    return VerifyError(
-        f"rung lambda={lam:g}: the worker pairing blocks {blocks.start}-{blocks.stop - 1} "
-        f"exited with status {code} after sending {len(data)} of {sum(sizes.values())} bytes"
-        + (f": {said}" if said else "")
-    )
-
-
 def _study_cf(f, op, rungs, count, bank, base_seed):
     """Empirical functionals and standard errors of `count` members on each
     rung of `rungs`, a list of (lam, stream_offset) pairs (lam = inf: the
     limit), as one (mean, se) pair per rung.
 
     The engine and its pairing tables depend on the operator and the bank
-    alone, so they are built once.  Each rung's blocks are cut into
-    contiguous shares (_rung_shares).  This process forks one worker per
-    share index above 0 that some rung uses, at most MAX_WORKERS - 1 for
-    all the rungs, which inherit the engine and tables; pairs share 0 of
-    every rung itself; then reads each worker's block sums and reaps it.
-    Worker w pairs share w of every rung cut into more than w shares.  The
-    block sums of each rung are added in block order, so the result has
-    the same bytes for any number of workers, and no worker outlives the
-    call.  Raises VerifyError, naming the rung and blocks and quoting the
-    worker's error, when a worker fails or sends back the wrong bytes.
+    alone, so they are built once, with one shared table: a row of sums per
+    block of every rung, and per worker a count of the rungs it has
+    finished.  workers.run pairs share w of every rung (_study_shares) in
+    worker w, which writes its block sums into the table in place.  Each
+    rung's sums are added in block order, so the result has the same bytes
+    for any number of workers.  Raises VerifyError naming the rung and
+    blocks, and quoting the error, of a worker that fails.
     """
     engine = _rung_engine(op, bank)
     tables = _rung_tables(engine, bank)
-    args = [(f, engine, tables, lam, count, base_seed, offset) for lam, offset in rungs]
-    plans = [_rung_shares(engine, lam, count) for lam, _ in rungs]
-    row = len(bank) * np.dtype(complex).itemsize
-    sums = [[] for _ in rungs]  # each rung's block sums, share by share
-    children = []  # (pid, read end, worker index) of every forked worker
-    statuses = {}  # pid -> wait status of every worker reaped
-    try:
-        for w in range(1, max(map(len, plans))):
-            children.append((*_fork_worker(args, plans, w), w))
-        for r, shares in enumerate(plans):
-            sums[r].append(_share_sums(*args[r], shares[0]))
-        for pid, fd, w in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            statuses[pid] = os.waitpid(pid, 0)[1]
-            sizes = {r: (s[w].stop - s[w].start) * row for r, s in enumerate(plans) if len(s) > w}
-            if statuses[pid] != 0 or len(data) != sum(sizes.values()):
-                raise _worker_error(rungs, plans, w, statuses[pid], data, sizes)
-            view, at = memoryview(data), 0
-            for r, size in sizes.items():
-                part = np.frombuffer(view[at : at + size], dtype=complex)
-                sums[r].append(part.reshape(-1, len(bank)))
-                at += size
-    finally:
-        for pid, fd, _ in children:
-            os.close(fd)
-            if pid not in statuses:
-                import signal
+    plans = _study_shares(engine, rungs, count)
+    n, nbank = len(plans[0]), len(bank)
+    first = np.cumsum([0] + [shares[-1].stop for shares in plans])  # each rung's first row
+    shared = mmap.mmap(-1, int(first[-1]) * nbank * 16 + n * 8)  # complex rows, int64 counts
+    table = np.frombuffer(shared, complex, int(first[-1]) * nbank).reshape(-1, nbank)
+    done = np.frombuffer(shared, np.int64, n, offset=table.nbytes)
 
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    def pair(w):
+        for r, (lam, offset) in enumerate(rungs):
+            blocks = plans[r][w]
+            if blocks.stop > blocks.start:
+                sums = _share_sums(f, engine, tables, lam, count, base_seed, offset, blocks)
+                rows = table[first[r] + blocks.start : first[r] + blocks.stop]
+                if sums.shape != rows.shape:
+                    raise VerifyError(f"paired {sums.shape} block sums for {rows.shape}")
+                rows[:] = sums
+            done[w] += 1
+
+    for w, (code, said) in enumerate(workers.run(pair, n), start=1):
+        if code:
+            # a worker killed after its last rung is named by that rung
+            r = min(int(done[w]), len(rungs) - 1)
+            blocks = plans[r][w]
+            raise VerifyError(
+                f"rung lambda={rungs[r][0]:g}: the worker pairing blocks "
+                f"{blocks.start}-{blocks.stop - 1} exited with status {code}"
+                + (f": {said}" if said else "")
+            )
     out = []
-    for parts in sums:
+    for r in range(len(rungs)):
         acc = np.zeros(len(bank), dtype=complex)
-        for block in np.concatenate(parts):
+        for block in table[first[r] : first[r + 1]]:
             acc += block
         out.append(_cf_mean_se(acc, count))
     return out
@@ -688,8 +603,7 @@ def _study_cf(f, op, rungs, count, bank, base_seed):
 
 def rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     """Empirical functionals and standard errors of one rung (lam = inf: the
-    limit): the one-rung study of _study_cf, whose workers are forked for
-    this rung and reaped before it returns."""
+    limit): the one-rung study of _study_cf."""
     [(mean, se)] = _study_cf(f, op, [(lam, stream_offset)], count, bank, base_seed)
     return mean, se
 
@@ -715,9 +629,8 @@ def convergence_study(f, op, ladder, count, bank, base_seed=0):
     Every rung estimates the empirical functional per bank entry from
     `count` realizations of the poissonized process at its rate, and
     compares against the analytic functional of the limit exponent.  The
-    rungs run as one _study_cf call: its workers are forked once for the
-    whole ladder and reaped before the study returns.  The
-    CFReport fits the log-log error slope over rungs whose mean error
+    rungs run as one _study_cf call, whose workers are forked once for the
+    whole ladder.  The CFReport fits the log-log error slope over rungs whose mean error
     exceeds NOISE_SPLIT standard errors; fewer than two such rungs raises
     NoiseFloor (carrying the partial report).
     """

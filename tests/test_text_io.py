@@ -95,7 +95,7 @@ def test_realization_csv_and_plot_dat_match_the_per_value_writers(tmp_path, dim,
 
 @pytest.mark.parametrize("dim, count", [(1, 5000), (2, 9000), (1, 0), (2, 0)])
 def test_impulse_csv_matches_the_per_value_writer(tmp_path, dim, count):
-    # 9000 rows span three write chunks, the last one partial
+    # 9000 rows span five write chunks of CHUNK_ROWS = 2048, the last one partial
     box = Box.cube(-1.0, 1.0, dim)
     rng = np.random.default_rng(count + dim)
     locations = rng.uniform(-1.0, 1.0, (count, dim))

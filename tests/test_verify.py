@@ -3,7 +3,7 @@
 import ast
 import math
 import os
-import threading
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyspline import verify
+from levyspline import verify, workers
 from levyspline.cli import _build_parser, _resolve
 from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
 from levyspline.grid import Box, Grid
@@ -429,9 +429,15 @@ def test_convergence_study_is_deterministic():
 
 
 def _workers(monkeypatch, n):
-    """Force n usable CPUs, and split every rung that has n blocks."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: n)
+    """Force n usable CPUs, and split every study whose largest rung has n
+    blocks."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda cap: n)
     monkeypatch.setattr(verify, "SHARE_WORK", 1)
+
+
+def _shares(engine, ladder, count):
+    """Each rung's shares when a study of `count` members climbs `ladder`."""
+    return verify._study_shares(engine, [(lam, 0) for lam in ladder], count)
 
 
 PARALLEL_CASES = (
@@ -468,12 +474,12 @@ def test_rung_cf_and_studies_have_the_same_bytes_for_any_worker_count(monkeypatc
             engine = _rung_engine(op, bank)
             count = 3 * _block_members(engine, 1.0)
             for lam in (1.0, 64.0):
-                assert len(verify._rung_shares(engine, lam, count)) == n
+                assert len(_shares(engine, [lam], count)[0]) == n
             mean, se = rung_cf(f, op, 64.0, count, bank, 4, 900)
             seen.setdefault((fam, str(kw), str(f)), []).append(
                 (mean.tobytes(), se.tobytes()) + _study_bytes(f, op, bank, count)
             )
-        assert len(verify._rung_shares(_rung_engine(OP_D, bank), math.inf, 300)) == n
+        assert len(_shares(_rung_engine(OP_D, bank), [math.inf], 300)[0]) == n
         mean, se = rung_cf(cauchy(1.0), OP_D, math.inf, 300, bank, 4, 0)
         seen.setdefault("limit", []).append((mean.tobytes(), se.tobytes()))
     for runs in seen.values():
@@ -506,8 +512,10 @@ def test_a_failed_share_raises_and_leaves_no_process(monkeypatch, where):
     count = 5 * _block_members(_rung_engine(OP_D, bank), 1.0)
     error, match = {
         # a child's own error is quoted
-        "child raises": (VerifyError, "blocks 1-2 .* status 1 .*: RuntimeError: child raises"),
-        "child short": (VerifyError, "blocks 1-2 .* status 0 after sending"),
+        "child raises": (VerifyError, "blocks 1-2 .* status 1: RuntimeError: child raises"),
+        # a short share is caught before it is written
+        "child short": (VerifyError,
+                        r"blocks 1-2 .* status 1: .*paired \(1, 5\) block sums for \(2, 5\)"),
         "parent raises": (RuntimeError, "parent raises"),
     }[where]
     with pytest.raises(error, match=match):
@@ -520,7 +528,7 @@ def test_a_rung_below_the_work_threshold_never_forks(monkeypatch):
     def no_fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda cap: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     bank = build_cf_bank(GRID1)
     fds = len(os.listdir("/dev/fd"))
@@ -530,7 +538,7 @@ def test_a_rung_below_the_work_threshold_never_forks(monkeypatch):
     # one member more is split, and the first fork is refused
     with pytest.raises(AssertionError, match="forked"):
         rung_cf(gaussian(1.0), OP_D, 1.0, small + 1, bank, 4, 0)
-    # the refused fork's pipe is closed
+    # the refused fork leaves no descriptor open
     assert len(os.listdir("/dev/fd")) == fds
 
 
@@ -539,16 +547,38 @@ LADDER4 = (1.0, 4.0, 16.0, 64.0)
 
 def test_a_worker_that_fails_on_a_later_rung_names_that_rung(monkeypatch):
     # the workers pair rates 1 and 4 and fail on 16: the error names the
-    # rate-16 blocks of the first worker, whose pipe is read first
+    # rate-16 blocks of the first worker, which is reaped first
     _workers(monkeypatch, 3)
     _fail_in(monkeypatch, "child raises", lam=16.0)
     bank = build_cf_bank(GRID1)
     engine = _rung_engine(OP_D, bank)
     count = 5 * _block_members(engine, 1.0)
-    blocks = verify._rung_shares(engine, 16.0, count)[1]
-    match = (f"rung lambda=16: .* blocks {blocks.start}-{blocks.stop - 1} .* status 1 .*: "
+    blocks = _shares(engine, LADDER4, count)[2][1]
+    match = (f"rung lambda=16: .* blocks {blocks.start}-{blocks.stop - 1} .* status 1: "
              "RuntimeError: child raises")
     with pytest.raises(VerifyError, match=match):
+        convergence_study(gaussian(1.0), OP_D, LADDER4, count, bank, base_seed=4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_killed_by_a_signal_names_the_rung_it_was_pairing(monkeypatch):
+    # the worker has finished rates 1 and 4 when SIGKILL ends it in its
+    # rate-16 share, and its count of finished rungs says so
+    _workers(monkeypatch, 2)
+    parent, real = os.getpid(), verify._share_sums
+
+    def share_sums(*args):
+        if os.getpid() != parent and args[3] == 16.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_share_sums", share_sums)
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    count = 5 * _block_members(engine, 1.0)
+    assert _shares(engine, LADDER4, count)[2][1] == slice(3, 6)
+    with pytest.raises(VerifyError, match=r"^rung lambda=16: .* blocks 3-5 exited with status -9$"):
         convergence_study(gaussian(1.0), OP_D, LADDER4, count, bank, base_seed=4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -576,13 +606,13 @@ def _study(f, op, ladder, count, bank):
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_study_forks_each_worker_once(monkeypatch, n):
     # every rung of the ladder is cut into n shares, and the n - 1 workers
-    # forked for the first rung pair their share of every other rung too
+    # pair their share of every rung
     _workers(monkeypatch, n)
     forks = _count_forks(monkeypatch)
     bank = build_cf_bank(GRID1)
     engine = _rung_engine(OP_D, bank)
     count = 3 * _block_members(engine, 1.0)
-    assert [len(verify._rung_shares(engine, lam, count)) for lam in LADDER4] == [n] * 4
+    assert [len(shares) for shares in _shares(engine, LADDER4, count)] == [n] * 4
     _study(gaussian(1.0), OP_D, LADDER4, count, bank)
     assert len(forks) == n - 1
     with pytest.raises(ChildProcessError):
@@ -590,63 +620,85 @@ def test_a_study_forks_each_worker_once(monkeypatch, n):
 
 
 def test_a_study_below_the_work_threshold_never_forks(monkeypatch):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda cap: 2)
     forks = _count_forks(monkeypatch)
     bank = build_cf_bank(GRID1)
     engine = _rung_engine(OP_D, bank)
-    # the top rung, the largest, has less than two shares' work
-    count = (2 * verify.SHARE_WORK - 1) // verify._member_work(engine, 64.0)
-    assert [len(verify._rung_shares(engine, lam, count)) for lam in LADDER4] == [1] * 4
+    # the largest study with less than two shares' work over all its rungs
+    # stays serial; one member more is split
+    count = (2 * verify.SHARE_WORK - 1) // sum(verify._member_work(engine, lam) for lam in LADDER4)
+    assert [len(shares) for shares in _shares(engine, LADDER4, count)] == [1] * 4
+    assert [len(shares) for shares in _shares(engine, LADDER4, count + 1)] == [2] * 4
+    _study(gaussian(1.0), OP_D, LADDER4, count, bank)
+    assert forks == []
+
+
+@pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
+def test_a_platform_without_fork_or_affinity_runs_studies_serially(monkeypatch, name):
+    # without os.fork a fork attempt would raise AttributeError
+    forks = _count_forks(monkeypatch) if name != "fork" else []
+    monkeypatch.delattr(os, name)
+    monkeypatch.setattr(verify, "SHARE_WORK", 1)
+    assert workers.usable_cpus(verify.MAX_WORKERS) == 1
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    count = 3 * _block_members(engine, 1.0)
+    assert [len(shares) for shares in _shares(engine, LADDER4, count)] == [1] * 4
     _study(gaussian(1.0), OP_D, LADDER4, count, bank)
     assert forks == []
 
 
 def test_a_study_has_the_same_bytes_on_a_mixed_ladder(monkeypatch):
-    # at the real work threshold 8,000 members leave rates 1 and 4 serial,
-    # cut rate 16 into 2 shares and rate 64 into up to 3, so the third
-    # process pairs the top rung alone
+    # at the real work threshold 8,000 members give the study work for at
+    # least 3 shares, and every rung, whatever its block count, is cut into
+    # as many shares as there are workers
     bank = build_cf_bank(GRID1)
     engine = _rung_engine(OP_D, bank)
     seen = []
-    for n, shares in ((1, [1, 1, 1, 1]), (2, [1, 1, 2, 2]), (3, [1, 1, 2, 3])):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda n=n: n)
-        assert [len(verify._rung_shares(engine, lam, 8000)) for lam in LADDER4] == shares
+    for n in (1, 2, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda cap, n=n: n)
+        assert [len(shares) for shares in _shares(engine, LADDER4, 8000)] == [n] * 4
         report = _study(gaussian(1.0), OP_D, LADDER4, 8000, bank)
         seen.append((report.empirical.tobytes(), report.se.tobytes(),
                      np.float64(report.slope).tobytes()))
     assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
-def test_a_worker_payload_larger_than_the_pipe_has_the_same_bytes(monkeypatch):
-    # one member per block: each worker pairs at least 1,200 blocks over
-    # the ladder and sends one 80-byte row per block, past the 64 KiB a
-    # pipe buffers, all after its last share is paired
-    monkeypatch.setattr(verify, "BLOCK_CELLS", 1)
+def test_a_study_with_empty_shares_has_the_same_bytes(monkeypatch):
+    # 2 rate-1 blocks of members: with 3 workers the rate-1 rung leaves this
+    # process's share empty while the rate-64 rung fills all three
     bank = build_cf_bank(GRID1)
     engine = _rung_engine(OP_D, bank)
-    row = len(bank) * np.dtype(complex).itemsize
+    count = 2 * _block_members(engine, 1.0)
     seen = []
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
-        plans = [verify._rung_shares(engine, lam, 900) for lam in LADDER4]
-        for w in range(1, n):
-            assert sum((s[w].stop - s[w].start) * row for s in plans) > 64 * 1024
-        report = _study(cauchy(1.0), OP_D, LADDER4, 900, bank)
+        plans = _shares(engine, LADDER4, count)
+        assert [len(shares) for shares in plans] == [n] * 4
+        assert (plans[0][0] == slice(0, 0)) == (n == 3)
+        assert all(s.stop > s.start for s in plans[-1])
+        report = _study(cauchy(1.0), OP_D, LADDER4, count, bank)
         seen.append((report.empirical.tobytes(), report.se.tobytes(),
                      np.float64(report.slope).tobytes()))
     assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
-def test_no_fork_while_other_threads_run():
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(10.0,))
-    thread.start()
-    try:
-        assert verify._usable_cpus() == 1
-    finally:
-        release.set()
-        thread.join(10.0)
-    assert not thread.is_alive()
+def test_a_worker_share_of_many_blocks_has_the_same_bytes(monkeypatch):
+    # one member per block: each worker pairs at least 1,200 blocks over
+    # the ladder and writes one 80-byte row per block into the shared table
+    monkeypatch.setattr(verify, "BLOCK_CELLS", 1)
+    bank = build_cf_bank(GRID1)
+    engine = _rung_engine(OP_D, bank)
+    seen = []
+    for n in (1, 2, 3):
+        _workers(monkeypatch, n)
+        plans = _shares(engine, LADDER4, 900)
+        for w in range(1, n):
+            assert sum(s[w].stop - s[w].start for s in plans) >= 1200
+        report = _study(cauchy(1.0), OP_D, LADDER4, 900, bank)
+        seen.append((report.empirical.tobytes(), report.se.tobytes(),
+                     np.float64(report.slope).tobytes()))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def test_convergence_study_validation():

@@ -18,7 +18,7 @@ from .exponents import (
     poissonize,
 )
 from .grid import Box, Grid
-from .noise import ImpulseField, RngStream, sample_impulse_field
+from .noise import ImpulseBlock, RngStream, sample_impulse_field
 from .operators import (
     OperatorSpec,
     apply_T,
@@ -50,7 +50,7 @@ __all__ = [
     "CFReport",
     "Grid",
     "GridRealization",
-    "ImpulseField",
+    "ImpulseBlock",
     "JumpLaw",
     "LevyExponent",
     "NoiseFloor",

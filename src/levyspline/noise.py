@@ -39,49 +39,13 @@ class RngStream:
 
 
 @dataclass(frozen=True, eq=False)
-class ImpulseField:
-    """Finite impulse set w = sum_k a_k delta(. - x_k) on a box.
-
-    locations has shape (count, dim), amplitudes shape (count,).  seed and
-    stream record the RngStream that produced the field.
-    """
-
-    dim: int
-    box: Box
-    locations: np.ndarray
-    amplitudes: np.ndarray
-    rate: float
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float).reshape(-1, self.dim)
-        amps = np.asarray(self.amplitudes, dtype=float).reshape(-1)
-        object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "amplitudes", amps)
-        if locs.shape[0] != amps.shape[0]:
-            raise NoiseError("locations and amplitudes must pair up")
-        if self.box.dim != self.dim:
-            raise NoiseError("box dimension must match field dimension")
-        # each axis's min and max hold every point to the box (a NaN fails
-        # both); one reduction per column, not a comparison array per point
-        box = self.box
-        if locs.size and not all(
-            lo <= x.min() and x.max() <= hi for x, lo, hi in zip(locs.T, box.lo, box.hi)
-        ):
-            raise NoiseError("every impulse location must lie inside the box")
-
-    @property
-    def count(self):
-        return self.amplitudes.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class ImpulseBlock:
-    """Impulses of `members` independent fields drawn from one RngStream.
+    """Finite impulse sets w = sum_k a_k delta(. - x_k) of `members`
+    independent fields on one box; a single field is the one-member block.
 
     counts has shape (members,); locations (sum(counts), dim) and
     amplitudes (sum(counts),) concatenate the fields in member order.
+    seed and stream record the RngStream that drew the block.
     """
 
     dim: int
@@ -91,22 +55,36 @@ class ImpulseBlock:
     amplitudes: np.ndarray
     rate: float
     seed: int
-    stream: int
+    stream: int = 0
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts)
+        locs = np.asarray(self.locations, dtype=float)
+        amps = np.asarray(self.amplitudes, dtype=float)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "locations", locs)
+        object.__setattr__(self, "amplitudes", amps)
+        if self.box.dim != self.dim:
+            raise NoiseError("box dimension must match field dimension")
+        if amps.ndim != 1 or locs.shape != (amps.shape[0], self.dim):
+            raise NoiseError("locations (n, dim) and amplitudes (n,) must pair up")
+        if counts.ndim != 1 or counts.sum() != amps.shape[0]:
+            raise NoiseError("counts must sum to the impulse count")
+        # each axis's min and max hold every point to the box (a NaN fails
+        # both); one reduction per column, not a comparison array per point
+        box = self.box
+        if locs.size and not all(
+            lo <= x.min() and x.max() <= hi for x, lo, hi in zip(locs.T, box.lo, box.hi)
+        ):
+            raise NoiseError("every impulse location must lie inside the box")
 
     @property
     def members(self):
         return self.counts.shape[0]
 
-    def fields(self):
-        """Split the block into one ImpulseField per member."""
-        ends = np.cumsum(self.counts).tolist()
-        return [
-            ImpulseField(
-                self.dim, self.box, self.locations[a:b], self.amplitudes[a:b],
-                self.rate, self.seed, self.stream,
-            )
-            for a, b in zip([0] + ends, ends)
-        ]
+    @property
+    def count(self):
+        return self.amplitudes.shape[0]
 
 
 def expected_count(lam, box):
@@ -158,16 +136,15 @@ def sample_impulse_block(dim, box, lam, jumps, rng, members):
 def sample_impulse_field(dim, box, lam, jumps, rng):
     """Draw one Poisson impulse field on `box` with rate `lam`: the
     one-member block, so the draw order is count, locations, amplitudes."""
-    block = sample_impulse_block(dim, box, lam, jumps, rng, 1)
-    return ImpulseField(
-        dim, box, block.locations, block.amplitudes, block.rate, block.seed, block.stream
-    )
+    return sample_impulse_block(dim, box, lam, jumps, rng, 1)
 
 
 def write_impulse_csv(field, path):
-    """Write `# dim=.. box=.. lambda=.. seed=..` header plus x[,y],amplitude rows,
-    each number as fmt17 writes it, encoded column by column in chunks of
-    CHUNK_ROWS rows."""
+    """Write the one-member block `field` as a `# dim=.. box=.. lambda=..
+    seed=..` header plus x[,y],amplitude rows, each number as fmt17 writes
+    it, encoded column by column in chunks of CHUNK_ROWS rows."""
+    if field.members != 1:
+        raise NoiseError(f"an impulse file holds one field, not {field.members}")
     columns = [*field.locations.T, field.amplitudes]
     with open(path, "w") as fh:
         fh.write(
@@ -179,6 +156,7 @@ def write_impulse_csv(field, path):
 
 
 def read_impulse_csv(path):
+    """The one-member block written by write_impulse_csv."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
@@ -192,9 +170,10 @@ def read_impulse_csv(path):
         if rows
         else np.zeros((0, dim + 1))
     )
-    return ImpulseField(
+    return ImpulseBlock(
         dim=dim,
         box=box,
+        counts=np.array([data.shape[0]]),
         locations=data[:, :dim],
         amplitudes=data[:, dim],
         rate=float(meta["lambda"]),

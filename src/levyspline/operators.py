@@ -148,15 +148,12 @@ def make_operator(family, n=1, alpha=None, gamma=None, dim=None):
 
 
 def parse_operator_config(source, dim=None):
-    """Parse 'operator=DaI alpha=0.1' style descriptors (string or mapping).
+    """Parse an 'operator=DaI alpha=0.1' style descriptor string.
     Only the family's own parameter is read; another family's is an error."""
-    if isinstance(source, str):
-        try:
-            pairs = dict(tok.split("=", 1) for tok in source.split())
-        except ValueError as exc:
-            raise OperatorError(f"bad operator descriptor {source!r}") from exc
-    else:
-        pairs = {k: str(v) for k, v in dict(source).items()}
+    try:
+        pairs = dict(tok.split("=", 1) for tok in source.split())
+    except ValueError as exc:
+        raise OperatorError(f"bad operator descriptor {source!r}") from exc
     if "operator" not in pairs:
         raise OperatorError("operator descriptor missing 'operator=' token")
     fam = pairs["operator"]
@@ -258,15 +255,6 @@ def _check_support(phi):
     return True
 
 
-def _tail_integral(phi, h, axis=-1):
-    """Right-tail trapezoid integral along `axis`: out(x) = integral_x^end phi."""
-    phi = np.moveaxis(phi, axis, -1)
-    panels = 0.5 * h * (phi[..., :-1] + phi[..., 1:])
-    out = np.zeros_like(phi)
-    out[..., :-1] = np.flip(np.cumsum(np.flip(panels, -1), axis=-1), -1)
-    return np.moveaxis(out, -1, axis)
-
-
 def one_pole(x, r, axis=-1):
     """One-pole recursion y_i = x_i + r y_{i-1} along `axis`, y_{-1} = 0,
     for 0 < r < 1.
@@ -299,19 +287,27 @@ def one_pole(x, r, axis=-1):
     return y
 
 
-def _tail_exp_integral(phi, h, alpha, axis=-1):
-    """Trapezoid discretization of integral_x^end exp(-alpha (t - x)) phi(t) dt.
+def _tail_integral(phi, h, alpha=None, axis=-1):
+    """Trapezoid discretization of integral_x^end exp(-alpha (t - x)) phi(t) dt
+    along `axis`; alpha None is the plain right-tail integral (alpha = 0).
 
     Backward recursion I_i = r I_{i+1} + (h/2)(phi_i + r phi_{i+1}), r =
-    exp(-alpha h), I_end = 0: the one-pole recursion run over the reversed
+    exp(-alpha h) (r = 1 for alpha None), I_end = 0: over the reversed
     trapezoid panels u_0 = 0, u_i = (h/2)(psi_i + r psi_{i-1}), psi the
-    reversed phi.
+    reversed phi, a running sum for r = 1 and the one-pole recursion
+    otherwise.
     """
-    r = math.exp(-alpha * h)
+    r = 1.0 if alpha is None else math.exp(-alpha * h)
     rev = np.moveaxis(np.flip(phi, axis), axis, -1)
     panels = np.zeros_like(rev)
     panels[..., 1:] = 0.5 * h * (rev[..., 1:] + r * rev[..., :-1])
-    return np.flip(np.moveaxis(one_pole(panels, r), -1, axis), axis)
+    if alpha is None:
+        # u_0 stays out of the sum, so a signed zero keeps its sign
+        np.cumsum(panels[..., 1:], axis=-1, out=panels[..., 1:])
+        out = panels
+    else:
+        out = one_pole(panels, r)
+    return np.flip(np.moveaxis(out, -1, axis), axis)
 
 
 @functools.lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
@@ -388,8 +384,8 @@ def apply_T(op, phi, step):
     return _run_factors(
         op,
         phi,
-        lambda arr, axis: _tail_integral(arr, h, axis),
-        lambda arr, axis, alpha: _tail_exp_integral(arr, h, alpha, axis),
+        lambda arr, axis: _tail_integral(arr, h, axis=axis),
+        lambda arr, axis, alpha: _tail_integral(arr, h, alpha, axis),
     )
 
 

@@ -102,7 +102,10 @@ def _check_margin(field, op, grid):
 
 
 def synthesize_spline(field, op, grid):
-    """Sample s = sum_k a_k rho_L(. - x_k) (plus pinning) on the grid."""
+    """Sample s = sum_k a_k rho_L(. - x_k) (plus pinning) on the grid, for
+    the impulses of the one-member block `field`."""
+    if field.members != 1:
+        raise SynthesisError(f"synthesis takes one field, not a block of {field.members}")
     if field.dim != op.dim or grid.dim != op.dim:
         raise SynthesisError("field, operator, and grid dimensions must agree")
     _check_margin(field, op, grid)

@@ -278,9 +278,8 @@ def empirical_cf(realizations, phi):
         count += 1
     if count < MIN_ENSEMBLE:
         raise VerifyError(f"ensemble size {count} is below the minimum {MIN_ENSEMBLE}")
-    mean = total / count
-    se = math.sqrt(max(1.0 - abs(mean) ** 2, 0.0) / (count - 1))
-    return CFEstimate(value=mean, se=se, count=count)
+    mean, se = _cf_mean_se(total, count)
+    return CFEstimate(value=mean, se=float(se), count=count)
 
 
 def analytic_cf(f, op, phi, grid):
@@ -507,13 +506,7 @@ def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
     """
     engine = _rung_engine(op, bank)
     tables = _rung_tables(engine, bank)
-    yield from _pairings(f, engine, tables, lam, count, base_seed, stream_offset)
-
-
-def _pairings(f, engine, tables, lam, count, base_seed, stream_offset, blocks=slice(None)):
-    """block_pairings on a built engine and its tables, for the blocks in
-    the slice `blocks` of the rung."""
-    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks):
+    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
         yield _pair_block(engine, tables, block)
 
 
@@ -543,9 +536,13 @@ def _study_shares(engine, rungs, count):
 
 
 def _share_sums(f, engine, tables, lam, count, base_seed, stream_offset, blocks):
-    """sum over members of exp(i <s, phi>), one row per block of the slice."""
-    rows = _pairings(f, engine, tables, lam, count, base_seed, stream_offset, blocks)
-    return np.array([np.exp(1j * t).sum(axis=0) for t in rows], dtype=complex)
+    """sum over members of exp(i <s, phi>), one row per block of the slice
+    `blocks` of the rung, on a built engine and its tables."""
+    drawn = _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks)
+    return np.array(
+        [np.exp(1j * _pair_block(engine, tables, block)).sum(axis=0) for block in drawn],
+        dtype=complex,
+    )
 
 
 def _study_cf(f, op, rungs, count, bank, base_seed):

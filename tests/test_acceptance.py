@@ -144,7 +144,7 @@ def test_criterion_05_cauchy_reference_marginal():
 
 
 def test_criterion_06_jump_localization():
-    from levyspline.noise import ImpulseField
+    from levyspline.noise import ImpulseBlock
 
     op = make_operator("D")
     good_1d = 0
@@ -152,9 +152,10 @@ def test_criterion_06_jump_localization():
         gen = RngStream(seed, 3).generator()
         x = float(gen.uniform(0.05, 9.95))
         a = float(gen.normal())
-        field = ImpulseField(
+        field = ImpulseBlock(
             dim=1,
             box=WINDOW.box,
+            counts=[1],
             locations=np.array([[x]]),
             amplitudes=np.array([a]),
             rate=1.0,
@@ -174,9 +175,10 @@ def test_criterion_06_jump_localization():
     for seed in range(20):
         gen = RngStream(seed, 4).generator()
         xy = gen.uniform(0.2, 9.8, size=(1, 2))
-        field = ImpulseField(
+        field = ImpulseBlock(
             dim=2,
             box=grid2.box,
+            counts=[1],
             locations=xy,
             amplitudes=np.array([float(gen.normal())]),
             rate=1.0,

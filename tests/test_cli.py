@@ -600,18 +600,26 @@ def test_non_finite_or_non_positive_values_exit_2(argv, tmp_path, capsys):
 
 
 def test_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
-    # a seed below 0 is refused by flag, config file and environment alike
+    # a seed below 0 is refused by flag, config file and environment alike,
+    # and so is an environment seed that is not an integer
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed=-1\n")
+    negative = "config error: seed must be a nonnegative integer\n"
+    cases = (
+        (None, ["--seed", "-1"], negative),
+        (None, ["--config", str(cfg)], negative),
+        ("-3", [], negative),
+        ("abc", [], "config error: bad LEVYSPLINE_SEED value 'abc'\n"),
+    )
     for command in ("generate", "verify"):
-        for env, args in ((None, ["--seed", "-1"]), (None, ["--config", str(cfg)]), ("-3", [])):
+        for env, args, said in cases:
             if env is None:
                 monkeypatch.delenv("LEVYSPLINE_SEED", raising=False)
             else:
                 monkeypatch.setenv("LEVYSPLINE_SEED", env)
             out = tmp_path / "o"
             assert main([command, *args, "--outdir", str(out)]) == 2, (command, args, env)
-            assert capsys.readouterr().err == "config error: seed must be a nonnegative integer\n"
+            assert capsys.readouterr().err == said
             assert not out.exists()
 
 

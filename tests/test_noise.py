@@ -7,7 +7,7 @@ from scipy import stats
 from levyspline.exponents import JumpLaw, cauchy, gaussian
 from levyspline.grid import Box
 from levyspline.noise import (
-    ImpulseField,
+    ImpulseBlock,
     NoiseError,
     RngStream,
     read_impulse_csv,
@@ -64,11 +64,9 @@ def test_sample_block_draw_order_is_replayable():
     np.testing.assert_array_equal(block.locations, locs)
     np.testing.assert_array_equal(block.amplitudes, amps)
     assert (block.members, block.seed, block.stream) == (7, 11, 40)
-    fields = block.fields()
-    assert [fld.count for fld in fields] == list(counts)
-    np.testing.assert_array_equal(np.concatenate([fld.amplitudes for fld in fields]), amps)
+    assert block.count == total
     # a study's histogram offsets put each member's impulses in its own row
-    offsets = np.concatenate([np.full(fld.count, 11 * i) for i, fld in enumerate(fields)])
+    offsets = np.concatenate([np.full(k, 11 * i) for i, k in enumerate(counts)])
     np.testing.assert_array_equal(_member_offsets(block, 11), offsets)
     with pytest.raises(NoiseError):
         sample_impulse_block(2, box, 1.5, GAUSS, RngStream(11, 40), 0)
@@ -108,7 +106,10 @@ def test_sample_field_is_the_one_member_block():
     box = Box.cube(0.0, 10.0, 1)
     for index in range(5):
         field = sample_impulse_field(1, box, 3.0, GAUSS, RngStream(8, index))
-        (same,) = sample_impulse_block(1, box, 3.0, GAUSS, RngStream(8, index), 1).fields()
+        same = sample_impulse_block(1, box, 3.0, GAUSS, RngStream(8, index), 1)
+        assert isinstance(field, ImpulseBlock) and field.members == 1
+        np.testing.assert_array_equal(field.counts, [field.count])
+        np.testing.assert_array_equal(field.counts, same.counts)
         np.testing.assert_array_equal(field.locations, same.locations)
         np.testing.assert_array_equal(field.amplitudes, same.amplitudes)
         assert (field.box, field.rate, field.seed, field.stream) == (
@@ -163,9 +164,10 @@ def test_sample_field_guards():
 def test_field_containment_validated():
     box = Box.cube(0.0, 1.0, 1)
     with pytest.raises(NoiseError):
-        ImpulseField(
+        ImpulseBlock(
             dim=1,
             box=box,
+            counts=[1],
             locations=np.array([[2.0]]),
             amplitudes=np.array([1.0]),
             rate=1.0,
@@ -175,14 +177,45 @@ def test_field_containment_validated():
     # side of either axis is not, and neither is a NaN
     box = Box((0.0, -1.0), (10.0, 2.0))
     corners = np.array([[0.0, -1.0], [10.0, 2.0], [5.0, 0.5]])
-    ImpulseField(2, box, corners, np.ones(3), 1.0, 0)
+    ImpulseBlock(2, box, [3], corners, np.ones(3), 1.0, 0)
     for axis in range(2):
         lo, hi = box.lo[axis], box.hi[axis]
         for bad in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan):
             locs = corners.copy()
             locs[2, axis] = bad
             with pytest.raises(NoiseError):
-                ImpulseField(2, box, locs, np.ones(3), 1.0, 0)
+                ImpulseBlock(2, box, [3], locs, np.ones(3), 1.0, 0)
+
+
+def test_block_shapes_and_counts_validated():
+    # locations (n, dim) pair with amplitudes (n,), and counts sum to n
+    box = Box((0.0, -1.0), (10.0, 2.0))
+    locs = np.array([[0.0, -1.0], [10.0, 2.0], [5.0, 0.5]])
+    block = ImpulseBlock(2, box, [2, 0, 1], locs, np.ones(3), 1.0, 0)
+    assert (block.members, block.count, block.stream) == (3, 3, 0)
+    for bad_locs, bad_amps in (
+        (locs[:2], np.ones(3)),
+        (locs, np.ones(2)),
+        (locs[:, :1], np.ones(3)),
+        (locs.ravel(), np.ones(3)),
+        (locs, np.ones((3, 1))),
+    ):
+        with pytest.raises(NoiseError, match="pair up"):
+            ImpulseBlock(2, box, [3], bad_locs, bad_amps, 1.0, 0)
+    for counts in ([2], [1, 1], [1, 1, 2], [[3]]):
+        with pytest.raises(NoiseError, match="counts"):
+            ImpulseBlock(2, box, counts, locs, np.ones(3), 1.0, 0)
+    with pytest.raises(NoiseError, match="dimension"):
+        ImpulseBlock(1, box, [3], locs, np.ones(3), 1.0, 0)
+
+
+def test_impulse_csv_refuses_a_block_of_several_fields(tmp_path):
+    box = Box.cube(0.0, 10.0, 1)
+    block = sample_impulse_block(1, box, 2.0, GAUSS, RngStream(3, 1), 2)
+    path = tmp_path / "impulses.csv"
+    with pytest.raises(NoiseError, match="one field"):
+        write_impulse_csv(block, path)
+    assert not path.exists()
 
 
 def test_impulse_csv_round_trip(tmp_path):

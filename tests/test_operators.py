@@ -19,7 +19,6 @@ from levyspline.operators import (
     make_operator,
     _forward_diff,
     _fourier_multiplier,
-    _tail_exp_integral,
     _tail_integral,
     margin_rule,
     one_pole,
@@ -323,7 +322,7 @@ def test_tail_exp_integral_matches_filter_formula(alpha):
         zi = -0.5 * h * np.take(rev, [0], axis=axis)
         want, _ = lfilter([0.5 * h, 0.5 * h * r], [1.0, -r], rev, axis=axis, zi=zi)
         want = np.flip(want, axis)
-        got = _tail_exp_integral(phi, h, alpha, axis=axis)
+        got = _tail_integral(phi, h, alpha, axis=axis)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -366,12 +365,12 @@ def branch_apply_T(op, phi, h):
             out = _tail_integral(out, h, axis=0)
         return out
     if op.family == "DaI":
-        return _tail_exp_integral(phi, h, op.alpha, axis=0)
+        return _tail_integral(phi, h, op.alpha, axis=0)
     if op.family == "DxDy":
         return _tail_integral(_tail_integral(phi, h, axis=0), h, axis=1)
     if op.family == "DaIxDaIy":
-        out = _tail_exp_integral(phi, h, op.alpha, axis=0)
-        return _tail_exp_integral(out, h, op.alpha, axis=1)
+        out = _tail_integral(phi, h, op.alpha, axis=0)
+        return _tail_integral(out, h, op.alpha, axis=1)
     return spectral_divide(phi, h, op.gamma)
 
 

@@ -10,7 +10,7 @@ from scipy import stats
 
 from levyspline.exponents import JumpLaw, cauchy, gaussian, laplace
 from levyspline.grid import Box, Grid
-from levyspline.noise import ImpulseField, RngStream, sample_impulse_block, sample_impulse_field
+from levyspline.noise import ImpulseBlock, RngStream, sample_impulse_block, sample_impulse_field
 from levyspline.operators import (
     apply_L_samples,
     green,
@@ -39,11 +39,14 @@ from levyspline.verify import _member_offsets
 GRID1 = Grid(Box.cube(0.0, 10.0, 1), 0.01)
 
 
+def one_field(dim, box, locations, amplitudes, rate=1.0, seed=0):
+    """The one-member ImpulseBlock holding these impulses."""
+    return ImpulseBlock(dim, box, [len(amplitudes)], locations, amplitudes, rate, seed)
+
+
 def single_impulse(x, a, box, dim=1):
     loc = np.atleast_2d(np.asarray(x, dtype=float))
-    return ImpulseField(
-        dim=dim, box=box, locations=loc, amplitudes=np.array([a]), rate=1.0, seed=0
-    )
+    return one_field(dim=dim, box=box, locations=loc, amplitudes=np.array([a]))
 
 
 def test_step_synthesis_single_impulse():
@@ -56,10 +59,16 @@ def test_step_synthesis_single_impulse():
     assert real.provenance == "poisson(lambda=1)"
 
 
+def test_synthesis_refuses_a_block_of_several_fields():
+    block = sample_impulse_block(1, GRID1.box, 2.0, JumpLaw(gaussian(1.0), 1.0), RngStream(3), 2)
+    with pytest.raises(SynthesisError, match="one field"):
+        synthesize_spline(block, make_operator("D"), GRID1)
+
+
 def test_step_synthesis_superposition():
     f1 = single_impulse([2.0], 1.5, GRID1.box)
     f2 = single_impulse([7.0], -0.5, GRID1.box)
-    both = ImpulseField(
+    both = one_field(
         dim=1,
         box=GRID1.box,
         locations=np.array([[2.0], [7.0]]),
@@ -101,7 +110,7 @@ def test_exponential_synthesis_single_impulse():
 def test_pinned_paths_drop_left_margin_impulses():
     # impulses at or left of the window start cancel exactly under pinning
     big = Box.cube(-150.0, 10.0, 1)
-    inside = ImpulseField(
+    inside = one_field(
         dim=1,
         box=big,
         locations=np.array([[4.0]]),
@@ -109,7 +118,7 @@ def test_pinned_paths_drop_left_margin_impulses():
         rate=1.0,
         seed=0,
     )
-    mixed = ImpulseField(
+    mixed = one_field(
         dim=1,
         box=big,
         locations=np.array([[-20.0], [0.0], [4.0]]),
@@ -176,7 +185,7 @@ def test_spectral_synthesis_properties():
     assert np.all(np.isfinite(real.samples))
     # window mean removed; doubling amplitudes doubles the field
     assert abs(np.mean(real.samples)) < 1e-10
-    doubled = ImpulseField(
+    doubled = one_field(
         dim=1,
         box=box,
         locations=field.locations,
@@ -223,7 +232,7 @@ def test_spectral_synthesis_equals_add_at_scatter_bit_for_bit():
             assert field.count > 0
             got = synthesize_spline(field, op, grid).samples
             np.testing.assert_array_equal(got, spectral_by_add_at(field, op, grid))
-        empty = ImpulseField(
+        empty = one_field(
             dim=grid.dim, box=box, locations=np.zeros((0, grid.dim)), amplitudes=np.zeros(0),
             rate=1.0, seed=0,
         )
@@ -290,7 +299,7 @@ def test_causal_synthesis_equals_green_superposition():
         node = np.array([[grid.axis(a)[37 + 44 * a] for a in range(dim)]])
         start = np.array([[0.0, 4.2][:dim]])
         locs = np.concatenate([inside, margin, node, start])
-        field = ImpulseField(
+        field = one_field(
             dim=dim,
             box=box,
             locations=locs,
@@ -315,9 +324,9 @@ def test_causal_2d_synthesis_ignores_impulses_beyond_the_window():
         beyond = np.array([[11.0, 5.0], [5.0, 11.0], [11.5, 11.5], [10.25, -0.5]])
         locs = np.concatenate([inside, margin, beyond])
         amps = np.concatenate([gen.normal(size=34), np.full(4, 3.0)])
-        field = ImpulseField(2, box, locs, amps, 1.0, 0)
+        field = one_field(2, box, locs, amps, 1.0, 0)
         assert_matches_green_sum(field, op, grid)
-        alone = ImpulseField(2, box, beyond[:2], amps[-2:], 1.0, 0)
+        alone = one_field(2, box, beyond[:2], amps[-2:], 1.0, 0)
         assert not synthesize_spline(alone, op, grid).samples.any()
 
 
@@ -325,7 +334,7 @@ def test_n_fold_derivative_synthesis_has_no_impulse_limit():
     op = make_operator("D", n=2)
     k = 10_001
     gen = np.random.default_rng(0)
-    field = ImpulseField(
+    field = one_field(
         dim=1,
         box=GRID1.box,
         locations=gen.uniform(0.0, 10.0, (k, 1)),

@@ -7,7 +7,7 @@ import pytest
 
 from levyspline.cli import main
 from levyspline.grid import Box, Grid, fmt17, grid_text
-from levyspline.noise import ImpulseField, write_impulse_csv
+from levyspline.noise import ImpulseBlock, write_impulse_csv
 from levyspline.operators import make_operator
 from levyspline.synthesis import (
     GridRealization,
@@ -103,7 +103,7 @@ def test_impulse_csv_matches_the_per_value_writer(tmp_path, dim, count):
     if count:
         locations[0] = -0.0
         locations[1] = 1 / 3
-    field = ImpulseField(dim, box, locations, amplitudes, rate=0.1 + 0.2, seed=11)
+    field = ImpulseBlock(dim, box, [count], locations, amplitudes, rate=0.1 + 0.2, seed=11)
     path = tmp_path / "impulses.csv"
     write_impulse_csv(field, path)
     assert path.read_bytes() == oracle_impulse_csv(field).encode()

@@ -169,7 +169,14 @@ def _full_window_fields(op, block, grid):
     """The block's members as fields on the full sampling box of `grid`, so
     that synthesis runs on the whole window whatever box the rung drew on."""
     box = sampling_box(op, grid.box, grid_margin(op, grid))
-    return [replace(fld, box=box) for fld in block.fields()]
+    ends = np.cumsum(block.counts)
+    return [
+        ImpulseBlock(
+            block.dim, box, [b - a], block.locations[a:b], block.amplitudes[a:b],
+            block.rate, block.seed, block.stream,
+        )
+        for a, b in zip(ends - block.counts, ends)
+    ]
 
 
 def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):

@@ -115,21 +115,22 @@ class JumpLaw:
 
 @dataclass(frozen=True)
 class PoissonizedExponent:
-    """Exponent lam * (exp(tau * f_base) - 1) of a compound-Poisson noise.
-
-    lam and tau are independent parameters; the convergence construction
-    uses lam = n, tau = 1/n.
+    """Exponent lam * (exp(f_base / lam) - 1) of the rate-lam compound-Poisson
+    noise: lam alone fixes it, and its jumps follow the base law at time
+    tau = 1 / lam.
     """
 
     base: LevyExponent
     lam: float
-    tau: float
 
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ExponentError("rate lam must be positive")
-        if not self.tau > 0.0:
-            raise ExponentError("tau must be positive")
+
+    @property
+    def tau(self):
+        """The jump law's time 1 / lam."""
+        return 1.0 / self.lam
 
     @property
     def jump_law(self):
@@ -171,7 +172,7 @@ def poissonize(f, n):
         raise ExponentError("poissonization rate n must be a positive real")
     if isinstance(f, PoissonizedExponent):
         raise ExponentError("exponent is already of compound-Poisson type")
-    return PoissonizedExponent(base=f, lam=float(n), tau=1.0 / float(n))
+    return PoissonizedExponent(base=f, lam=float(n))
 
 
 def default_xi_grid():
@@ -182,12 +183,11 @@ def default_xi_grid():
     return np.concatenate([-mags[::-1], mags])
 
 
-def poissonization_contraction_check(f, n, xi_grid=None):
-    """True when |n (exp(f/n) - 1)| <= sqrt(2) |f| holds across the grid."""
+def poissonization_contraction_check(f, n):
+    """True when |n (exp(f/n) - 1)| <= sqrt(2) |f| holds across default_xi_grid()."""
     if not n > 0:
         raise ExponentError("n must be positive")
-    xi = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    vals = evaluate(f, xi)
+    vals = evaluate(f, default_xi_grid())
     fn = n * np.expm1(vals / n)
     return bool(np.all(np.abs(fn) <= SQRT2 * np.abs(vals) + 1e-12))
 

@@ -43,8 +43,9 @@ class ImpulseBlock:
     """Finite impulse sets w = sum_k a_k delta(. - x_k) of `members`
     independent fields on one box; a single field is the one-member block.
 
-    counts has shape (members,); locations (sum(counts), dim) and
-    amplitudes (sum(counts),) concatenate the fields in member order.
+    counts holds each member's impulse count, a nonnegative integer, in
+    shape (members,); locations (sum(counts), dim) and amplitudes
+    (sum(counts),) concatenate the fields in member order.
     seed and stream record the RngStream that drew the block.
     """
 
@@ -68,8 +69,10 @@ class ImpulseBlock:
             raise NoiseError("box dimension must match field dimension")
         if amps.ndim != 1 or locs.shape != (amps.shape[0], self.dim):
             raise NoiseError("locations (n, dim) and amplitudes (n,) must pair up")
-        if counts.ndim != 1 or counts.sum() != amps.shape[0]:
-            raise NoiseError("counts must sum to the impulse count")
+        if counts.ndim != 1 or not counts.size or not np.issubdtype(counts.dtype, np.integer):
+            raise NoiseError("counts must be a nonempty 1-D array of integers")
+        if counts.min() < 0 or counts.sum() != amps.shape[0]:
+            raise NoiseError("counts must be nonnegative and sum to the impulse count")
         # each axis's min and max hold every point to the box (a NaN fails
         # both); one reduction per column, not a comparison array per point
         box = self.box
@@ -153,29 +156,3 @@ def write_impulse_csv(field, path):
         )
         for a in range(0, field.count, CHUNK_ROWS):
             fh.write(text17([encode17(col[a : a + CHUNK_ROWS]) for col in columns], ","))
-
-
-def read_impulse_csv(path):
-    """The one-member block written by write_impulse_csv."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise NoiseError(f"{path}: missing impulse header")
-        meta = dict(tok.split("=", 1) for tok in header[2:].split())
-        dim = int(meta["dim"])
-        box = Box.parse(meta["box"])
-        rows = [line.strip() for line in fh if line.strip()]
-    data = (
-        np.array([[float(v) for v in row.split(",")] for row in rows])
-        if rows
-        else np.zeros((0, dim + 1))
-    )
-    return ImpulseBlock(
-        dim=dim,
-        box=box,
-        counts=np.array([data.shape[0]]),
-        locations=data[:, :dim],
-        amplitudes=data[:, dim],
-        rate=float(meta["lambda"]),
-        seed=int(meta["seed"]),
-    )

@@ -387,6 +387,8 @@ def _parse_realization_header(header, path):
     meta = dict(tok.split("=", 1) for tok in header[2:].split())
     dim = int(meta["dim"])
     box = Box.parse(meta["box"])
+    if box.dim != dim:
+        raise SynthesisError(f"{path}: header says dim={dim} over a box of dimension {box.dim}")
     op = parse_operator_config("operator=" + meta["operator"].replace(";", " "), dim=dim)
     return dim, box, float(meta["step"]), op, meta["provenance"], int(meta["seed"])
 
@@ -413,5 +415,7 @@ def read_realization_binary(path):
         shape_line = fh.readline().strip()
     meta = dict(tok.split("=", 1) for tok in shape_line[2:].split())
     shape = tuple(int(v) for v in meta["shape"].split(","))
+    if shape != Grid(box, step).shape:
+        raise SynthesisError(f"{path}: header says shape={meta['shape']}, not its grid's shape")
     samples = np.fromfile(path, dtype="<f8").reshape(shape)
     return GridRealization(dim, box, step, samples, op, provenance, seed)

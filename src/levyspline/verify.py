@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +54,6 @@ NOISE_SPLIT = 3.0
 # test function's error may take, in the pair's larger standard error.
 SLOPE_BAND = (-1.3, -0.7)
 MONOTONE_SLACK = 2.0
-# Relative level at which truncated integrand tails trigger a warning.
-TAIL_LEVEL = 1e-8
 # Soft cap on total jump amplitudes drawn for a compound-sum reference.
 MAX_REFERENCE_VALUES = 10**7
 # Study ensembles are drawn in blocks of members sized so that a block's
@@ -122,10 +119,6 @@ class NoiseFloor(VerifyError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class TailTruncationWarning(UserWarning):
-    """Analytic-functional integrand has not decayed at the margin edge."""
 
 
 def _bump_profile(x, center, width):
@@ -290,8 +283,8 @@ def analytic_cf(f, op, phi, grid):
     every contribution from the left of the window).  The spectral path
     integrates over the torus its synthesis runs on, one node per step of
     that box, each weighted h^dim (the trapezoid rule on a periodic grid).
-    A TailTruncationWarning signals an integrand that has not died off at
-    the domain edge.
+    So any truncation of the integrand at the domain edge is the one the
+    study's draws make too: both sides see the same box.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
@@ -307,17 +300,6 @@ def analytic_cf(f, op, phi, grid):
     embedded[tuple(slice(pad, pad + n) for n in grid.shape)] = phi
     tphi = apply_T(op, embedded, domain.step)
     integrand = evaluate(f, tphi)
-    if pad:
-        mag = np.abs(integrand)
-        peak = np.max(mag)
-        edges = (0,) if op.causal else (0, -1)
-        tail = max(np.max(np.take(mag, i, axis)) for axis in range(domain.dim) for i in edges)
-        if peak > 0 and tail > TAIL_LEVEL * peak:
-            warnings.warn(
-                "integrand has not decayed at the margin edge; increase the margin",
-                TailTruncationWarning,
-                stacklevel=2,
-            )
     total = complex(np.sum(weights * integrand))
     out = complex(np.exp(total))
     return out

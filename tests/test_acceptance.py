@@ -16,7 +16,7 @@ from scipy import stats
 from levyspline.cli import main
 from levyspline.exponents import cauchy, gaussian, laplace, poissonize
 from levyspline.grid import Box, Grid
-from levyspline.noise import RngStream, read_impulse_csv
+from levyspline.noise import RngStream
 from levyspline.operators import make_operator
 from levyspline.synthesis import synthesize_spline
 from levyspline.verify import (
@@ -269,7 +269,7 @@ def test_criterion_08_cli_configuration_matrix(tmp_path):
         out = tmp_path / name
         code = main(args + ["--outdir", str(out)])
         assert code == 0, f"{name} exited {code}"
-        counts[name] = read_impulse_csv(out / "impulses.csv").count
+        counts[name] = np.loadtxt(out / "impulses.csv", delimiter=",", ndmin=2).shape[0]
     # rate windows: lambda=0.5 on a unit-rate-10 window stays sparse,
     # lambda=100 is dense
     sparse_ok = counts["d_laplace_low"] <= 15

@@ -12,7 +12,6 @@ import pytest
 
 import levyspline
 from levyspline.cli import RunConfig, _build_parser, _resolve, main, parse_config_file, write_pgm
-from levyspline.noise import read_impulse_csv
 from levyspline.synthesis import read_realization_binary, read_realization_csv
 
 
@@ -28,9 +27,11 @@ def test_generate_writes_outputs(tmp_path):
     )
     assert code == 0
     assert sorted(os.listdir(out)) == ["impulses.csv", "realization.csv", "run.cfg"]
-    field = read_impulse_csv(out / "impulses.csv")
+    header = (out / "impulses.csv").read_text().split("\n", 1)[0]
+    assert header == "# dim=1 box=0..10 lambda=3 seed=7"
+    impulses = np.loadtxt(out / "impulses.csv", delimiter=",", ndmin=2)
+    assert impulses.shape[1] == 2 and np.all((impulses[:, 0] >= 0) & (impulses[:, 0] <= 10))
     real = read_realization_csv(out / "realization.csv")
-    assert field.rate == 3.0 and field.seed == 7
     assert real.samples.shape == (1001,)
     assert real.samples[0] == 0.0
 

@@ -1,5 +1,6 @@
 """Exponent catalog, poissonization, and jump laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,8 +29,8 @@ def test_evaluate_frozen_values():
     assert evaluate(gaussian(2.0), 1.5) == pytest.approx(-2.25)
     assert evaluate(laplace(2.0), 1.5) == pytest.approx(-1.1786549963416462)
     assert evaluate(cauchy(1.3), -2.0) == pytest.approx(-2.6)
-    cp = PoissonizedExponent(gaussian(0.25), 2.0, 1.0)
-    assert evaluate(cp, 1.0) == pytest.approx(-0.2350061948308093)
+    cp = PoissonizedExponent(gaussian(0.25), 2.0)
+    assert evaluate(cp, 1.0) == pytest.approx(2.0 * math.expm1(-0.0625))
     fn = poissonize(gaussian(1.0), 4.0)
     assert evaluate(fn, 1.0) == pytest.approx(-0.4700123896616184)
 
@@ -55,7 +56,7 @@ def test_family_validation():
     with pytest.raises(ExponentError):
         cauchy(-0.5)
     with pytest.raises(ExponentError):
-        PoissonizedExponent(gaussian(1.0), -2.0, 1.0)
+        PoissonizedExponent(gaussian(1.0), -2.0)
     with pytest.raises(ExponentError):
         LevyExponent("triangular", sigma2=1.0)
     with pytest.raises(ExponentError):
@@ -71,6 +72,11 @@ def test_poissonize_rate_and_jump_laws():
         assert fn.lam == 4.0
         assert fn.tau == pytest.approx(0.25)
         assert fn.jump_law == JumpLaw(f, fn.tau)
+    # the rate alone fixes the exponent: tau is 1 / lam, to the bit
+    fn = poissonize(gaussian(1.0), 3.0)
+    assert [fld.name for fld in dataclasses.fields(fn)] == ["base", "lam"]
+    assert fn.tau == 1.0 / 3.0
+    assert fn.jump_law.t == 1.0 / 3.0
 
 
 def test_poissonize_rejects_bad_inputs():
@@ -78,7 +84,7 @@ def test_poissonize_rejects_bad_inputs():
         poissonize(gaussian(1.0), 0.0)
     with pytest.raises(ExponentError):
         poissonize(gaussian(1.0), -3.0)
-    cp = PoissonizedExponent(gaussian(1.0), 1.0, 1.0)
+    cp = PoissonizedExponent(gaussian(1.0), 1.0)
     with pytest.raises(ExponentError):
         poissonize(cp, 2.0)
 

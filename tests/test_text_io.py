@@ -1,6 +1,7 @@
 """17-digit text writers: byte for byte what the per-value fmt17 writers gave."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from levyspline.synthesis import (
     GridRealization,
     SynthesisError,
     _realization_header,
+    read_realization_binary,
     read_realization_csv,
     write_realization_binary,
     write_realization_csv,
@@ -126,12 +128,43 @@ def test_reader_errors_exit_2_without_warnings(tmp_path, capsys):
     empty.write_text(header + "\n")
     bad = tmp_path / "bad.csv"
     bad.write_text(header + "-0.5,1\n-0.49,one\n")
+    # headers that contradict themselves or their data: dim= is not the
+    # box's dimension (csv and bin), shape= is not the grid's; and a .bin
+    # without its .hdr, or cut short
+    frac = {
+        d: replace(realization(d, 0.05, seed=d),
+                   operator=make_operator("frac_laplacian", gamma=1.5, dim=d))
+        for d in (1, 2)
+    }
+    flat = tmp_path / "flat.csv"
+    write_realization_csv(frac[2], flat)
+    flat.write_text(flat.read_text().replace("# dim=2 ", "# dim=1 ", 1))
+    binaries = {}
+    for name, src, old, new in (
+        ("two_dims", frac[1], "# dim=1 ", "# dim=2 "),
+        ("short_box", real, "box=-0.5..2 ", "box=-0.5..1 "),
+        ("no_hdr", real, None, None),
+        ("truncated", real, None, None),
+    ):
+        path = binaries[name] = tmp_path / (name + ".bin")
+        write_realization_binary(src, path)
+        hdr = tmp_path / (name + ".bin.hdr")
+        if old:
+            hdr.write_text(hdr.read_text().replace(old, new, 1))
+    binaries["no_hdr"].with_suffix(".bin.hdr").unlink()
+    binaries["truncated"].write_bytes(binaries["truncated"].read_bytes()[:-8])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SynthesisError, match="no samples"):
             read_realization_csv(empty)
+        with pytest.raises(SynthesisError, match="dim=1 over a box of dimension 2"):
+            read_realization_csv(flat)
+        with pytest.raises(SynthesisError, match="dim=2 over a box of dimension 1"):
+            read_realization_binary(binaries["two_dims"])
+        with pytest.raises(SynthesisError, match="shape=251, not its grid's shape"):
+            read_realization_binary(binaries["short_box"])
         capsys.readouterr()
-        for path in (empty, bad):
+        for path in (empty, bad, flat, *binaries.values()):
             out = tmp_path / ("plot_" + path.stem)
             assert main(["plotdata", "--input", str(path), "--outdir", str(out)]) == 2
             assert f"plotdata: cannot read {path}" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from levyspline.verify import (
     CFEstimate,
     GridMismatch,
     NoiseFloor,
-    TailTruncationWarning,
     VerifyError,
     _block_members,
     _cf_mean_se,
@@ -141,20 +140,6 @@ def test_analytic_cf_unit_modulus_bound():
 def test_analytic_cf_shape_validation():
     with pytest.raises(GridMismatch):
         analytic_cf(gaussian(1.0), OP_D, np.ones(5), GRID1)
-
-
-def test_analytic_cf_tail_warning():
-    # heavy-tailed exponent over a two-sided decaying kernel: the margin
-    # truncation leaves visible integrand mass at the padded edge
-    g = Grid(Box.cube(0.0, 1.0, 1), 1.0 / 128)
-    op = make_operator("frac_laplacian", gamma=1.5, dim=1)
-    x = g.axis(0)
-    r = (x - 0.5) / 0.3
-    phi = np.zeros_like(x)
-    inside = np.abs(r) < 1.0
-    phi[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
-    with pytest.warns(TailTruncationWarning):
-        analytic_cf(cauchy(1.0), op, phi, g)
 
 
 def test_left_inverse_residuals_fine_grid():
@@ -464,9 +449,6 @@ def _study_bytes(f, op, bank, count):
     return report.empirical.tobytes(), report.se.tobytes(), np.float64(report.slope).tobytes()
 
 
-# the frac_laplacian study's limit functional raises TailTruncationWarning
-# at the default margin; this test compares bytes only
-@pytest.mark.filterwarnings("ignore::levyspline.verify.TailTruncationWarning")
 def test_rung_cf_and_studies_have_the_same_bytes_for_any_worker_count(monkeypatch):
     # the block sums come back in block order whichever process paired
     # them, so 1, 2 and 3 workers give bit-equal functionals, errors and

@@ -69,17 +69,19 @@ class ImpulseBlock:
             raise NoiseError("box dimension must match field dimension")
         if amps.ndim != 1 or locs.shape != (amps.shape[0], self.dim):
             raise NoiseError("locations (n, dim) and amplitudes (n,) must pair up")
-        if counts.ndim != 1 or not counts.size or not np.issubdtype(counts.dtype, np.integer):
+        # dtype kinds 'i' and 'u' are numpy's integer types
+        if counts.ndim != 1 or not counts.size or counts.dtype.kind not in "iu":
             raise NoiseError("counts must be a nonempty 1-D array of integers")
-        if counts.min() < 0 or counts.sum() != amps.shape[0]:
+        # a lone count that sums to the impulse count is that count, so it
+        # is nonnegative; only a block of several needs the min
+        if counts.sum() != amps.shape[0] or counts.size > 1 and counts.min() < 0:
             raise NoiseError("counts must be nonnegative and sum to the impulse count")
         # each axis's min and max hold every point to the box (a NaN fails
         # both); one reduction per column, not a comparison array per point
-        box = self.box
-        if locs.size and not all(
-            lo <= x.min() and x.max() <= hi for x, lo, hi in zip(locs.T, box.lo, box.hi)
-        ):
-            raise NoiseError("every impulse location must lie inside the box")
+        if locs.size:
+            for x, lo, hi in zip(locs.T, self.box.lo, self.box.hi):
+                if not (lo <= x.min() and x.max() <= hi):
+                    raise NoiseError("every impulse location must lie inside the box")
 
     @property
     def members(self):

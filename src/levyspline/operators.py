@@ -27,10 +27,12 @@ MIN_SUPPORT_SPAN = 16
 # one_pole chunks keep -log(r^i) at most this large, so r^{-i} stays finite
 # (doubles overflow near exp(709)).
 ONE_POLE_LOG_RANGE = 600.0
-# Fourier multipliers kept per (shape, step, power): a frac_laplacian study
-# uses about three (synthesis and T on the sampling box's torus, adjoint,
-# discrete L).
-SPECTRAL_CACHE_SIZE = 8
+# Entries kept by each cache of set-up that is built once per key and
+# shared read-only: Fourier multipliers per (shape, step, power), of which a
+# frac_laplacian study uses about three (synthesis and T on the sampling
+# box's torus, adjoint, discrete L); one_pole's power vectors per (r, chunk
+# size); and synthesis engines per (operator, grid, box).
+SETUP_CACHE_SIZE = 8
 
 
 class OperatorError(Exception):
@@ -261,16 +263,16 @@ def one_pole(x, r, axis=-1):
 
     Computed as y_i = r^i cumsum(x r^{-i}) over chunks short enough that
     r^{-i} stays finite; each chunk adds its predecessor's last value times
-    r^{i+1}.  The power vectors broadcast along `axis`, and every step
-    works in place in the one output array.
+    r^{i+1}.  The power vectors (_one_pole_powers) broadcast along `axis`,
+    and every step works in place in the one output array.
     """
     x = np.asarray(x, dtype=float)
     y = np.empty_like(x)
     axis = axis % x.ndim
     n = x.shape[axis]
     size = max(1, min(n, int(ONE_POLE_LOG_RANGE / -math.log(r))))
-    i = np.arange(size, dtype=float).reshape((size,) + (1,) * (x.ndim - 1 - axis))
-    grow, decay, carry_decay = np.power(r, -i), np.power(r, i), np.power(r, i + 1.0)
+    shape = (size,) + (1,) * (x.ndim - 1 - axis)
+    grow, decay, carry_decay = (p.reshape(shape) for p in _one_pole_powers(r, size))
 
     def along(s):
         return (slice(None),) * axis + (s,)
@@ -285,6 +287,20 @@ def one_pole(x, r, axis=-1):
         if start:
             chunk += y[along(slice(start - 1, start))] * carry_decay[head]
     return y
+
+
+@functools.lru_cache(maxsize=SETUP_CACHE_SIZE)
+def _one_pole_powers(r, size):
+    """r^{-i}, r^i and r^{i+1} for i < size: one_pole's chunk vectors.
+
+    Cached per (r, chunk size) and read-only, because every caller gets
+    the same arrays.
+    """
+    i = np.arange(size, dtype=float)
+    powers = np.power(r, -i), np.power(r, i), np.power(r, i + 1.0)
+    for p in powers:
+        p.flags.writeable = False
+    return powers
 
 
 def _tail_integral(phi, h, alpha=None, axis=-1):
@@ -310,7 +326,7 @@ def _tail_integral(phi, h, alpha=None, axis=-1):
     return np.flip(np.moveaxis(out, -1, axis), axis)
 
 
-@functools.lru_cache(maxsize=SPECTRAL_CACHE_SIZE)
+@functools.lru_cache(maxsize=SETUP_CACHE_SIZE)
 def _fourier_multiplier(shape, h, power):
     """||omega||^power on the rfftn frequency grid of `shape`, DC bin zero.
 

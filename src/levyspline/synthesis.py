@@ -13,11 +13,14 @@ kernel (cumulative sums or the one-pole recursion), which equals the
 Green superposition at the nodes; the fractional Laplacian rounds to the
 nearest node of the torus whose period is the sampling box, so every node
 holds one full cell, and divides by ||omega||^gamma.  The engine's adjoint
-is the pairing table of every convergence study.
+is the pairing table of every convergence study.  engine_for builds each
+engine once per (operator, grid, field box) and hands every caller the
+same read-only engine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -29,6 +32,7 @@ from .exponents import JumpLaw
 from .grid import Box, Grid, fmt17, grid_text
 from .noise import ImpulseBlock
 from .operators import (
+    SETUP_CACHE_SIZE,
     OperatorSpec,
     format_operator_config,
     margin_rule,
@@ -88,16 +92,16 @@ def _bin_ceil(coords, lo, h, n):
     return r.astype(np.intp)
 
 
-def _check_margin(field, op, grid):
+def _check_margin(op, grid, box):
     need = margin_rule(op, grid.box)
     want = sampling_box(op, grid.box, need)
     slack = 1e-9 * max(1.0, need)
-    lo_ok = all(f <= w + slack for f, w in zip(field.box.lo, want.lo))
-    hi_ok = all(f >= w - slack for f, w in zip(field.box.hi, want.hi))
+    lo_ok = all(f <= w + slack for f, w in zip(box.lo, want.lo))
+    hi_ok = all(f >= w - slack for f, w in zip(box.hi, want.hi))
     if not (lo_ok and hi_ok):
         raise MarginTooSmall(
             f"operator needs a margin of {need:.6g} per side, field box "
-            f"{field.box.format()} does not cover grid box {grid.box.format()}"
+            f"{box.format()} does not cover grid box {grid.box.format()}"
         )
 
 
@@ -108,8 +112,7 @@ def synthesize_spline(field, op, grid):
         raise SynthesisError(f"synthesis takes one field, not a block of {field.members}")
     if field.dim != op.dim or grid.dim != op.dim:
         raise SynthesisError("field, operator, and grid dimensions must agree")
-    _check_margin(field, op, grid)
-    engine = _Engine(op, grid, field.box)
+    engine = engine_for(op, grid, field.box)
     _, flat, terms = engine.scatter(field.locations, field.amplitudes)
     samples = engine.synthesize(flat, terms)
     if not np.all(np.isfinite(samples)):
@@ -225,8 +228,13 @@ def _offset(nodes, idx, x):
 
 
 def _axis_kernels(op, grid):
-    """(nodes, moments, filters) of each axis's factor."""
-    return [(grid.axis(axis), *_factor_kernel(f, grid.step)) for axis, f in enumerate(op.factors)]
+    """(nodes, moments, filters) of each axis's factor, the nodes read-only."""
+    out = []
+    for axis, f in enumerate(op.factors):
+        nodes = grid.axis(axis)
+        nodes.flags.writeable = False
+        out.append((nodes, *_factor_kernel(f, grid.step)))
+    return tuple(out)
 
 
 class _Engine:
@@ -235,7 +243,8 @@ class _Engine:
     Causal operators scatter onto the window, the fractional Laplacian onto
     the torus whose period is the field `box`: one node per step of the
     box, starting at its low corner, so its high corner wraps to node 0.
-    Build one per synthesis call or study rung, not per block.
+    Built only by engine_for, and read-only once built: every caller with
+    the same key shares it.
     """
 
     def __init__(self, op, grid, box):
@@ -243,14 +252,14 @@ class _Engine:
         h = grid.step
         if op.causal:
             self.kernels = _axis_kernels(op, grid)
-            self.filters = list(itertools.product(*(f for _, _, f in self.kernels)))
+            self.filters = tuple(itertools.product(*(f for _, _, f in self.kernels)))
             self.shape = grid.shape
         else:
             pads_lo = [int(round((lo - blo) / h)) for lo, blo in zip(grid.box.lo, box.lo)]
             pads_hi = [int(round((bhi - hi) / h)) for hi, bhi in zip(grid.box.hi, box.hi)]
-            self.filters = [()]
+            self.filters = ((),)
             self.shape = tuple(nl + n - 1 + nh for nl, n, nh in zip(pads_lo, grid.shape, pads_hi))
-            self.origin = [lo - nl * h for lo, nl in zip(grid.box.lo, pads_lo)]
+            self.origin = tuple(lo - nl * h for lo, nl in zip(grid.box.lo, pads_lo))
             self.crop = tuple(slice(nl, nl + n) for nl, n in zip(pads_lo, grid.shape))
         self.cells = math.prod(self.shape)
 
@@ -326,6 +335,25 @@ class _Engine:
         return [t.reshape(len(phis), self.cells).T for t in out]
 
 
+@functools.lru_cache(maxsize=SETUP_CACHE_SIZE)
+def engine_for(op, grid, box):
+    """The engine of `op` on `grid` for impulses on the field box `box`,
+    built once per (op, grid, box) and shared read-only by every caller.
+    Raises MarginTooSmall when `box` does not cover the grid plus the
+    operator's margin rule; a refusal is raised again on every call, since
+    the cache keeps only returned engines."""
+    _check_margin(op, grid, box)
+    return _Engine(op, grid, box)
+
+
+def _check_reference(op, grid):
+    if op.family != "D" or op.n != 1 or grid.dim != 1:
+        raise UnsupportedReference(
+            "exact references exist only for the first-derivative operator "
+            f"(operator=D n=1), not {format_operator_config(op)}"
+        )
+
+
 def limit_cell_block(f, engine, rng, members):
     """`members` draws of the limit noise (rate inf) as one ImpulseBlock,
     from one sample call: an impulse at each cell's node, whose amplitude is
@@ -333,11 +361,7 @@ def limit_cell_block(f, engine, rng, members):
     a step (x_{i-1}, x_i], its increment JumpLaw(f, h), with characteristic
     function exp(h f(xi)).  Raises UnsupportedReference for every other operator."""
     op, grid = engine.op, engine.grid
-    if op.family != "D" or op.n != 1 or grid.dim != 1:
-        raise UnsupportedReference(
-            "exact references exist only for the first-derivative operator "
-            f"(operator=D n=1), not {format_operator_config(op)}"
-        )
+    _check_reference(op, grid)
     # a node past the window end by round-off would be dropped by the scatter
     nodes = np.minimum(grid.axis(0)[1:], grid.box.hi[0])
     amplitudes = JumpLaw(f, grid.step).sample(rng.generator(), members * nodes.size)
@@ -348,8 +372,10 @@ def limit_cell_block(f, engine, rng, members):
 def reference_levy_path(f, op, grid, rng):
     """Exact-in-law path of the limit process: the one-member
     limit_cell_block drawn from `rng`, run through the engine (for the
-    first derivative, 0 at the window start plus one increment per step)."""
-    engine = _Engine(op, grid, grid.box)
+    first derivative, 0 at the window start plus one increment per step).
+    Another operator is refused before its engine is built."""
+    _check_reference(op, grid)
+    engine = engine_for(op, grid, grid.box)
     block = limit_cell_block(f, engine, rng, 1)
     _, flat, terms = engine.scatter(block.locations, block.amplitudes)
     samples = engine.synthesize(flat, terms)

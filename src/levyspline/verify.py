@@ -44,7 +44,7 @@ from .exponents import evaluate, exponent_to_kv, poissonize
 from .grid import Box, Grid, fmt17
 from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
-from .synthesis import BIN_SNAP, _Engine, limit_cell_block
+from .synthesis import BIN_SNAP, engine_for, limit_cell_block
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -295,7 +295,7 @@ def analytic_cf(f, op, phi, grid):
     if op.causal:
         shape, weights = domain.shape, domain.weight_array()
     else:
-        shape, weights = _Engine(op, grid, domain.box).shape, grid.step**grid.dim
+        shape, weights = engine_for(op, grid, domain.box).shape, grid.step**grid.dim
     embedded = np.zeros(shape)
     embedded[tuple(slice(pad, pad + n) for n in grid.shape)] = phi
     tphi = apply_T(op, embedded, domain.step)
@@ -416,7 +416,7 @@ def _rung_engine(op, bank):
     sub-box, so the crop leaves every rung's law as it is and draws,
     scatters and pairs only impulses the bank can see."""
     grid = _support_grid(bank.grid, bank.phis) if op.causal else bank.grid
-    return _Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, bank.grid)))
+    return engine_for(op, grid, sampling_box(op, grid.box, grid_margin(op, bank.grid)))
 
 
 def _rung_tables(engine, bank):

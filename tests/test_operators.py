@@ -7,6 +7,7 @@ import pytest
 from scipy.signal import lfilter
 from levyspline.grid import Box, Grid
 from levyspline.operators import (
+    ONE_POLE_LOG_RANGE,
     GridTooCoarse,
     OperatorSpec,
     OperatorError,
@@ -19,6 +20,7 @@ from levyspline.operators import (
     make_operator,
     _forward_diff,
     _fourier_multiplier,
+    _one_pole_powers,
     _tail_integral,
     margin_rule,
     one_pole,
@@ -306,6 +308,48 @@ def test_one_pole_matches_lfilter(n, alpha_h):
         got = one_pole(x2, r, axis)
         assert got.shape == x2.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def inline_one_pole(x, r, axis=-1):
+    """one_pole with its power vectors computed inline on every call, as
+    first written."""
+    x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
+    axis = axis % x.ndim
+    n = x.shape[axis]
+    size = max(1, min(n, int(ONE_POLE_LOG_RANGE / -math.log(r))))
+    i = np.arange(size, dtype=float).reshape((size,) + (1,) * (x.ndim - 1 - axis))
+    grow, decay, carry_decay = np.power(r, -i), np.power(r, i), np.power(r, i + 1.0)
+
+    def along(s):
+        return (slice(None),) * axis + (s,)
+
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        head = slice(0, m)
+        chunk = y[along(slice(start, start + m))]
+        np.multiply(x[along(slice(start, start + m))], grow[head], out=chunk)
+        np.cumsum(chunk, axis=axis, out=chunk)
+        chunk *= decay[head]
+        if start:
+            chunk += y[along(slice(start - 1, start))] * carry_decay[head]
+    return y
+
+
+@pytest.mark.parametrize("alpha_h", [1e-3, 5.0, 50.0])
+def test_one_pole_cached_powers_equal_the_inline_formula(alpha_h):
+    # bit for bit, with the power cache cold and warm; alpha h = 5 and 50
+    # cut 1001 samples into chunks of 120 and 12, so the carry path runs
+    r = math.exp(-alpha_h)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(1001)
+    x2 = rng.standard_normal((1001, 7))
+    _one_pole_powers.cache_clear()
+    for _ in range(2):
+        assert one_pole(x, r).tobytes() == inline_one_pole(x, r).tobytes()
+        for axis in (0, 1, -1):
+            assert one_pole(x2, r, axis).tobytes() == inline_one_pole(x2, r, axis).tobytes()
+    assert _one_pole_powers.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("alpha", [0.1, 50.0, 5000.0])

@@ -12,6 +12,8 @@ from levyspline.exponents import JumpLaw, cauchy, gaussian, laplace
 from levyspline.grid import Box, Grid
 from levyspline.noise import ImpulseBlock, RngStream, sample_impulse_block, sample_impulse_field
 from levyspline.operators import (
+    SETUP_CACHE_SIZE,
+    _one_pole_powers,
     apply_L_samples,
     green,
     make_operator,
@@ -31,6 +33,7 @@ from levyspline.synthesis import (
     _bin_ceil,
     _Engine,
     _factor_kernel,
+    engine_for,
     write_realization_binary,
     write_realization_csv,
 )
@@ -624,3 +627,79 @@ def test_factor_moments_read_offsets_only_where_needed():
     want = [a, a * delta / 1, a * delta / 1 * delta / 2]
     assert [g.tobytes() for g in got] == [v.tobytes() for v in want]
     np.testing.assert_array_equal(a, saved)
+
+
+def engine_outputs(engine, field, phi):
+    """Everything an engine gives: a member's samples, then its scatter and
+    the pairing tables of one test function."""
+    kept, flat, terms = engine.scatter(field.locations, field.amplitudes)
+    samples = engine.synthesize(flat, terms)
+    index = np.arange(field.count)[kept]
+    weights = [w for _, w in terms]
+    return [samples, index, flat, *weights, *engine.tables([phi])]
+
+
+@pytest.mark.parametrize(
+    "op, grid", SCATTER_CASES,
+    ids=[f"{op.family}{op.n if op.family == 'D' else ''}-{op.dim}d" for op, _ in SCATTER_CASES],
+)
+def test_cached_engine_gives_the_bits_of_a_direct_one(op, grid):
+    # cold (both set-up caches empty), warm, and after other keys have
+    # evicted the entry, engine_for's engine and one built directly agree
+    # bit for bit, and synthesize_spline returns the direct engine's samples
+    box = sampling_box(op, grid.box, margin_rule(op, grid.box))
+    field = sample_impulse_field(grid.dim, box, 1.0, JumpLaw(gaussian(1.0), 1.0), RngStream(5))
+    phi = np.random.default_rng(6).standard_normal(grid.shape)
+    want = engine_outputs(_Engine(op, grid, box), field, phi)
+
+    def check():
+        got = engine_outputs(engine_for(op, grid, box), field, phi)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert synthesize_spline(field, op, grid).samples.tobytes() == want[0].tobytes()
+
+    engine_for.cache_clear()
+    _one_pole_powers.cache_clear()
+    check()
+    cached = engine_for(op, grid, box)
+    check()
+    assert engine_for(op, grid, box) is cached
+    for k in range(SETUP_CACHE_SIZE):
+        other = Grid(Box.cube(0.0, 1.0 + k, 1), 0.5)
+        engine_for(make_operator("DaI", alpha=1.0 + k), other, other.box).tables([np.ones(other.shape)])
+    assert engine_for.cache_info().currsize == SETUP_CACHE_SIZE
+    assert _one_pole_powers.cache_info().currsize == SETUP_CACHE_SIZE
+    assert engine_for(op, grid, box) is not cached
+    check()
+    # what the cache shares is read-only
+    for nodes, _, _ in getattr(cached, "kernels", ()):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+    for factor in op.factors:
+        if factor[1] is not None:
+            r = math.exp(-factor[1] * grid.step)
+            for p in _one_pole_powers(r, grid.shape[0]):
+                with pytest.raises(ValueError):
+                    p[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "op", [make_operator("frac_laplacian", gamma=1.5), make_operator("DaIxDaIy", alpha=0.5)],
+    ids=lambda op: op.family,
+)
+def test_a_margin_refusal_is_never_cached(op):
+    # a field box short of the margin is refused on every call, also right
+    # after a call with the same operator and grid succeeded, and a refusal
+    # leaves no cache entry behind
+    grid = GRID1 if op.dim == 1 else GRID2_SMALL
+    jumps = JumpLaw(gaussian(1.0), 1.0)
+    box = sampling_box(op, grid.box, margin_rule(op, grid.box))
+    good = sample_impulse_field(grid.dim, box, 1.0, jumps, RngStream(3))
+    short = sample_impulse_field(grid.dim, grid.box, 1.0, jumps, RngStream(3))
+    engine_for.cache_clear()
+    for _ in range(3):
+        synthesize_spline(good, op, grid)
+        size = engine_for.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(MarginTooSmall):
+                synthesize_spline(short, op, grid)
+        assert engine_for.cache_info().currsize == size == 1

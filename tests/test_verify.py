@@ -17,7 +17,7 @@ from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
 from levyspline.grid import Box, Grid
 from levyspline.noise import ImpulseBlock, RngStream, sample_impulse_block
 from levyspline.operators import grid_margin, make_operator, margin_rule, sampling_box
-from levyspline.synthesis import GridRealization, UnsupportedReference, synthesize_spline
+from levyspline.synthesis import GridRealization, UnsupportedReference, _Engine, synthesize_spline
 from levyspline.verify import (
     BLOCK_CELLS,
     CFEstimate,
@@ -293,7 +293,7 @@ def test_a_cropped_rung_pairs_its_block_as_the_full_window(fam, kw, grid):
     else:
         ident = build_identity_bank(grid)
         bank = replace(ident, phis=[0.3 * phi for phi in ident.phis])
-    full = verify._Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
+    full = _Engine(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
     full_tables = full.tables(bank.phis)
     cut = _rung_engine(op, bank)
     cut_tables = _rung_tables(cut, bank)

@@ -1,11 +1,10 @@
 """Spline-admissible operator catalog.
 
 Each operator L comes with a causal or decaying Green's function rho_L
-(L rho_L = delta), an adjoint left inverse T acting on sampled test
-functions (T L* phi = phi), and discrete forward applications used to
-recover impulse trains from synthesized realizations.  The fractional
-Laplacian has no closed-form Green's constant here; it is inverted
-spectrally with the DC bin zeroed, which selects one valid left inverse.
+(L rho_L = delta) and an adjoint left inverse T acting on sampled test
+functions (T L* phi = phi).  The fractional Laplacian has no closed-form
+Green's constant here; it is inverted spectrally with the DC bin zeroed,
+which selects one valid left inverse.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ ONE_POLE_LOG_RANGE = 600.0
 # Entries kept by each cache of set-up that is built once per key and
 # shared read-only: Fourier multipliers per (shape, step, power), of which a
 # frac_laplacian study uses about three (synthesis and T on the sampling
-# box's torus, adjoint, discrete L); one_pole's power vectors per (r, chunk
-# size); and synthesis engines per (operator, grid, box).
+# box's torus, adjoint); one_pole's power vectors per (r, chunk size); and
+# synthesis engines per (operator, grid, box).
 SETUP_CACHE_SIZE = 8
 
 
@@ -66,7 +65,7 @@ class _Family:
 _FAMILIES = {
     "D": _Family(1, "n", True, lambda op: (op.n, None)),
     "DaI": _Family(1, "alpha", True, lambda op: (1, op.alpha)),
-    "DxDy": _Family(2, None, False, lambda op: (1, None)),
+    "DxDy": _Family(2, None, True, lambda op: (1, None)),
     "DaIxDaIy": _Family(2, "alpha", False, lambda op: (1, op.alpha)),
     "frac_laplacian": _Family(None, "gamma", False, None),
 }
@@ -127,7 +126,8 @@ class OperatorSpec:
 
     @property
     def pinned(self):
-        """Causal 1-D synthesis pins the null-space mode so s(lo) = 0."""
+        """Synthesis pins the null-space modes: s = 0 at the window start
+        of every axis (D, DaI and DxDy)."""
         return _FAMILIES[self.family].pinned
 
     @property
@@ -181,14 +181,14 @@ def margin_rule(op, box):
     """Per-side sampling margin required by the operator's kernel decay.
 
     Pinned operators need none: pinning cancels every impulse at or left
-    of the window start, so a margin would only be drawn and dropped.
+    of the window start on some axis, so a margin would only be drawn and
+    dropped.  An unpinned causal kernel decays at its smallest rate alpha.
     """
     if op.pinned:
         return 0.0
     if not op.causal:
         return SPECTRAL_PAD_FRACTION * max(box.lengths)
-    rates = [alpha for _, alpha in op.factors if alpha is not None]
-    return math.log(1.0 / TRUNCATION_TOL) / min(rates) if rates else 0.0
+    return math.log(1.0 / TRUNCATION_TOL) / min(alpha for _, alpha in op.factors)
 
 
 def grid_margin(op, grid):
@@ -413,19 +413,3 @@ def apply_adjoint(op, phi, step):
         return spectral_multiply(phi, h, op.gamma)
     return _run_factors(op, phi, lambda arr, axis: -np.gradient(arr, h, axis=axis, edge_order=2))
 
-
-def _forward_diff(arr, h, axis):
-    out = np.zeros_like(arr)
-    src = np.moveaxis(arr, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[:-1] = (src[1:] - src[:-1]) / h
-    return out
-
-
-def apply_L_samples(op, samples, step):
-    """Discrete forward operator by forward differences (spectral ops exactly)."""
-    s = np.asarray(samples, dtype=float)
-    h = float(step)
-    if not op.causal:
-        return spectral_multiply(s, h, op.gamma)
-    return _run_factors(op, s, lambda arr, axis: _forward_diff(arr, h, axis))

@@ -2,10 +2,10 @@
 
 synthesize_spline turns an impulse field into the random L-spline
 s = p0 + sum_k a_k rho_L(. - x_k) sampled on a window grid, with the
-null-space term pinned (s(lo) = 0 for causal 1-D operators, zero window
-mean for the spectral path).  reference_levy_path runs the limit noise,
-one increment per cell (limit_cell_block), through the same engine: an
-exact limit-process path for the first derivative.  Every operator runs
+null-space term pinned (s(lo) = 0 on every axis of a pinned operator,
+zero window mean for the spectral path).  reference_levy_path runs the
+limit noise, one increment per cell (limit_cell_block), through the same
+engine: an exact limit path for the first derivative.  Every operator runs
 on one O(K + G) engine: scatter the impulses with one bincount per kernel
 term, then invert L.  Causal families bin each impulse to the first node
 at or beyond it, weighted by its offset, and run each axis's causal
@@ -81,14 +81,15 @@ class GridRealization:
 def _bin_ceil(coords, lo, h, n):
     """First grid index at or beyond each coordinate, snapped against
     floating-point jitter, clipped into [0, n-1].  The subtraction and the
-    final cast to intp allocate; ceil and clip run in place in the float
-    domain, so a coordinate far beyond the grid clips to n-1 before the
-    cast instead of overflowing it."""
+    final cast to intp allocate; ceil and the clip run in place in the
+    float domain, so a coordinate far beyond the grid clips to n-1 before
+    the cast instead of overflowing it."""
     r = np.subtract(coords, lo, dtype=float)
     r /= h
     r -= BIN_SNAP
     np.ceil(r, out=r)
-    np.clip(r, 0, n - 1, out=r)
+    np.maximum(r, 0, out=r)
+    np.minimum(r, n - 1, out=r)
     return r.astype(np.intp)
 
 
@@ -115,7 +116,7 @@ def synthesize_spline(field, op, grid):
     engine = engine_for(op, grid, field.box)
     _, flat, terms = engine.scatter(field.locations, field.amplitudes)
     samples = engine.synthesize(flat, terms)
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise SynthesisError("synthesized samples are not finite")
     return GridRealization(
         dim=op.dim,
@@ -134,25 +135,25 @@ def _causal_kept(coords, op, grid):
     window start; slice(None) when it keeps them all.
 
     A causal kernel is zero left of its impulse, so an impulse beyond the
-    window end adds nothing to the window.  For pinned causal 1-D synthesis
-    an impulse at x_k <= lo contributes a pure null-space mode, which the
-    pinning removes exactly, so dropping it is algebraically exact rather
-    than a truncation.  Per-axis min and max decide; the mask is built only
-    when an impulse is dropped.
+    window end adds nothing to the window.  For a pinned operator an
+    impulse at or left of the window start on some axis adds to the window
+    a null-space mode of that axis's factor, which the pinning removes
+    exactly, so dropping it is algebraically exact rather than a
+    truncation.  Per-axis min and max decide; the mask is built only when
+    an impulse is dropped.
     """
     if not coords[0].size:
         return slice(None)
-    start = grid.box.lo[0] + BIN_SNAP * grid.step
-    his = grid.box.hi
-    if all(x.max() <= hi for x, hi in zip(coords, his)) and not (
-        op.pinned and coords[0].min() <= start
-    ):
+    pad = BIN_SNAP * grid.step
+    starts = [lo + pad if op.pinned else -math.inf for lo in grid.box.lo]
+    bounds = list(zip(coords, starts, grid.box.hi))
+    if all(start < x.min() and x.max() <= hi for x, start, hi in bounds):
         return slice(None)
-    mask = coords[0] <= his[0]
-    for x, hi in zip(coords[1:], his[1:]):
+    mask = np.ones(coords[0].size, dtype=bool)
+    for x, start, hi in bounds:
         mask &= x <= hi
-    if op.pinned:
-        mask &= coords[0] > start
+        if op.pinned:
+            mask &= x > start
     return mask
 
 

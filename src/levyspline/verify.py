@@ -10,15 +10,18 @@ A study has one verdict (CFReport.verdict): it passes when the slope fitted
 over the rungs whose mean error exceeds NOISE_SPLIT mean SEs lies in
 SLOPE_BAND and no test function's error rises between adjacent rungs by
 more than MONOTONE_SLACK times their larger SE (below two rungs: NOISE_FLOOR).
-Every study pairing runs through one block loop (block_pairings): draw a
-block of members, scatter it once, and pair every member with every test
-function by the synthesis engine's adjoint tables.  For a causal operator
-the loop draws on the window cut one node past the bank's support
-(_rung_engine): no impulse beyond it reaches a test function, so the cut
-changes the draws and not their law.  A point value is the
-pairing s(x_i) = <s, delta_i / w_i> (point_bank), so the same loop gives
-the marginals that back up the functional picture.  At the rate lam = inf
-the loop draws the limit process itself (synthesis.limit_cell_block).
+Every pairing runs through one block step (_pair_block) over the blocks
+of one rung (_rung_blocks): draw a block of members, scatter it once, and
+pair every member with every test function by the synthesis engine's
+adjoint tables.  A study runs it in _study_cf -> _share_sums ->
+_pair_block; block_pairings is the same loop in one process, yielding
+each block's pairings.  For a causal operator the blocks are drawn on
+the window cut one node past the bank's support (_rung_engine): no
+impulse beyond it reaches a test function, so the cut changes the draws
+and not their law.  A point value is the pairing s(x_i) = <s, delta_i /
+w_i> (point_bank), so block_pairings gives the marginals that back up the
+functional picture.  At the rate lam = inf the blocks are the limit
+process itself (synthesis.limit_cell_block).
 
 Each block draws from its own RngStream, so a rung's blocks are independent
 work: _study_cf cuts every rung's blocks into as many contiguous shares as

@@ -13,12 +13,10 @@ from levyspline.operators import (
     OperatorError,
     UnsupportedClosedForm,
     apply_adjoint,
-    apply_L_samples,
     apply_T,
     format_operator_config,
     green,
     make_operator,
-    _forward_diff,
     _fourier_multiplier,
     _one_pole_powers,
     _tail_integral,
@@ -111,7 +109,8 @@ def test_parse_and_format_round_trip():
 def test_causality_and_pinning_flags():
     assert make_operator("D").causal and make_operator("D").pinned
     assert make_operator("DaI", alpha=0.1).causal
-    assert make_operator("DxDy").causal
+    assert make_operator("DxDy").causal and make_operator("DxDy").pinned
+    assert not make_operator("DaIxDaIy", alpha=0.1).pinned
     assert not make_operator("frac_laplacian", gamma=1.5, dim=1).causal
     assert not make_operator("frac_laplacian", gamma=1.5, dim=1).pinned
     # each causal operator is its 1-D factor (n, alpha) on every axis
@@ -271,27 +270,6 @@ def test_apply_T_spectral_guards():
     np.testing.assert_array_equal(out, np.zeros_like(x))
 
 
-def test_apply_L_samples_inverts_T_first_derivative():
-    # forward difference recovers -phi from the right-tail integral
-    g = Grid(Box.cube(0.0, 1.0, 1), 1.0 / 256)
-    x = g.axis(0)
-    phi = bump(x, 0.5, 0.3)
-    t = apply_T(make_operator("D"), phi, g.step)
-    back = apply_L_samples(make_operator("D"), t, g.step)
-    # L(T phi) = -phi up to the forward-difference offset (midpoint rule)
-    mid = 0.5 * (phi[:-1] + phi[1:])
-    assert np.max(np.abs(back[:-1] + mid)) < 2e-5
-
-
-def test_apply_L_samples_exponential():
-    g = Grid(Box.cube(0.0, 10.0, 1), 0.001)
-    x = g.axis(0)
-    op = make_operator("DaI", alpha=0.3)
-    s = np.exp(-0.3 * x)  # in the null space of D + alpha I
-    out = apply_L_samples(op, s, g.step)
-    assert np.max(np.abs(out[:-1])) < 2e-4
-
-
 @pytest.mark.parametrize("alpha_h", [1e-3, 0.5, 5.0, 50.0])
 @pytest.mark.parametrize("n", [1, 2, 1001, 100001])
 def test_one_pole_matches_lfilter(n, alpha_h):
@@ -433,20 +411,6 @@ def branch_apply_adjoint(op, phi, h):
     return -np.gradient(out, h, axis=1, edge_order=2) + op.alpha * out
 
 
-def branch_apply_L_samples(op, s, h):
-    if op.family == "D":
-        out = s
-        for _ in range(op.n):
-            out = _forward_diff(out, h, axis=0)
-        return out
-    if op.family == "DaI":
-        return _forward_diff(s, h, axis=0) + op.alpha * s
-    if op.family == "DxDy":
-        return _forward_diff(_forward_diff(s, h, axis=0), h, axis=1)
-    out = _forward_diff(s, h, axis=0) + op.alpha * s
-    return _forward_diff(out, h, axis=1) + op.alpha * out
-
-
 def assert_bits_equal(got, want):
     assert type(got) is type(want)
     got, want = np.asarray(got), np.asarray(want)
@@ -470,7 +434,6 @@ def test_factor_loops_equal_branch_per_family_code(op):
     h = 0.05
     phi = rng.standard_normal((301,) if op.dim == 1 else (41, 37))
     assert_bits_equal(apply_T(op, phi, h), branch_apply_T(op, phi, h))
-    assert_bits_equal(apply_L_samples(op, phi, h), branch_apply_L_samples(op, phi, h))
     got, want = apply_adjoint(op, phi, h), branch_apply_adjoint(op, phi, h)
     if op.family == "DxDy":
         # computed as -grad(-grad phi): equal values, zeros may change sign

@@ -14,7 +14,6 @@ from levyspline.noise import ImpulseBlock, RngStream, sample_impulse_block, samp
 from levyspline.operators import (
     SETUP_CACHE_SIZE,
     _one_pole_powers,
-    apply_L_samples,
     green,
     make_operator,
     margin_rule,
@@ -111,29 +110,26 @@ def test_exponential_synthesis_single_impulse():
 
 
 def test_pinned_paths_drop_left_margin_impulses():
-    # impulses at or left of the window start cancel exactly under pinning
-    big = Box.cube(-150.0, 10.0, 1)
-    inside = one_field(
-        dim=1,
-        box=big,
-        locations=np.array([[4.0]]),
-        amplitudes=np.array([1.0]),
-        rate=1.0,
-        seed=0,
-    )
-    mixed = one_field(
-        dim=1,
-        box=big,
-        locations=np.array([[-20.0], [0.0], [4.0]]),
-        amplitudes=np.array([5.0, -2.0, 1.0]),
-        rate=1.0,
-        seed=0,
-    )
-    for op in (make_operator("D"), make_operator("DaI", alpha=0.1)):
-        a = synthesize_spline(inside, op, GRID1).samples
-        b = synthesize_spline(mixed, op, GRID1).samples
+    # impulses at or left of the window start on some axis cancel exactly
+    # under pinning, so s is 0 at the window start of every axis
+    g2 = Grid(Box.cube(0.0, 10.0, 2), 0.05)
+    left_1d = [[-20.0], [0.0]]
+    left_2d = [[-2.0, 3.0], [3.0, -1.0], [0.0, 5.0], [5.0, 0.0], [-1.0, -1.0]]
+    for op, grid, left, inside in (
+        (make_operator("D"), GRID1, left_1d, [4.0]),
+        (make_operator("DaI", alpha=0.1), GRID1, left_1d, [4.0]),
+        (make_operator("DxDy"), g2, left_2d, [4.0, 6.0]),
+    ):
+        big = Box.cube(-150.0, 10.0, grid.dim)
+        alone = one_field(grid.dim, big, np.array([inside]), np.array([1.0]), 1.0, 0)
+        amps = np.append(np.linspace(5.0, -2.0, len(left)), 1.0)
+        mixed = one_field(grid.dim, big, np.array(left + [inside]), amps, 1.0, 0)
+        a = synthesize_spline(alone, op, grid).samples
+        b = synthesize_spline(mixed, op, grid).samples
         np.testing.assert_allclose(a, b, atol=1e-12)
-        assert a[0] == 0.0
+        assert a.any()
+        for axis in range(grid.dim):
+            assert not np.take(b, 0, axis=axis).any()
 
 
 def test_step_2d_single_impulse():
@@ -247,9 +243,8 @@ def test_discrete_operator_recovers_step_jumps():
     field = sample_impulse_field(1, GRID1.box, 3.0, JumpLaw(gaussian(1.0), 1.0), RngStream(13))
     op = make_operator("D")
     real = synthesize_spline(field, op, GRID1)
-    lw = apply_L_samples(op, real.samples, real.step)
-    # h * Ls concentrates the impulse masses in single bins
-    masses = lw[:-1] * GRID1.step
+    # the first differences of s concentrate the impulse masses in single bins
+    masses = np.diff(real.samples)
     nz = np.nonzero(np.abs(masses) > 1e-9)[0]
     assert len(nz) == field.count  # distinct bins at this rate and seed
     np.testing.assert_allclose(
@@ -260,12 +255,12 @@ def test_discrete_operator_recovers_step_jumps():
 def green_sum(field, op, grid):
     """Direct sum of a_k rho_L(x - x_k) over the grid nodes.
 
-    Pinned operators keep only the impulses right of the window start,
-    whose null-space contributions the pinning removes.
+    Pinned operators keep only the impulses right of the window start on
+    every axis; the pinning removes the others' null-space contributions.
     """
     locs, amps = field.locations, field.amplitudes
     if op.pinned:
-        keep = locs[:, 0] > grid.box.lo[0]
+        keep = np.all(locs > np.asarray(grid.box.lo), axis=1)
         locs, amps = locs[keep], amps[keep]
     nodes = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
     out = np.zeros(nodes.shape[0])
@@ -458,7 +453,7 @@ def oracle_bin_ceil(coords, lo, h, n):
 
 def oracle_scatter(engine, locations, amplitudes):
     """_Engine.scatter as first written, with the kept rule of causal
-    operators (every axis keeps x <= hi, a pinned one also x > lo): the
+    operators (every axis keeps x <= hi, and x > lo if pinned): the
     mask is applied even when it keeps every impulse, and every factor
     gets its offsets; a spectral axis wraps its nearest node modulo the
     torus period."""
@@ -470,7 +465,8 @@ def oracle_scatter(engine, locations, amplitudes):
         for x, hi in zip(coords, grid.box.hi):
             kept &= x <= hi
         if engine.op.pinned:
-            kept &= coords[0] > grid.box.lo[0] + BIN_SNAP * h
+            for x, lo in zip(coords, grid.box.lo):
+                kept &= x > lo + BIN_SNAP * h
         coords = [x[kept] for x in coords]
     amps = amplitudes[kept]
     if engine.op.causal:

@@ -26,6 +26,10 @@ MIN_SUPPORT_SPAN = 16
 # one_pole chunks keep -log(r^i) at most this large, so r^{-i} stays finite
 # (doubles overflow near exp(709)).
 ONE_POLE_LOG_RANGE = 600.0
+# Largest n of D^n.  Its synthesis kernel (synthesis._poly_kernel) holds the
+# Newton weights p! S(n - 1, p) as int64, and from n = 20 the largest of
+# them (2.1e19 at n = 20) passes 2^63 and wraps around.
+MAX_DERIVATIVE_ORDER = 19
 # Entries kept by each cache of set-up that is built once per key and
 # shared read-only: Fourier multipliers per (shape, step, power), of which a
 # frac_laplacian study uses about three (synthesis and T on the sampling
@@ -119,6 +123,8 @@ class OperatorSpec:
             value = getattr(self, row.param)
             if value is None or isinstance(value, complex) or not 0 < value < math.inf:
                 raise OperatorError(f"{self.family} requires a real, finite {row.param} > 0")
+            if row.param == "n" and value > MAX_DERIVATIVE_ORDER:
+                raise OperatorError(f"{self.family} requires n <= {MAX_DERIVATIVE_ORDER}")
 
     @property
     def causal(self):
@@ -259,18 +265,20 @@ def _check_support(phi):
 
 def one_pole(x, r, axis=-1):
     """One-pole recursion y_i = x_i + r y_{i-1} along `axis`, y_{-1} = 0,
-    for 0 < r < 1.
+    for 0 <= r < 1.
 
     Computed as y_i = r^i cumsum(x r^{-i}) over chunks short enough that
     r^{-i} stays finite; each chunk adds its predecessor's last value times
-    r^{i+1}.  The power vectors (_one_pole_powers) broadcast along `axis`,
-    and every step works in place in the one output array.
+    r^{i+1}.  r = 0 (exp(-alpha h) underflowed) takes chunks of one, so the
+    recursion is the identity.  The power vectors (_one_pole_powers)
+    broadcast along `axis`, and every step works in place in the one output
+    array.
     """
     x = np.asarray(x, dtype=float)
     y = np.empty_like(x)
     axis = axis % x.ndim
     n = x.shape[axis]
-    size = max(1, min(n, int(ONE_POLE_LOG_RANGE / -math.log(r))))
+    size = 1 if r == 0 else max(1, min(n, int(ONE_POLE_LOG_RANGE / -math.log(r))))
     shape = (size,) + (1,) * (x.ndim - 1 - axis)
     grow, decay, carry_decay = (p.reshape(shape) for p in _one_pole_powers(r, size))
 

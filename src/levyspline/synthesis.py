@@ -3,19 +3,21 @@
 synthesize_spline turns an impulse field into the random L-spline
 s = p0 + sum_k a_k rho_L(. - x_k) sampled on a window grid, with the
 null-space term pinned (s(lo) = 0 on every axis of a pinned operator,
-zero window mean for the spectral path).  reference_levy_path runs the
-limit noise, one increment per cell (limit_cell_block), through the same
-engine: an exact limit path for the first derivative.  Every operator runs
-on one O(K + G) engine: scatter the impulses with one bincount per kernel
-term, then invert L.  Causal families bin each impulse to the first node
-at or beyond it, weighted by its offset, and run each axis's causal
-kernel (cumulative sums or the one-pole recursion), which equals the
-Green superposition at the nodes; the fractional Laplacian rounds to the
-nearest node of the torus whose period is the sampling box, so every node
-holds one full cell, and divides by ||omega||^gamma.  The engine's adjoint
-is the pairing table of every convergence study.  engine_for builds each
-engine once per (operator, grid, field box) and hands every caller the
-same read-only engine.
+zero window mean for the spectral path).  Every operator runs on one
+O(K + G) engine whose one hand-off from a draw is the cell sums
+(_Engine.cell_sums): scatter the impulses, then one bincount per kernel
+term gives each cell's sum of that term's weights; synthesis inverts L on
+them and a study pairs them with the adjoint tables.  The limit noise is
+drawn directly as cell sums, one increment per cell (limit_cell_sums),
+and reference_levy_path runs it through the same engine: an exact limit
+path for the first derivative.  Causal families bin each impulse to the
+first node at or beyond it, weighted by its offset, and run each axis's
+causal kernel (cumulative sums or the one-pole recursion), which equals
+the Green superposition at the nodes; the fractional Laplacian rounds to
+the nearest node of the torus whose period is the sampling box, so every
+node holds one full cell, and divides by ||omega||^gamma.  engine_for
+builds each engine once per (operator, grid, field box) and hands every
+caller the same read-only engine.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .exponents import JumpLaw
 from .grid import Box, Grid, fmt17, grid_text
-from .noise import ImpulseBlock
 from .operators import (
     SETUP_CACHE_SIZE,
     OperatorSpec,
@@ -114,8 +115,7 @@ def synthesize_spline(field, op, grid):
     if field.dim != op.dim or grid.dim != op.dim:
         raise SynthesisError("field, operator, and grid dimensions must agree")
     engine = engine_for(op, grid, field.box)
-    _, flat, terms = engine.scatter(field.locations, field.amplitudes)
-    samples = engine.synthesize(flat, terms)
+    samples = engine.synthesize(engine.cell_sums(field))
     if not np.isfinite(samples).all():
         raise SynthesisError("synthesized samples are not finite")
     return GridRealization(
@@ -267,12 +267,12 @@ class _Engine:
     def scatter(self, locations, amplitudes):
         """Impulses kept (a causal scatter drops those beyond the window end
         and, pinned, those at or left of its start; slice(None) when it
-        drops none), their flat cells on the scatter grid, and one (axis
-        filters, weights) pair per kernel term.  A causal axis bins each
-        impulse to the first node at or beyond it; the node-minus-impulse
-        offset is computed only for a factor whose moments read it.  A
-        spectral axis bins it to the nearest torus node, modulo the
-        period."""
+        drops none), their flat cells on the scatter grid, and one weight
+        array per kernel term, in the order of self.filters.  A causal axis
+        bins each impulse to the first node at or beyond it; the
+        node-minus-impulse offset is computed only for a factor whose
+        moments read it.  A spectral axis bins it to the nearest torus
+        node, modulo the period."""
         grid, h = self.grid, self.grid.step
         coords = [locations[:, axis] for axis in range(grid.dim)]
         if self.op.causal:
@@ -295,14 +295,31 @@ class _Engine:
         flat = bins[0]
         for idx, n in zip(bins[1:], self.shape[1:]):
             flat = flat * n + idx
-        return kept, flat, list(zip(self.filters, weights))
+        return kept, flat, weights
 
-    def synthesize(self, flat, terms):
-        """Window samples from one member's scatter: one bincount per term,
-        its axis filters, then (spectral) the division, crop and mean."""
+    def cell_sums(self, block):
+        """Each cell's sum of kernel-term weights over the impulses of every
+        member of `block`: one (members, cells) array per kernel term, in
+        the order of self.filters.  The one hand-off from a draw to
+        synthesis and to the pairing tables: one scatter, each kept
+        impulse's flat cell offset by its member's row, and one bincount
+        per term."""
+        kept, flat, weights = self.scatter(block.locations, block.amplitudes)
+        members = block.members
+        if members > 1:
+            flat += np.repeat(np.arange(members) * self.cells, block.counts)[kept]
+        size = members * self.cells
+        return [np.bincount(flat, w, minlength=size).reshape(members, self.cells) for w in weights]
+
+    def synthesize(self, sums):
+        """Window samples from one member's cell sums, a list of one array of
+        self.cells values per kernel term, which it empties: each term's
+        axis filters, then (spectral) the division, crop and mean.  A term's
+        sums are freed once its first filter has read them, so a 2-D
+        causal window holds two grid arrays at a time, not three."""
         parts = []
-        for filters, weights in terms:
-            acc = np.bincount(flat, weights, minlength=self.cells).reshape(self.shape)
+        for filters in self.filters:
+            acc = sums.pop(0).reshape(self.shape)
             for axis, run in enumerate(filters):
                 acc = run(acc, axis)
             parts.append(acc)
@@ -315,7 +332,7 @@ class _Engine:
     def tables(self, phis):
         """Adjoint of synthesis on the quadrature-weighted test functions:
         one (cells, len(phis)) table per kernel term, so that <s, phi> is
-        the sum over terms of hist @ table.  Causal filters run
+        the sum over terms of cell_sums @ table.  Causal filters run
         time-reversed; the spectral path takes w phi minus its window
         mean, embedded in the torus, through the symmetric spectral
         division (the scatter weights already carry 1 / h^dim)."""
@@ -355,31 +372,29 @@ def _check_reference(op, grid):
         )
 
 
-def limit_cell_block(f, engine, rng, members):
-    """`members` draws of the limit noise (rate inf) as one ImpulseBlock,
-    from one sample call: an impulse at each cell's node, whose amplitude is
-    the noise's increment over the cell.  For the first derivative a cell is
-    a step (x_{i-1}, x_i], its increment JumpLaw(f, h), with characteristic
-    function exp(h f(xi)).  Raises UnsupportedReference for every other operator."""
-    op, grid = engine.op, engine.grid
-    _check_reference(op, grid)
-    # a node past the window end by round-off would be dropped by the scatter
-    nodes = np.minimum(grid.axis(0)[1:], grid.box.hi[0])
-    amplitudes = JumpLaw(f, grid.step).sample(rng.generator(), members * nodes.size)
-    counts, locations = np.full(members, nodes.size), np.tile(nodes, members)[:, None]
-    return ImpulseBlock(1, engine.box, counts, locations, amplitudes, math.inf, rng.seed, rng.index)
+def limit_cell_sums(f, engine, rng, members):
+    """`members` draws of the limit noise (rate inf) as the engine's cell
+    sums, from one sample call: each cell's sum is the noise's increment
+    over the cell, drawn member by member.  For the first derivative cell
+    i > 0 is the step (x_{i-1}, x_i], its increment JumpLaw(f, h), with
+    characteristic function exp(h f(xi)), and cell 0 holds nothing (the
+    pinned window start).  Raises UnsupportedReference for every other
+    operator."""
+    _check_reference(engine.op, engine.grid)
+    sums = np.zeros((members, engine.cells))
+    draws = JumpLaw(f, engine.grid.step).sample(rng.generator(), members * (engine.cells - 1))
+    sums[:, 1:] = draws.reshape(members, engine.cells - 1)
+    return [sums]
 
 
 def reference_levy_path(f, op, grid, rng):
     """Exact-in-law path of the limit process: the one-member
-    limit_cell_block drawn from `rng`, run through the engine (for the
+    limit_cell_sums drawn from `rng`, run through the engine (for the
     first derivative, 0 at the window start plus one increment per step).
     Another operator is refused before its engine is built."""
     _check_reference(op, grid)
     engine = engine_for(op, grid, grid.box)
-    block = limit_cell_block(f, engine, rng, 1)
-    _, flat, terms = engine.scatter(block.locations, block.amplitudes)
-    samples = engine.synthesize(flat, terms)
+    samples = engine.synthesize(limit_cell_sums(f, engine, rng, 1))
     return GridRealization(1, grid.box, grid.step, samples, op, f"reference({f.family})", rng.seed)
 
 

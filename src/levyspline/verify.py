@@ -11,17 +11,19 @@ over the rungs whose mean error exceeds NOISE_SPLIT mean SEs lies in
 SLOPE_BAND and no test function's error rises between adjacent rungs by
 more than MONOTONE_SLACK times their larger SE (below two rungs: NOISE_FLOOR).
 Every pairing runs through one block step (_pair_block) over the blocks
-of one rung (_rung_blocks): draw a block of members, scatter it once, and
-pair every member with every test function by the synthesis engine's
-adjoint tables.  A study runs it in _study_cf -> _share_sums ->
-_pair_block; block_pairings is the same loop in one process, yielding
-each block's pairings.  For a causal operator the blocks are drawn on
-the window cut one node past the bank's support (_rung_engine): no
+of one rung (_rung_blocks): draw a block of members, take its cell sums
+from the synthesis engine (_Engine.cell_sums, one scatter and one
+histogram per kernel term), and pair every member with every test
+function by one matrix product per term with the engine's adjoint tables.
+A study runs it in _study_cf -> _share_sums -> _pair_block;
+block_pairings is the same loop in one process, yielding each block's
+pairings.  For a causal operator the blocks are drawn on the window cut
+one node past the bank's support (_rung_engine): no
 impulse beyond it reaches a test function, so the cut changes the draws
 and not their law.  A point value is the pairing s(x_i) = <s, delta_i /
 w_i> (point_bank), so block_pairings gives the marginals that back up the
 functional picture.  At the rate lam = inf the blocks are the limit
-process itself (synthesis.limit_cell_block).
+process itself, drawn directly as cell sums (synthesis.limit_cell_sums).
 
 Each block draws from its own RngStream, so a rung's blocks are independent
 work: _study_cf cuts every rung's blocks into as many contiguous shares as
@@ -47,7 +49,7 @@ from .exponents import evaluate, exponent_to_kv, poissonize
 from .grid import Box, Grid, fmt17
 from .noise import RngStream, sample_impulse_block
 from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
-from .synthesis import BIN_SNAP, engine_for, limit_cell_block
+from .synthesis import BIN_SNAP, engine_for, limit_cell_sums
 
 # Minimum ensemble size for a trustworthy empirical functional.
 MIN_ENSEMBLE = 100
@@ -446,9 +448,10 @@ def _member_work(engine, lam):
 
 
 def _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks=slice(None)):
-    """The rung's `count` members as ImpulseBlocks on the engine's box
-    (at lam = inf, limit_cell_block's one impulse per cell), or the blocks
-    in the slice `blocks` of them.
+    """The cell sums (_Engine.cell_sums) of the rung's `count` members,
+    drawn in ImpulseBlocks on the engine's box (at lam = inf,
+    limit_cell_sums), one list per block, or those of the blocks in the
+    slice `blocks` of them.
 
     The block starting at member i draws from RngStream(base_seed,
     stream_offset + i), so rungs with disjoint member ranges never share
@@ -460,9 +463,12 @@ def _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks=slice(N
         stream = RngStream(base_seed, stream_offset + start)
         members = min(size, count - start)
         if jumps is None:
-            yield limit_cell_block(f, engine, stream, members)
+            yield limit_cell_sums(f, engine, stream, members)
         else:
-            yield sample_impulse_block(engine.grid.dim, engine.box, lam, jumps, stream, members)
+            # no local keeps the block, so its impulses are freed once
+            # their cell sums are taken, before the next block is drawn
+            dim, box = engine.grid.dim, engine.box
+            yield engine.cell_sums(sample_impulse_block(dim, box, lam, jumps, stream, members))
 
 
 def _cf_mean_se(acc, count):
@@ -471,41 +477,28 @@ def _cf_mean_se(acc, count):
     return mean, se
 
 
-def _member_offsets(block, cells):
-    """Each impulse's offset into the block's (member, cell) histogram:
-    its member's index times the cells per member."""
-    return np.repeat(np.arange(block.members) * cells, block.counts)
-
-
 def block_pairings(f, op, lam, count, bank, base_seed, stream_offset=0):
     """Yield the pairings <s, phi> of `count` rate-`lam` members with every
     bank function, one (members, len(bank)) array per block, without
-    densifying paths (lam = inf: the limit process, see limit_cell_block).
+    densifying paths (lam = inf: the limit process, see limit_cell_sums).
 
     <s, phi> = <w, L^{-1*} phi>: the pairing tables are the synthesis
-    engine's adjoint, built once per call.  Each block is drawn and
-    scattered once; per kernel term one bincount fills a (member, cell)
-    histogram and one matrix product with the table pairs every member
-    with every test function.  This equals synthesize-then-quadrature on
-    the same draws to round-off, for every operator.
+    engine's adjoint, built once per call.  Each block is drawn once and
+    handed over as its (member, cell) sums per kernel term; one matrix
+    product per term with the table pairs every member with every test
+    function.  This equals synthesize-then-quadrature on the same draws to
+    round-off, for every operator.
     """
     engine = _rung_engine(op, bank)
     tables = _rung_tables(engine, bank)
-    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
-        yield _pair_block(engine, tables, block)
+    for sums in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
+        yield _pair_block(tables, sums)
 
 
-def _pair_block(engine, tables, block):
-    """The (members, len(bank)) pairings of one block: one scatter, then per
-    kernel term one (member, cell) histogram times its table."""
-    cells = engine.cells
-    kept, flat, terms = engine.scatter(block.locations, block.amplitudes)
-    flat += _member_offsets(block, cells)[kept]
-    t = 0.0
-    for table, (_, weights) in zip(tables, terms):
-        hist = np.bincount(flat, weights, minlength=block.members * cells)
-        t = t + hist.reshape(block.members, cells) @ table
-    return t
+def _pair_block(tables, sums):
+    """The (members, len(bank)) pairings of one block from its cell sums:
+    per kernel term its (members, cells) sums times its table."""
+    return sum(s @ table for s, table in zip(sums, tables))
 
 
 def _study_shares(engine, rungs, count):
@@ -525,8 +518,7 @@ def _share_sums(f, engine, tables, lam, count, base_seed, stream_offset, blocks)
     `blocks` of the rung, on a built engine and its tables."""
     drawn = _rung_blocks(f, engine, lam, count, base_seed, stream_offset, blocks)
     return np.array(
-        [np.exp(1j * _pair_block(engine, tables, block)).sum(axis=0) for block in drawn],
-        dtype=complex,
+        [np.exp(1j * _pair_block(tables, sums)).sum(axis=0) for sums in drawn], dtype=complex
     )
 
 

@@ -364,6 +364,31 @@ def test_reference_refuses_other_operators_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_operators_at_the_ends_of_their_ranges(tmp_path, capsys):
+    # D^n from n = 20 is a config error, also when a realization header
+    # names it; a pole so fast that exp(-alpha h) underflows to 0 draws
+    # finite samples in one and two dimensions
+    for n in ("20", "25"):
+        out = tmp_path / f"n{n}"
+        assert run("generate", "--operator", "D", "--n", n, "--outdir", str(out)) == 2
+        assert "D requires n <= 19" in capsys.readouterr().err
+        assert not out.exists()
+    assert run("generate", "--operator", "D", "--n", "19", "--seed", "1",
+               "--outdir", str(tmp_path / "g19")) == 0
+    path = tmp_path / "g19" / "realization.csv"
+    text = path.read_text()
+    assert ";n=19 " in text.splitlines()[0]
+    path.write_text(text.replace(";n=19 ", ";n=25 ", 1))
+    assert run("plotdata", "--input", str(path), "--outdir", str(tmp_path / "p25")) == 2
+    assert "D requires n <= 19" in capsys.readouterr().err
+    for args in (("--operator", "DaI"), ("--operator", "DaIxDaIy", "--step", "0.1")):
+        out = tmp_path / args[1]
+        assert run("generate", *args, "--alpha", "1e5", "--seed", "2", "--format", "bin",
+                   "--outdir", str(out)) == 0
+        samples = read_realization_binary(out / "realization.bin").samples
+        assert np.isfinite(samples).all() and samples.any()
+
+
 def test_runtime_error_exit_3(tmp_path, capsys):
     # an output directory below a regular file fails at run time
     blocker = tmp_path / "file"

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from levyspline.exponents import JumpLaw, cauchy, gaussian
-from levyspline.grid import Box
+from levyspline.grid import Box, Grid
 from levyspline.noise import (
     ImpulseBlock,
     NoiseError,
@@ -16,7 +16,8 @@ from levyspline.noise import (
     sample_impulse_field,
     write_impulse_csv,
 )
-from levyspline.verify import _member_offsets
+from levyspline.operators import make_operator
+from levyspline.synthesis import engine_for
 
 GAUSS = JumpLaw(gaussian(1.0), 1.0)
 
@@ -66,9 +67,14 @@ def test_sample_block_draw_order_is_replayable():
     np.testing.assert_array_equal(block.amplitudes, amps)
     assert (block.members, block.seed, block.stream) == (7, 11, 40)
     assert block.count == total
-    # a study's histogram offsets put each member's impulses in its own row
-    offsets = np.concatenate([np.full(k, 11 * i) for i, k in enumerate(counts)])
-    np.testing.assert_array_equal(_member_offsets(block, 11), offsets)
+    # a study's cell sums put each member's impulses in its own row
+    engine = engine_for(make_operator("DxDy"), Grid(box, 0.25), box)
+    rows = engine.cell_sums(block)
+    ends = np.cumsum(counts)
+    for i, (a, b) in enumerate(zip(ends - counts, ends)):
+        one = ImpulseBlock(2, box, [b - a], locs[a:b], amps[a:b], 1.5, 11, 40)
+        for row, own in zip(rows, engine.cell_sums(one)):
+            assert row[i].tobytes() == own[0].tobytes()
     with pytest.raises(NoiseError):
         sample_impulse_block(2, box, 1.5, GAUSS, RngStream(11, 40), 0)
 

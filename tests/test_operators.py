@@ -40,6 +40,7 @@ def bump(x, center, width):
 def test_make_operator_families():
     assert make_operator("D").dim == 1
     assert make_operator("D", n=3).n == 3
+    assert make_operator("D", n=19).n == 19
     assert make_operator("DaI", alpha=0.2).alpha == 0.2
     assert make_operator("DxDy").dim == 2
     assert make_operator("DaIxDaIy", alpha=0.1).dim == 2
@@ -51,6 +52,11 @@ def test_operator_validation():
         make_operator("Q")
     with pytest.raises(OperatorError):
         make_operator("D", n=0)
+    # D^n's kernel weights p! S(n - 1, p) are int64: the largest is 7.8e17
+    # at n = 19 and 2.1e19 > 2^63 at n = 20
+    for n in (20, 25, 200):
+        with pytest.raises(OperatorError, match="n <= 19"):
+            make_operator("D", n=n)
     with pytest.raises(OperatorError):
         make_operator("DaI")  # alpha required
     with pytest.raises(OperatorError):
@@ -270,11 +276,12 @@ def test_apply_T_spectral_guards():
     np.testing.assert_array_equal(out, np.zeros_like(x))
 
 
-@pytest.mark.parametrize("alpha_h", [1e-3, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("alpha_h", [1e-3, 0.5, 5.0, 50.0, 1e5])
 @pytest.mark.parametrize("n", [1, 2, 1001, 100001])
 def test_one_pole_matches_lfilter(n, alpha_h):
     # alpha h = 5 and 50 split every axis of 1001 or more samples into
-    # chunks, so the carry from chunk to chunk is exercised
+    # chunks, so the carry from chunk to chunk is exercised; at alpha h =
+    # 1e5, r = exp(-alpha h) underflows to 0 and the recursion is y = x
     r = math.exp(-alpha_h)
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)

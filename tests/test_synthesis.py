@@ -36,7 +36,6 @@ from levyspline.synthesis import (
     write_realization_binary,
     write_realization_csv,
 )
-from levyspline.verify import _member_offsets
 
 GRID1 = Grid(Box.cube(0.0, 10.0, 1), 0.01)
 
@@ -286,7 +285,12 @@ def test_causal_synthesis_equals_green_superposition():
         (make_operator("D"), GRID1),
         (make_operator("D", n=2), GRID1),
         (make_operator("D", n=3), GRID1),
+        # the highest order whose int64 kernel weights hold
+        (make_operator("D", n=19), GRID1),
         (make_operator("DaI", alpha=0.1), GRID1),
+        # exp(-alpha h) underflows to 0: the one-pole recursion is y = x
+        (make_operator("DaI", alpha=1e5), GRID1),
+        (make_operator("DaI", alpha=1e300), GRID1),
         (make_operator("DxDy"), g2),
         (make_operator("DaIxDaIy", alpha=0.1), g2),
     ):
@@ -456,7 +460,8 @@ def oracle_scatter(engine, locations, amplitudes):
     operators (every axis keeps x <= hi, and x > lo if pinned): the
     mask is applied even when it keeps every impulse, and every factor
     gets its offsets; a spectral axis wraps its nearest node modulo the
-    torus period."""
+    torus period.  Returns the kept impulses, their flat cells and one
+    weight array per kernel term."""
     grid, h = engine.grid, engine.grid.step
     coords = [locations[:, axis] for axis in range(grid.dim)]
     kept = slice(None)
@@ -485,7 +490,7 @@ def oracle_scatter(engine, locations, amplitudes):
     flat = bins[0]
     for idx, n in zip(bins[1:], engine.shape[1:]):
         flat = flat * n + idx
-    return kept, flat, list(zip(engine.filters, weights))
+    return kept, flat, weights
 
 
 GRID2_SMALL = Grid(Box.cube(0.0, 4.0, 2), 0.1)
@@ -523,17 +528,16 @@ def test_scatter_equals_the_first_written_scatter_bit_for_bit():
         for k, locs in enumerate(scatter_fields(grid, box, gen)):
             amps = gen.standard_normal(locs.shape[0])
             saved = locs.copy()
-            kept, flat, terms = engine.scatter(locs, amps)
-            want_kept, want_flat, want_terms = oracle_scatter(engine, locs, amps)
+            kept, flat, weights = engine.scatter(locs, amps)
+            want_kept, want_flat, want_weights = oracle_scatter(engine, locs, amps)
             np.testing.assert_array_equal(locs, saved)  # the caller's array is untouched
             index = np.arange(locs.shape[0])
             np.testing.assert_array_equal(index[kept], index[want_kept])
             assert flat.dtype == want_flat.dtype
             np.testing.assert_array_equal(flat, want_flat)
-            assert len(terms) == len(want_terms)
-            for (filters, weights), (want_filters, want_weights) in zip(terms, want_terms):
-                assert filters == want_filters
-                np.testing.assert_array_equal(weights, want_weights)
+            assert len(weights) == len(want_weights) == len(engine.filters)
+            for w, want in zip(weights, want_weights):
+                np.testing.assert_array_equal(w, want)
             # only the mixed set has impulses for a causal scatter to drop
             assert isinstance(kept, slice) == (k < 2 or not op.causal)
 
@@ -567,24 +571,33 @@ def test_spectral_cells_have_their_exact_measure():
         np.testing.assert_array_equal(np.bincount(flat, minlength=engine.cells), per**dim)
 
 
-def test_study_offsets_equal_owner_times_cells():
-    # the study histogram offset of each kept impulse is its member index
-    # times the cells per member, whether pinning drops impulses (a box
-    # reaching left of the window) or keeps them all
+def test_cell_sums_are_the_first_written_scatter_binned_by_member():
+    # a block's cell sums are, bit for bit, one bincount per kernel term of
+    # the first-written scatter with each kept impulse in its member's row
+    # (its index times the cells per member), whether pinning drops
+    # impulses (a box reaching left of the window) or keeps them all, and
+    # for the one-member block
     jumps = JumpLaw(gaussian(1.0), 0.25)
     for op, grid in SCATTER_CASES:
         margin = margin_rule(op, grid.box)
         for left in (0.0, 2.0):
             box = sampling_box(op, grid.box, margin + left)
             engine = _Engine(op, grid, box)
-            block = sample_impulse_block(grid.dim, box, 2.0, jumps, RngStream(3, 9), 12)
-            kept, flat, _ = engine.scatter(block.locations, block.amplitudes)
-            owners = np.repeat(np.arange(block.members), block.counts)
-            got = flat + _member_offsets(block, engine.cells)[kept]
-            want = flat + owners[kept] * engine.cells
-            np.testing.assert_array_equal(got, want)
-            if op.pinned:
-                assert isinstance(kept, slice) == (left == 0.0)
+            for members in (12, 1):
+                block = sample_impulse_block(grid.dim, box, 2.0, jumps, RngStream(3, 9), members)
+                kept, flat, weights = oracle_scatter(engine, block.locations, block.amplitudes)
+                owners = np.repeat(np.arange(members), block.counts)
+                rows = flat + owners[kept] * engine.cells
+                want = [
+                    np.bincount(rows, w, minlength=members * engine.cells).reshape(members, -1)
+                    for w in weights
+                ]
+                got = engine.cell_sums(block)
+                assert [g.shape for g in got] == [(members, engine.cells)] * len(engine.filters)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                if op.pinned:
+                    kept, _, _ = engine.scatter(block.locations, block.amplitudes)
+                    assert isinstance(kept, slice) == (left == 0.0)
 
 
 def test_bin_ceil_clips_far_coordinates_before_the_cast():
@@ -626,13 +639,13 @@ def test_factor_moments_read_offsets_only_where_needed():
 
 
 def engine_outputs(engine, field, phi):
-    """Everything an engine gives: a member's samples, then its scatter and
-    the pairing tables of one test function."""
-    kept, flat, terms = engine.scatter(field.locations, field.amplitudes)
-    samples = engine.synthesize(flat, terms)
+    """Everything an engine gives: a member's samples, then its scatter,
+    its cell sums and the pairing tables of one test function."""
+    kept, flat, weights = engine.scatter(field.locations, field.amplitudes)
+    sums = engine.cell_sums(field)
+    samples = engine.synthesize(list(sums))
     index = np.arange(field.count)[kept]
-    weights = [w for _, w in terms]
-    return [samples, index, flat, *weights, *engine.tables([phi])]
+    return [samples, index, flat, *weights, *sums, *engine.tables([phi])]
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,17 @@ from scipy import stats
 
 from levyspline import verify, workers
 from levyspline.cli import _build_parser, _resolve
-from levyspline.exponents import JumpLaw, cauchy, gaussian, poissonize
+from levyspline.exponents import JumpLaw, cauchy, gaussian, laplace, poissonize
 from levyspline.grid import Box, Grid
 from levyspline.noise import ImpulseBlock, RngStream, sample_impulse_block
 from levyspline.operators import grid_margin, make_operator, margin_rule, sampling_box
-from levyspline.synthesis import GridRealization, UnsupportedReference, _Engine, synthesize_spline
+from levyspline.synthesis import (
+    GridRealization,
+    UnsupportedReference,
+    _Engine,
+    limit_cell_sums,
+    synthesize_spline,
+)
 from levyspline.verify import (
     BLOCK_CELLS,
     CFEstimate,
@@ -164,6 +170,35 @@ def _full_window_fields(op, block, grid):
     ]
 
 
+def _limit_node_block(f, engine, rng, members):
+    """The limit cell noise as first written, for the first derivative: an
+    impulse on each cell's node (a node past the window end by round-off
+    pulled back to it) whose amplitude is the JumpLaw(f, h) increment over
+    the cell, `members` fields from one sample call."""
+    grid = engine.grid
+    nodes = np.minimum(grid.axis(0)[1:], grid.box.hi[0])
+    amplitudes = JumpLaw(f, grid.step).sample(rng.generator(), members * nodes.size)
+    counts, locations = np.full(members, nodes.size), np.tile(nodes, members)[:, None]
+    return ImpulseBlock(1, engine.box, counts, locations, amplitudes, math.inf, rng.seed, rng.index)
+
+
+def _oracle_blocks(f, engine, lam, count, base_seed, stream_offset):
+    """The ImpulseBlocks of a rung as _rung_blocks documents them, drawn
+    without the engine: the block starting at member i holds up to
+    _block_members members from RngStream(base_seed, stream_offset + i),
+    a rate-lam Poisson block on the engine's box, or at lam = inf the
+    _limit_node_block."""
+    size = _block_members(engine, lam)
+    for start in range(0, count, size):
+        stream = RngStream(base_seed, stream_offset + start)
+        members = min(size, count - start)
+        if lam == math.inf:
+            yield _limit_node_block(f, engine, stream, members)
+        else:
+            jumps = poissonize(f, lam).jump_law
+            yield sample_impulse_block(engine.grid.dim, engine.box, lam, jumps, stream, members)
+
+
 def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     """Oracle for rung_cf: synthesize every member of the same blocks on the
     full window and pair by quadrature."""
@@ -172,7 +207,7 @@ def _generic_rung_cf(f, op, lam, count, bank, base_seed, stream_offset):
     weighted = [weights * phi for phi in bank.phis]
     acc = np.zeros(len(bank), dtype=complex)
     engine = _rung_engine(op, bank)
-    for block in _rung_blocks(f, engine, lam, count, base_seed, stream_offset):
+    for block in _oracle_blocks(f, engine, lam, count, base_seed, stream_offset):
         for fld in _full_window_fields(op, block, grid):
             real = synthesize_spline(fld, op, grid)
             t = np.array([float(np.sum(wp * real.samples)) for wp in weighted])
@@ -206,13 +241,39 @@ def test_convergence_study_fast_path_equals_pipeline():
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         np.testing.assert_allclose(fast_se, slow_se, atol=1e-12)
         engine = _rung_engine(op, bank)
-        blocks = list(_rung_blocks(f, engine, lam, count, 17, 600))
+        blocks = list(_oracle_blocks(f, engine, lam, count, 17, 600))
+        sums = list(_rung_blocks(f, engine, lam, count, 17, 600))
+        assert [s[0].shape[0] for s in sums] == [b.members for b in blocks]
         assert sum(b.members for b in blocks) == count
         assert all(b.members == _block_members(engine, lam) for b in blocks[:-1])
         if lam == 0.05:
             assert sum(int(np.sum(b.counts == 0)) for b in blocks) > count // 2
         elif op.causal:
             assert len(blocks) == 4 and blocks[-1].members < _block_members(engine, lam)
+
+
+def test_limit_cell_sums_are_the_node_impulses_scattered():
+    # the limit noise drawn as cell sums equals, bit for bit, the engine's
+    # cell sums of the same increments placed as impulses on the nodes: on
+    # the full 0:10 window, on a study rung's window cut to 0:3.6, and on
+    # 0:2.3 at step 0.1, whose last node lies past the window end by
+    # round-off
+    short = Grid(Box.cube(0.0, 2.3, 1), 0.1)
+    assert short.axis(0)[-1] > short.box.hi[0]
+    engines = (
+        _Engine(OP_D, GRID1, GRID1.box),
+        _rung_engine(OP_D, build_cf_bank(GRID1)),
+        _Engine(OP_D, short, short.box),
+    )
+    assert engines[1].grid.box.hi == (3.6,)
+    for engine in engines:
+        for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
+            for members in (1, 5):
+                stream = RngStream(9, members)
+                got = limit_cell_sums(f, engine, stream, members)
+                want = engine.cell_sums(_limit_node_block(f, engine, stream, members))
+                assert [g.shape for g in got] == [(members, engine.cells)]
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_block_members_bound_the_scattered_histogram():
@@ -304,11 +365,11 @@ def test_a_cropped_rung_pairs_its_block_as_the_full_window(fam, kw, grid):
         for lam in (1.0, 64.0):
             jumps = poissonize(f, lam).jump_law
             block = sample_impulse_block(grid.dim, full.box, lam, jumps, RngStream(11, 0), 20)
-            whole = _pair_block(full, full_tables, block)
+            whole = _pair_block(full_tables, full.cell_sums(block))
             part = _restricted(block, cut.box)
             assert part.counts.sum() < block.counts.sum()
             np.testing.assert_allclose(
-                _pair_block(cut, cut_tables, part), whole, rtol=0,
+                _pair_block(cut_tables, cut.cell_sums(part)), whole, rtol=0,
                 atol=1e-12 * np.abs(whole).max(),
             )
 
@@ -834,7 +895,7 @@ def test_block_point_values_equal_synthesis():
         engine = _rung_engine(op, bank)
         slow = np.array([
             [synthesize_spline(fld, op, grid).samples[node] for node in nodes]
-            for block in _rung_blocks(f, engine, lam, count, 23, 0)
+            for block in _oracle_blocks(f, engine, lam, count, 23, 0)
             for fld in _full_window_fields(op, block, grid)
         ])
         assert fast.shape == slow.shape == (count, 3)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate (impulse field plus synthesized realization),
-reference (exact limit path for the first-derivative operator), verify
-(rate-ladder functional convergence study), plotdata (gnuplot data, and
-PGM for two-dimensional grids), selftest (internal consistency checks).
+reference (exact limit path for D n=1, DxDy and the fractional Laplacian,
+whose cells weigh every impulse alike), verify (rate-ladder functional
+convergence study), plotdata (gnuplot data, and PGM for two-dimensional
+grids), selftest (internal consistency checks).
 
 Configuration is plain key=value text, one pair per line with '#'
 comments; command-line flags override file values.  Each subcommand takes
@@ -40,6 +41,7 @@ from .noise import NoiseError, RngStream, expected_count, sample_impulse_field, 
 from .operators import (
     OPERATOR_PARAMS,
     OperatorError,
+    _check_support,
     check_family_keys,
     grid_margin,
     make_operator,
@@ -321,12 +323,14 @@ def cmd_verify(cfg, op, grid, f, ns):
     outdir = ns.outdir
     # refuse, before any output, what the study would refuse, the
     # impulse-count guard at its top rung, on the box that rung draws on,
-    # included
+    # and a bank too coarse for apply_T included
     try:
         bank = build_cf_bank(grid)
+        for phi in bank.phis:
+            _check_support(phi)
         top = study_ladder(cfg.ladder, cfg.ensemble)[-1]
         expected_count(top, _rung_engine(op, bank).box)
-    except (NoiseError, VerifyError) as exc:
+    except (NoiseError, OperatorError, VerifyError) as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)
     try:
@@ -452,7 +456,7 @@ _RUN_KEYS = ("operator", "n", "alpha", "gamma", "dim", "family", "sigma2", "c", 
 _COMMANDS = {
     "generate": ("sample an impulse field and synthesize its L-spline", cmd_generate,
                  _RUN_KEYS + ("lambda", "margin", "format")),
-    "reference": ("draw an exact limit-process path (first derivative only)", cmd_reference,
+    "reference": ("draw an exact limit-process path (D n=1, DxDy, frac_laplacian)", cmd_reference,
                   _RUN_KEYS + ("format",)),
     "verify": ("run the rate-ladder functional convergence study", cmd_verify,
                _RUN_KEYS + ("ladder", "ensemble")),

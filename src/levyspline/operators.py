@@ -265,20 +265,22 @@ def _check_support(phi):
 
 def one_pole(x, r, axis=-1):
     """One-pole recursion y_i = x_i + r y_{i-1} along `axis`, y_{-1} = 0,
-    for 0 <= r < 1.
+    for 0 <= r <= 1.
 
     Computed as y_i = r^i cumsum(x r^{-i}) over chunks short enough that
     r^{-i} stays finite; each chunk adds its predecessor's last value times
     r^{i+1}.  r = 0 (exp(-alpha h) underflowed) takes chunks of one, so the
-    recursion is the identity.  The power vectors (_one_pole_powers)
-    broadcast along `axis`, and every step works in place in the one output
-    array.
+    recursion is the identity; r = 1 (alpha h below round-off) takes one
+    chunk of length n, the cumulative sum.  The power vectors
+    (_one_pole_powers) broadcast along `axis`, and every step works in
+    place in the one output array.
     """
     x = np.asarray(x, dtype=float)
     y = np.empty_like(x)
     axis = axis % x.ndim
     n = x.shape[axis]
-    size = 1 if r == 0 else max(1, min(n, int(ONE_POLE_LOG_RANGE / -math.log(r))))
+    span = 1 if r == 0 else n if r == 1 else int(ONE_POLE_LOG_RANGE / -math.log(r))
+    size = max(1, min(n, span))
     shape = (size,) + (1,) * (x.ndim - 1 - axis)
     grow, decay, carry_decay = (p.reshape(shape) for p in _one_pole_powers(r, size))
 

@@ -7,10 +7,11 @@ zero window mean for the spectral path).  Every operator runs on one
 O(K + G) engine whose one hand-off from a draw is the cell sums
 (_Engine.cell_sums): scatter the impulses, then one bincount per kernel
 term gives each cell's sum of that term's weights; synthesis inverts L on
-them and a study pairs them with the adjoint tables.  The limit noise is
-drawn directly as cell sums, one increment per cell (limit_cell_sums),
-and reference_levy_path runs it through the same engine: an exact limit
-path for the first derivative.  Causal families bin each impulse to the
+them and a study pairs them with the adjoint tables.  Where a cell weighs
+every impulse in it alike (D n=1, DxDy, the fractional Laplacian), the
+limit noise is drawn directly as cell sums, one increment per cell times
+that weight (limit_cell_sums), and reference_levy_path runs it through the
+same engine: an exact limit path.  Causal families bin each impulse to the
 first node at or beyond it, weighted by its offset, and run each axis's
 causal kernel (cumulative sums or the one-pole recursion), which equals
 the Green superposition at the nodes; the fractional Laplacian rounds to
@@ -36,6 +37,7 @@ from .operators import (
     SETUP_CACHE_SIZE,
     OperatorSpec,
     format_operator_config,
+    grid_margin,
     margin_rule,
     one_pole,
     parse_operator_config,
@@ -218,11 +220,14 @@ def _factor_kernel(factor, h):
 
 
 def _offset(nodes, idx, x):
-    """offset() -> nodes[idx] - x, a fresh array, for _factor_kernel's moments."""
+    """offset() -> nodes[idx] - x, a fresh array, for _factor_kernel's
+    moments; clamped at 0, since an impulse _bin_ceil snaps back onto its
+    node lies on it."""
 
     def offset():
         delta = nodes[idx]
         delta -= x
+        np.maximum(delta, 0.0, out=delta)
         return delta
 
     return offset
@@ -364,38 +369,37 @@ def engine_for(op, grid, box):
     return _Engine(op, grid, box)
 
 
-def _check_reference(op, grid):
-    if op.family != "D" or op.n != 1 or grid.dim != 1:
-        raise UnsupportedReference(
-            "exact references exist only for the first-derivative operator "
-            f"(operator=D n=1), not {format_operator_config(op)}"
-        )
-
-
 def limit_cell_sums(f, engine, rng, members):
     """`members` draws of the limit noise (rate inf) as the engine's cell
     sums, from one sample call: each cell's sum is the noise's increment
-    over the cell, drawn member by member.  For the first derivative cell
-    i > 0 is the step (x_{i-1}, x_i], its increment JumpLaw(f, h), with
-    characteristic function exp(h f(xi)), and cell 0 holds nothing (the
-    pinned window start).  Raises UnsupportedReference for every other
-    operator."""
-    _check_reference(engine.op, engine.grid)
-    sums = np.zeros((members, engine.cells))
-    draws = JumpLaw(f, engine.grid.step).sample(rng.generator(), members * (engine.cells - 1))
-    sums[:, 1:] = draws.reshape(members, engine.cells - 1)
-    return [sums]
+    over the cell, JumpLaw(f, h^dim), times the weight the scatter gives
+    any impulse in it (1 / h^dim on the spectral torus), drawn member by
+    member.  A pinned cell (index 0 on some axis) holds nothing.  Raises
+    UnsupportedReference when that weight reads the impulse's offset in
+    its cell (D^n, n >= 2, and D + alpha I)."""
+    op, grid = engine.op, engine.grid
+    if any(factor != (1, None) for factor in op.factors):
+        raise UnsupportedReference(
+            "exact references exist only for operators whose cells weigh impulses alike "
+            f"(D n=1, DxDy, frac_laplacian), not {format_operator_config(op)}"
+        )
+    measure = grid.step**grid.dim
+    sums = np.zeros((members,) + engine.shape)
+    cells = sums[(slice(None),) + (slice(int(op.pinned), None),) * grid.dim]
+    cells[...] = JumpLaw(f, measure).sample(rng.generator(), cells.size).reshape(cells.shape)
+    if not op.causal:
+        cells /= measure
+    return [sums.reshape(members, engine.cells)]
 
 
 def reference_levy_path(f, op, grid, rng):
     """Exact-in-law path of the limit process: the one-member
-    limit_cell_sums drawn from `rng`, run through the engine (for the
-    first derivative, 0 at the window start plus one increment per step).
-    Another operator is refused before its engine is built."""
-    _check_reference(op, grid)
-    engine = engine_for(op, grid, grid.box)
+    limit_cell_sums drawn from `rng`, run through the engine on the operator's
+    own sampling box (for D, 0 at the window start plus one increment per step)."""
+    engine = engine_for(op, grid, sampling_box(op, grid.box, grid_margin(op, grid)))
     samples = engine.synthesize(limit_cell_sums(f, engine, rng, 1))
-    return GridRealization(1, grid.box, grid.step, samples, op, f"reference({f.family})", rng.seed)
+    provenance = f"reference({f.family})"
+    return GridRealization(grid.dim, grid.box, grid.step, samples, op, provenance, rng.seed)
 
 
 def write_realization_csv(real, path):

@@ -96,6 +96,20 @@ def test_flags_override_config(tmp_path):
     assert "seed=5" in (out / "run.cfg").read_text()
 
 
+def test_config_file_comments_and_blank_lines(tmp_path):
+    # a comment line, a blank line and a trailing comment resolve to the
+    # run.cfg, and the outputs, of the same flags
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text("# a coarse 2-D path\noperator=DxDy\n\nstep=0.1  # 101^2 nodes\nseed=4\n")
+    file_out, flag_out = tmp_path / "file", tmp_path / "flags"
+    assert run("reference", "--config", str(cfg), "--outdir", str(file_out)) == 0
+    assert run("reference", "--operator", "DxDy", "--step", "0.1", "--seed", "4",
+               "--outdir", str(flag_out)) == 0
+    assert (file_out / "run.cfg").read_text() == (flag_out / "run.cfg").read_text()
+    assert "operator=DxDy\ndim=2\n" in (file_out / "run.cfg").read_text()
+    assert filecmp.cmp(file_out / "realization.csv", flag_out / "realization.csv", shallow=False)
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "e1", tmp_path / "e2"
     monkeypatch.setenv("LEVYSPLINE_SEED", "123")
@@ -167,8 +181,8 @@ def test_verify_noise_floor_exit_code(tmp_path, capsys):
 
 
 def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
-    # a ladder, ensemble or operator the study would refuse exits 2 before
-    # any output is written
+    # a ladder, ensemble, operator or grid the study would refuse exits 2
+    # before any output is written
     for args, reason in (
         (("--ladder", "4,1,16"), "strictly ascending"),
         (("--ladder", "1,4"), "at least 3 rungs"),
@@ -177,6 +191,8 @@ def test_verify_refuses_what_it_cannot_run(tmp_path, capsys):
         (("--operator", "DaIxDaIy", "--alpha", "0.1", "--step", "0.1"), "one dimensional"),
         (("--operator", "frac_laplacian", "--gamma", "1.5", "--dim", "2", "--step", "0.1"),
          "one dimensional"),
+        (("--step", "0.1"), "fewer than 16 samples"),
+        (("--box", "0:1", "--step", "0.05"), "fewer than 16 samples"),
     ):
         out = tmp_path / "v"
         capsys.readouterr()
@@ -348,14 +364,13 @@ def test_operator_keys_the_family_ignores(tmp_path, capsys):
 
 
 def test_reference_refuses_other_operators_exit_2(tmp_path, capsys):
-    # reference draws only the first-derivative operator; any other is a
-    # config error, with its reason and no output directory
+    # reference draws only the operators whose cells weigh every impulse
+    # alike; one whose weight reads the offset is a config error, with its
+    # reason and no output directory
     for args in (
         ("--operator", "DaI", "--alpha", "0.1"),
         ("--operator", "D", "--n", "2"),
-        ("--operator", "DxDy", "--step", "0.5"),
         ("--operator", "DaIxDaIy", "--alpha", "1", "--step", "0.5"),
-        ("--operator", "frac_laplacian", "--gamma", "1.5"),
     ):
         out = tmp_path / "r"
         assert run("reference", *args, "--outdir", str(out)) == 2
@@ -367,7 +382,8 @@ def test_reference_refuses_other_operators_exit_2(tmp_path, capsys):
 def test_operators_at_the_ends_of_their_ranges(tmp_path, capsys):
     # D^n from n = 20 is a config error, also when a realization header
     # names it; a pole so fast that exp(-alpha h) underflows to 0 draws
-    # finite samples in one and two dimensions
+    # finite samples in one and two dimensions, and so does a pole so slow
+    # that it rounds to 1
     for n in ("20", "25"):
         out = tmp_path / f"n{n}"
         assert run("generate", "--operator", "D", "--n", n, "--outdir", str(out)) == 2
@@ -387,6 +403,11 @@ def test_operators_at_the_ends_of_their_ranges(tmp_path, capsys):
                    "--outdir", str(out)) == 0
         samples = read_realization_binary(out / "realization.bin").samples
         assert np.isfinite(samples).all() and samples.any()
+    out = tmp_path / "slow"
+    assert run("generate", "--operator", "DaI", "--alpha", "1e-300", "--seed", "2",
+               "--format", "bin", "--outdir", str(out)) == 0
+    samples = read_realization_binary(out / "realization.bin").samples
+    assert np.isfinite(samples).all() and samples.any()
 
 
 def test_runtime_error_exit_3(tmp_path, capsys):

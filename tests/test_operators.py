@@ -295,6 +295,14 @@ def test_one_pole_matches_lfilter(n, alpha_h):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_one_pole_at_unit_pole_is_the_cumulative_sum():
+    # alpha h below about 1.1e-16 rounds exp(-alpha h) to 1: one chunk of
+    # the whole axis, bit for bit np.cumsum along either axis
+    x = np.random.default_rng(5).standard_normal((1001, 7))
+    for axis in (0, 1):
+        assert one_pole(x, 1.0, axis).tobytes() == np.cumsum(x, axis).tobytes()
+
+
 def inline_one_pole(x, r, axis=-1):
     """one_pole with its power vectors computed inline on every call, as
     first written."""

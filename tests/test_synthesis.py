@@ -108,6 +108,19 @@ def test_exponential_synthesis_single_impulse():
     assert abs(real.samples[500] - 2.0 * math.exp(-0.4)) < 1e-10
 
 
+def test_snapped_impulse_lies_on_its_node():
+    # an impulse 1e-13 right of node 300 is binned to that node, and the
+    # exponential kernel weighs it as lying on the node: exactly 1 there at
+    # every pole, with no exp(alpha |delta|) growth and no overflow warning
+    x = GRID1.axis(0)[300] + 1e-13
+    field = single_impulse([x], 1.0, GRID1.box)
+    for alpha in (1.0, 1e9, 1e12, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = synthesize_spline(field, make_operator("DaI", alpha=alpha), GRID1).samples
+        assert samples[300] == 1.0 and not samples[:300].any(), alpha
+
+
 def test_pinned_paths_drop_left_margin_impulses():
     # impulses at or left of the window start on some axis cancel exactly
     # under pinning, so s is 0 at the window start of every axis
@@ -403,6 +416,31 @@ def test_reference_path_is_the_cumulated_increments():
                 want = np.concatenate([[0.0], np.cumsum(inc)])
                 got = reference_levy_path(f, op, grid, RngStream(seed, 0)).samples
                 assert got.tobytes() == want.tobytes(), (grid, f.family, seed)
+
+
+def test_reference_path_of_dxdy_and_the_fractional_laplacian():
+    # a DxDy path is the running sum over both axes of JumpLaw(f, h^2)
+    # increments on every cell past the first row and column, drawn from
+    # RngStream(seed, 0), so it is 0 on its first row and column; a
+    # fractional Laplacian path is drawn on its rule's torus and is finite
+    # and mean-free on the window, in one and two dimensions
+    grid2 = Grid(Box.cube(0.0, 2.0, 2), 0.05)
+    n = grid2.shape[0]
+    for f in (gaussian(1.0), cauchy(1.0), laplace(1.0)):
+        inc = JumpLaw(f, 0.05**2).sample(RngStream(3, 0).generator(), (n - 1) ** 2)
+        want = np.zeros(grid2.shape)
+        want[1:, 1:] = inc.reshape(n - 1, n - 1)
+        want = np.cumsum(np.cumsum(want, axis=0), axis=1)
+        real = reference_levy_path(f, make_operator("DxDy"), grid2, RngStream(3, 0))
+        assert real.dim == 2 and real.provenance == f"reference({f.family})"
+        assert real.samples.tobytes() == want.tobytes(), f.family
+        for op, grid in (
+            (make_operator("frac_laplacian", gamma=1.5), GRID1),
+            (make_operator("frac_laplacian", gamma=1.5, dim=2), grid2),
+        ):
+            samples = reference_levy_path(f, op, grid, RngStream(3, 0)).samples
+            assert samples.shape == grid.shape and np.isfinite(samples).all()
+            assert abs(samples.mean()) < 1e-12 * np.abs(samples).max()
 
 
 def test_realization_csv_round_trip(tmp_path):

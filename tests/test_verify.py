@@ -171,15 +171,23 @@ def _full_window_fields(op, block, grid):
 
 
 def _limit_node_block(f, engine, rng, members):
-    """The limit cell noise as first written, for the first derivative: an
-    impulse on each cell's node (a node past the window end by round-off
-    pulled back to it) whose amplitude is the JumpLaw(f, h) increment over
-    the cell, `members` fields from one sample call."""
-    grid = engine.grid
-    nodes = np.minimum(grid.axis(0)[1:], grid.box.hi[0])
-    amplitudes = JumpLaw(f, grid.step).sample(rng.generator(), members * nodes.size)
-    counts, locations = np.full(members, nodes.size), np.tile(nodes, members)[:, None]
-    return ImpulseBlock(1, engine.box, counts, locations, amplitudes, math.inf, rng.seed, rng.index)
+    """The limit cell noise as first written: an impulse on the node of each
+    cell the engine keeps (for a pinned operator every node past the first
+    on each axis, a node past the window end by round-off pulled back to
+    it; for the spectral one every node of the torus) whose amplitude is
+    the JumpLaw(f, h^dim) increment over the cell, `members` fields from
+    one sample call."""
+    grid, h = engine.grid, engine.grid.step
+    if engine.op.causal:
+        axes = [np.minimum(grid.axis(a)[1:], hi) for a, hi in enumerate(grid.box.hi)]
+    else:
+        axes = [lo + h * np.arange(n) for lo, n in zip(engine.origin, engine.shape)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    amplitudes = JumpLaw(f, h**grid.dim).sample(rng.generator(), members * len(nodes))
+    counts, locations = np.full(members, len(nodes)), np.tile(nodes, (members, 1))
+    return ImpulseBlock(
+        grid.dim, engine.box, counts, locations, amplitudes, math.inf, rng.seed, rng.index
+    )
 
 
 def _oracle_blocks(f, engine, lam, count, base_seed, stream_offset):
@@ -255,15 +263,21 @@ def test_convergence_study_fast_path_equals_pipeline():
 def test_limit_cell_sums_are_the_node_impulses_scattered():
     # the limit noise drawn as cell sums equals, bit for bit, the engine's
     # cell sums of the same increments placed as impulses on the nodes: on
-    # the full 0:10 window, on a study rung's window cut to 0:3.6, and on
-    # 0:2.3 at step 0.1, whose last node lies past the window end by
-    # round-off
+    # the full 0:10 window, on a study rung's window cut to 0:3.6, on 0:2.3
+    # at step 0.1, whose last node lies past the window end by round-off,
+    # for DxDy (nothing on the first row or column), and on the torus of
+    # the 1-D and 2-D fractional Laplacian, whose weights carry 1 / h^dim
     short = Grid(Box.cube(0.0, 2.3, 1), 0.1)
     assert short.axis(0)[-1] > short.box.hi[0]
+    frac1 = make_operator("frac_laplacian", gamma=1.5)
+    frac2 = make_operator("frac_laplacian", gamma=1.5, dim=2)
     engines = (
         _Engine(OP_D, GRID1, GRID1.box),
         _rung_engine(OP_D, build_cf_bank(GRID1)),
         _Engine(OP_D, short, short.box),
+        _Engine(make_operator("DxDy"), GRID2, GRID2.box),
+        _Engine(frac1, GRID1, sampling_box(frac1, GRID1.box, grid_margin(frac1, GRID1))),
+        _Engine(frac2, GRID2, sampling_box(frac2, GRID2.box, grid_margin(frac2, GRID2))),
     )
     assert engines[1].grid.box.hi == (3.6,)
     for engine in engines:
@@ -274,6 +288,27 @@ def test_limit_cell_sums_are_the_node_impulses_scattered():
                 want = engine.cell_sums(_limit_node_block(f, engine, stream, members))
                 assert [g.shape for g in got] == [(members, engine.cells)]
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_limit_rung_matches_the_analytic_functional_of_every_drawable_operator():
+    # at rate inf every bank function's empirical functional lies within 4
+    # standard errors of exp(integral f(T phi)) for DxDy and the 1-D and 2-D
+    # fractional Laplacian; each bank is scaled so that no |E| sits near 1,
+    # where a wrong cell measure would not show (|E| spans 0.016 to 0.92),
+    # and the spectral banks are zero-mean, since the synthesized window is
+    # mean-free and the analytic functional does not see that
+    grid2 = Grid(Box.cube(0.0, 2.0, 2), 0.05)
+    for op, grid, zero_mean, scale in (
+        (make_operator("DxDy"), grid2, False, 1.0),
+        (make_operator("frac_laplacian", gamma=1.5), GRID1, True, 10.0),
+        (make_operator("frac_laplacian", gamma=1.5, dim=2), grid2, True, 100.0),
+    ):
+        unit = build_identity_bank(grid, zero_mean)
+        bank = verify.TestFunctionBank(grid, unit.names, [scale * phi for phi in unit.phis])
+        for f, count in ((gaussian(1.0), 20000), (cauchy(1.0), 20000), (laplace(1.0), 5000)):
+            values, ses = rung_cf(f, op, math.inf, count, bank, 0, 0)
+            ana = np.array([analytic_cf(f, op, phi, grid) for phi in bank.phis])
+            assert np.all(np.abs(values - ana) <= 4.0 * ses), (op, f.family)
 
 
 def test_block_members_bound_the_scattered_histogram():
@@ -910,15 +945,11 @@ def test_reference_marginal_accepts_its_gaussian_law():
 
 
 def test_limit_rung_refuses_operators_it_cannot_draw():
-    # the limit cell noise exists for the first derivative only
-    grid2 = Grid(Box.cube(0.0, 4.0, 2), 0.1)
-    for op, grid in (
-        (make_operator("DaI", alpha=0.1), GRID1),
-        (make_operator("D", n=2), GRID1),
-        (make_operator("DxDy"), grid2),
-    ):
-        bank = point_bank(grid, [np.zeros(grid.dim)])
-        with pytest.raises(UnsupportedReference, match="first-derivative"):
+    # the limit cell noise is drawn only where a cell weighs every impulse
+    # alike, not where the weight reads the impulse's offset in its cell
+    for op in (make_operator("DaI", alpha=0.1), make_operator("D", n=2)):
+        bank = point_bank(GRID1, [0.0])
+        with pytest.raises(UnsupportedReference, match="^exact references exist only"):
             next(block_pairings(gaussian(1.0), op, math.inf, 10, bank, 0))
 
 

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Margin tolerance for exponentially decaying kernels: margin solves
-# exp(-alpha * margin) < TRUNCATION_TOL.
-TRUNCATION_TOL = 1e-6
 # Spectral synthesis pads the window by this fraction of the box length
 # per side before inversion to suppress periodic wrap-around.
 SPECTRAL_PAD_FRACTION = 0.25
@@ -53,13 +50,13 @@ class GridTooCoarse(OperatorError):
 @dataclass(frozen=True)
 class _Family:
     """One operator family: its dimension (None: any), the OperatorSpec field
-    its descriptor carries (None: no parameter), whether synthesis pins its
-    null-space mode, and, for the causal families, its 1-D factor (n, alpha)
-    applied on every axis: D^n when alpha is None, D + alpha I otherwise."""
+    its descriptor carries (None: no parameter), and, for the causal
+    families, its 1-D factor (n, alpha) applied on every axis: D^n when
+    alpha is None, D + alpha I otherwise.  Synthesis pins the null-space
+    modes of every causal family."""
 
     dim: int | None
     param: str | None
-    pinned: bool
     factor: object  # (op) -> (n, alpha); None for the spectral family
 
 
@@ -67,11 +64,11 @@ class _Family:
 # alpha I, their separable 2-D products D_x D_y and (D + alpha I) on each
 # axis, and the spectral fractional Laplacian (-Laplace)^(gamma/2).
 _FAMILIES = {
-    "D": _Family(1, "n", True, lambda op: (op.n, None)),
-    "DaI": _Family(1, "alpha", True, lambda op: (1, op.alpha)),
-    "DxDy": _Family(2, None, True, lambda op: (1, None)),
-    "DaIxDaIy": _Family(2, "alpha", False, lambda op: (1, op.alpha)),
-    "frac_laplacian": _Family(None, "gamma", False, None),
+    "D": _Family(1, "n", lambda op: (op.n, None)),
+    "DaI": _Family(1, "alpha", lambda op: (1, op.alpha)),
+    "DxDy": _Family(2, None, lambda op: (1, None)),
+    "DaIxDaIy": _Family(2, "alpha", lambda op: (1, op.alpha)),
+    "frac_laplacian": _Family(None, "gamma", None),
 }
 
 
@@ -132,9 +129,9 @@ class OperatorSpec:
 
     @property
     def pinned(self):
-        """Synthesis pins the null-space modes: s = 0 at the window start
-        of every axis (D, DaI and DxDy)."""
-        return _FAMILIES[self.family].pinned
+        """Synthesis pins the null-space modes, s = 0 at the window start of
+        every axis, exactly when the operator is causal."""
+        return self.causal
 
     @property
     def factors(self):
@@ -184,17 +181,13 @@ def format_operator_config(op):
 
 
 def margin_rule(op, box):
-    """Per-side sampling margin required by the operator's kernel decay.
+    """Per-side sampling margin the operator needs around `box`.
 
-    Pinned operators need none: pinning cancels every impulse at or left
-    of the window start on some axis, so a margin would only be drawn and
-    dropped.  An unpinned causal kernel decays at its smallest rate alpha.
+    A causal operator needs none: its pinning cancels every impulse at or
+    left of the window start on some axis, so a margin would only be drawn
+    and dropped.  The spectral path pads its torus against wrap-around.
     """
-    if op.pinned:
-        return 0.0
-    if not op.causal:
-        return SPECTRAL_PAD_FRACTION * max(box.lengths)
-    return math.log(1.0 / TRUNCATION_TOL) / min(alpha for _, alpha in op.factors)
+    return 0.0 if op.causal else SPECTRAL_PAD_FRACTION * max(box.lengths)
 
 
 def grid_margin(op, grid):

@@ -2,7 +2,7 @@
 
 synthesize_spline turns an impulse field into the random L-spline
 s = p0 + sum_k a_k rho_L(. - x_k) sampled on a window grid, with the
-null-space term pinned (s(lo) = 0 on every axis of a pinned operator,
+null-space term pinned (s(lo) = 0 on every axis of a causal operator,
 zero window mean for the spectral path).  Every operator runs on one
 O(K + G) engine whose one hand-off from a draw is the cell sums
 (_Engine.cell_sums): scatter the impulses, then one bincount per kernel
@@ -131,31 +131,28 @@ def synthesize_spline(field, op, grid):
     )
 
 
-def _causal_kept(coords, op, grid):
-    """The impulses a causal scatter keeps: on every axis those not beyond
-    the window end, and for a pinned operator those strictly right of the
-    window start; slice(None) when it keeps them all.
+def _causal_kept(coords, grid):
+    """The impulses a causal scatter keeps: on every axis those strictly
+    right of the window start and not beyond its end; slice(None) when it
+    keeps them all.
 
     A causal kernel is zero left of its impulse, so an impulse beyond the
-    window end adds nothing to the window.  For a pinned operator an
-    impulse at or left of the window start on some axis adds to the window
-    a null-space mode of that axis's factor, which the pinning removes
-    exactly, so dropping it is algebraically exact rather than a
-    truncation.  Per-axis min and max decide; the mask is built only when
-    an impulse is dropped.
+    window end adds nothing to the window.  An impulse at or left of the
+    window start on some axis adds to the window a null-space mode of that
+    axis's factor, which the pinning removes exactly, so dropping it is
+    algebraically exact rather than a truncation.  Per-axis min and max
+    decide; the mask is built only when an impulse is dropped.
     """
     if not coords[0].size:
         return slice(None)
     pad = BIN_SNAP * grid.step
-    starts = [lo + pad if op.pinned else -math.inf for lo in grid.box.lo]
-    bounds = list(zip(coords, starts, grid.box.hi))
+    bounds = [(x, lo + pad, hi) for x, lo, hi in zip(coords, grid.box.lo, grid.box.hi)]
     if all(start < x.min() and x.max() <= hi for x, start, hi in bounds):
         return slice(None)
     mask = np.ones(coords[0].size, dtype=bool)
     for x, start, hi in bounds:
         mask &= x <= hi
-        if op.pinned:
-            mask &= x > start
+        mask &= x > start
     return mask
 
 
@@ -271,9 +268,9 @@ class _Engine:
 
     def scatter(self, locations, amplitudes):
         """Impulses kept (a causal scatter drops those beyond the window end
-        and, pinned, those at or left of its start; slice(None) when it
-        drops none), their flat cells on the scatter grid, and one weight
-        array per kernel term, in the order of self.filters.  A causal axis
+        and those at or left of its start; slice(None) when it drops none),
+        their flat cells on the scatter grid, and one weight array per
+        kernel term, in the order of self.filters.  A causal axis
         bins each impulse to the first node at or beyond it; the
         node-minus-impulse offset is computed only for a factor whose
         moments read it.  A spectral axis bins it to the nearest torus
@@ -281,7 +278,7 @@ class _Engine:
         grid, h = self.grid, self.grid.step
         coords = [locations[:, axis] for axis in range(grid.dim)]
         if self.op.causal:
-            kept = _causal_kept(coords, self.op, grid)
+            kept = _causal_kept(coords, grid)
             if not isinstance(kept, slice):
                 coords = [x[kept] for x in coords]
             bins, weights = [], [amplitudes[kept]]
@@ -374,9 +371,9 @@ def limit_cell_sums(f, engine, rng, members):
     sums, from one sample call: each cell's sum is the noise's increment
     over the cell, JumpLaw(f, h^dim), times the weight the scatter gives
     any impulse in it (1 / h^dim on the spectral torus), drawn member by
-    member.  A pinned cell (index 0 on some axis) holds nothing.  Raises
-    UnsupportedReference when that weight reads the impulse's offset in
-    its cell (D^n, n >= 2, and D + alpha I)."""
+    member.  A causal cell at index 0 on some axis is pinned and holds
+    nothing.  Raises UnsupportedReference when that weight reads the
+    impulse's offset in its cell (D^n, n >= 2, and D + alpha I)."""
     op, grid = engine.op, engine.grid
     if any(factor != (1, None) for factor in op.factors):
         raise UnsupportedReference(
@@ -385,7 +382,7 @@ def limit_cell_sums(f, engine, rng, members):
         )
     measure = grid.step**grid.dim
     sums = np.zeros((members,) + engine.shape)
-    cells = sums[(slice(None),) + (slice(int(op.pinned), None),) * grid.dim]
+    cells = sums[(slice(None),) + (slice(int(op.causal), None),) * grid.dim]
     cells[...] = JumpLaw(f, measure).sample(rng.generator(), cells.size).reshape(cells.shape)
     if not op.causal:
         cells /= measure

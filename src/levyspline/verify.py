@@ -284,7 +284,7 @@ def analytic_cf(f, op, phi, grid):
     """exp(integral f(T phi)) by trapezoid quadrature at the grid step.
 
     The integration domain is the box a study draws on: the window plus
-    the grid margin (none for the pinned operators, whose pinning cancels
+    the grid margin (none for the causal operators, whose pinning cancels
     every contribution from the left of the window).  The spectral path
     integrates over the torus its synthesis runs on, one node per step of
     that box, each weighted h^dim (the trapezoid rule on a periodic grid).

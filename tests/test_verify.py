@@ -311,6 +311,22 @@ def test_limit_rung_matches_the_analytic_functional_of_every_drawable_operator()
             assert np.all(np.abs(values - ana) <= 4.0 * ses), (op, f.family)
 
 
+def test_pinned_exponential_2d_rung_matches_its_finite_rate_functional():
+    # a finite-rate DaIxDaIy rung, pinned and drawn on the window alone,
+    # lies within 4 standard errors of exp(integral f_lambda(T phi)) over
+    # that window for every bank function (|E| spans 0.52 to 0.94)
+    grid = Grid(Box.cube(0.0, 2.0, 2), 0.05)
+    op = make_operator("DaIxDaIy", alpha=0.5)
+    bank = build_identity_bank(grid)
+    for lam in (1.0, 16.0):
+        for f, count in ((gaussian(1.0), 20000), (cauchy(1.0), 20000), (laplace(1.0), 5000)):
+            values, ses = rung_cf(f, op, lam, count, bank, 0, 0)
+            fl = poissonize(f, lam)
+            ana = np.array([analytic_cf(fl, op, phi, grid) for phi in bank.phis])
+            z = np.abs(values - ana) / ses
+            assert np.all(z <= 4.0), (lam, f.family, z)
+
+
 def test_block_members_bound_the_scattered_histogram():
     # a block's (member, cell) histogram plus its expected impulses stay
     # within BLOCK_CELLS, counted on the cells the engine scatters onto:
@@ -336,8 +352,7 @@ def test_block_members_bound_the_scattered_histogram():
 
 def test_rung_cf_equals_pipeline_in_two_dimensions():
     # the same identity for the 2-D operators: product kernels on the
-    # margin-extended DaIxDaIy box, and the spectral path with zero-mean
-    # profiles
+    # pinned window, and the spectral path with zero-mean profiles
     grid = Grid(Box.cube(0.0, 4.0, 2), 0.1)
     for op in (
         make_operator("DxDy"),
@@ -455,24 +470,19 @@ def test_study_draws_on_the_margin_run_cfg_records(monkeypatch):
     # analytic_cf integrates over, the window plus the operator's rule in
     # whole steps (grid_margin), which is also the margin generate records
     # by default, where the rule is not a whole number of steps too (2.2525
-    # at step 0.01; 138.155 at step 0.05); the spectral path scatters onto and integrates over the
+    # at step 0.01); the spectral path scatters onto and integrates over the
     # torus of that box, one node per step, one node fewer per axis than
     # the box's grid
-    for args in (
-        ("--operator", "frac_laplacian", "--gamma", "1.5", "--box", "0:9.01", "--step", "0.01"),
-        ("--operator", "DaIxDaIy", "--alpha", "0.1", "--box", "0:10", "--step", "0.05"),
-    ):
-        _, op, grid, _ = _resolve(_build_parser().parse_args(["verify", *args]))
-        margin = grid_margin(op, grid)
-        engine = _rung_engine(op, _whole_window_bank(grid))
-        assert engine.box == sampling_box(op, grid.box, margin)
-        domain = Grid(engine.box, grid.step).shape
-        if not op.causal:
-            domain = tuple(n - 1 for n in domain)
-            assert engine.shape == domain
-        assert _analytic_domain_shape(monkeypatch, op, grid) == domain
-        assert _resolve(_build_parser().parse_args(["generate", *args]))[0].margin == margin
-    assert margin == 2764 * 0.05 and engine.box.lo == (-margin,) * 2
+    args = ("--operator", "frac_laplacian", "--gamma", "1.5", "--box", "0:9.01", "--step", "0.01")
+    _, op, grid, _ = _resolve(_build_parser().parse_args(["verify", *args]))
+    margin = grid_margin(op, grid)
+    engine = _rung_engine(op, _whole_window_bank(grid))
+    assert engine.box == sampling_box(op, grid.box, margin)
+    domain = tuple(n - 1 for n in Grid(engine.box, grid.step).shape)
+    assert engine.shape == domain
+    assert _analytic_domain_shape(monkeypatch, op, grid) == domain
+    assert _resolve(_build_parser().parse_args(["generate", *args]))[0].margin == margin
+    assert margin == 226 * 0.01 and engine.box.lo == (-margin,)
 
 
 def test_whole_step_margins_keep_the_rule_box_bit_for_bit():
@@ -486,6 +496,7 @@ def test_whole_step_margins_keep_the_rule_box_bit_for_bit():
             make_operator("D", n=2),
             make_operator("DaI", alpha=0.1),
             make_operator("DxDy"),
+            make_operator("DaIxDaIy", alpha=0.1),
         ):
             grid = Grid(Box.cube(0.0, 10.0, op.dim), step)
             rule = margin_rule(op, grid.box)

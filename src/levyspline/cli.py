@@ -359,7 +359,7 @@ def cmd_plotdata(_cfg, _op, _grid, _f, ns):
         return 2
     try:
         real = _load_realization(input_path)
-    except (OSError, SynthesisError, OperatorError, KeyError, ValueError) as exc:
+    except (OSError, SynthesisError, OperatorError, GridSpecError, KeyError, ValueError) as exc:
         print(f"plotdata: cannot read {input_path}: {exc}", file=sys.stderr)
         return 2
     if not np.isfinite(real.samples).all():

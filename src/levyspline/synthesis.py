@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,9 @@ from .operators import (
 
 # Relative slack when snapping impulse coordinates to grid bins.
 BIN_SNAP = 1e-9
+
+# Bytes read at each end of a realization.csv: more than its longest row.
+_ROW_BYTES = 256
 
 
 class SynthesisError(Exception):
@@ -437,8 +441,11 @@ def _parse_realization_header(header, path):
 
 
 def read_realization_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().strip()
+        head = fh.read(_ROW_BYTES)
+        fh.seek(max(fh.seek(0, os.SEEK_END) - _ROW_BYTES, 0))
+        tail = fh.read()
     dim, box, step, op, provenance, seed = _parse_realization_header(header, path)
     # loadtxt skips the header as a '#' comment; it reads a path faster than
     # an open text handle
@@ -447,7 +454,20 @@ def read_realization_csv(path):
         values = np.loadtxt(path, delimiter=",", usecols=dim, ndmin=1)
     if not values.size:
         raise SynthesisError(f"{path}: no samples")
-    samples = values.reshape(Grid(box, step).shape)
+    grid = Grid(box, step)
+    samples = values.reshape(grid.shape)
+    # with the node count fixed, the labels of the first and last rows fix
+    # the box and the step; the rows between are not read
+    ends = ((head.lstrip().split(b"\n", 1)[0], box.lo),
+            (tail.rstrip().rsplit(b"\n", 1)[-1],
+             [lo + step * (n - 1) for lo, n in zip(box.lo, grid.shape)]))
+    for row, nodes in ends:
+        labels = [float(v) for v in row.split(b",")[:dim]]
+        if not all(abs(x - node) <= BIN_SNAP * step for x, node in zip(labels, nodes)):
+            raise SynthesisError(
+                f"{path}: a row labelled {','.join(map(fmt17, labels))} where the header's "
+                f"grid has node {','.join(map(fmt17, nodes))}"
+            )
     return GridRealization(dim, box, step, samples, op, provenance, seed)
 
 

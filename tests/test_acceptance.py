@@ -7,6 +7,8 @@ failure is visible both in the printed line and in the pytest report.
 
 import filecmp
 import math
+import os
+import sys
 import time
 
 import numpy as np
@@ -298,19 +300,48 @@ def test_criterion_08_cli_configuration_matrix(tmp_path):
     )
 
 
+# Seeded reference paths, which repeat their bytes too
+REFERENCE_CONFIGS = (
+    ("ref_d", ["reference", "--seed", "5"]),
+    ("ref_dxdy", ["reference", "--operator", "DxDy", "--step", "0.05"]),
+    ("ref_frac", ["reference", "--operator", "frac_laplacian", "--gamma", "1.5", "--dim", "2",
+                  "--step", "0.05"]),
+)
+
+
+def clear_setup_caches():
+    """Empty every functools cache of the package (parser, engines, one-pole
+    powers, Fourier multipliers), as a fresh process starts."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "levyspline":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def test_criterion_09_seeded_reruns_byte_identical(tmp_path):
+    # each run once from empty set-up caches, as in a fresh process, and
+    # then all runs twice in one sequence, reusing what earlier runs cached
+    runs = [args + ["--format", fmt] for _, args in CLI_CONFIGS + REFERENCE_CONFIGS
+            for fmt in ("csv", "bin")]
+    for k, args in enumerate(runs):
+        clear_setup_caches()
+        assert main(args + ["--outdir", str(tmp_path / f"cold{k}")]) == 0
+    for k, args in enumerate(runs):
+        for warm in ("warm1", "warm2"):
+            assert main(args + ["--outdir", str(tmp_path / f"{warm}{k}")]) == 0
     identical = True
-    for name, args in CLI_CONFIGS:
-        a = tmp_path / (name + "_a")
-        b = tmp_path / (name + "_b")
-        assert main(args + ["--outdir", str(a)]) == 0
-        assert main(args + ["--outdir", str(b)]) == 0
-        for fn in ("impulses.csv", "realization.csv", "run.cfg"):
-            if not filecmp.cmp(a / fn, b / fn, shallow=False):
-                identical = False
+    for k in range(len(runs)):
+        cold = tmp_path / f"cold{k}"
+        files = sorted(os.listdir(cold))
+        for warm in (tmp_path / f"warm1{k}", tmp_path / f"warm2{k}"):
+            identical &= files == sorted(os.listdir(warm)) and all(
+                filecmp.cmp(cold / fn, warm / fn, shallow=False) for fn in files
+            )
     ok = identical
     report(
         ok,
-        "criterion 9: rerunning every configuration with the same seed "
-        "reproduces impulses.csv, realization.csv, and run.cfg byte for byte",
+        "criterion 9: every configuration, and three reference paths, in csv and bin, "
+        "write the same bytes for the same seed, run from empty set-up caches or after "
+        "other runs filled them",
     )

@@ -4,6 +4,7 @@ import filecmp
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ import pytest
 
 import levyspline
 from levyspline.cli import RunConfig, _build_parser, _resolve, main, parse_config_file, write_pgm
+from levyspline.exponents import JumpLaw, gaussian
+from levyspline.noise import RngStream
 from levyspline.synthesis import read_realization_binary, read_realization_csv
 
 
@@ -130,6 +133,13 @@ def test_reference_subcommand(tmp_path):
     real = read_realization_csv(out / "realization.csv")
     assert real.provenance == "reference(cauchy)"
     assert real.samples[0] == 0.0
+    # a path is 0 at the window start plus the running sum of its increments,
+    # drawn from the run's RngStream(seed, 0), and its csv reads back bit for bit
+    out = tmp_path / "g"
+    assert run("reference", "--seed", "5", "--outdir", str(out)) == 0
+    samples = read_realization_csv(out / "realization.csv").samples
+    inc = JumpLaw(gaussian(1.0), 0.01).sample(RngStream(5, 0).generator(), samples.size - 1)
+    assert samples.tobytes() == np.concatenate([[0.0], np.cumsum(inc)]).tobytes()
 
 
 def test_verify_subcommand_pass(tmp_path):
@@ -175,7 +185,7 @@ def test_verify_noise_floor_exit_code(tmp_path, capsys):
         "--ensemble", "200", "--seed", "0", "--outdir", str(out),
     )
     assert code == 1
-    assert "NOISE_FLOOR" in (out / "summary.txt").read_text()
+    assert "verdict=FAIL reason=NOISE_FLOOR" in (out / "summary.txt").read_text().splitlines()
     assert "NOISE_FLOOR" in capsys.readouterr().err
     assert (out / "cfreport.csv").exists()  # partial report still written
 
@@ -525,19 +535,66 @@ def test_write_pgm_constant_field(tmp_path):
     assert blob[len(b"P5\n6 4\n255\n"):] == bytes(24)
 
 
+# The environment of a child interpreter: this package first on its path
+SRC = os.path.dirname(os.path.dirname(levyspline.__file__))
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def child(code, *argv, cpus=None):
+    """Run `code` with `argv` in a fresh interpreter that cannot import
+    scipy, as where scipy is not installed; pinned to `cpus` if given."""
+    prelude = "import os, sys\nsys.modules['scipy'] = None\n"
+    if cpus:
+        prelude += f"os.sched_setaffinity(0, {cpus!r})\n"
+    return subprocess.run([sys.executable, "-c", prelude + code, *argv], capture_output=True,
+                          text=True, env=CHILD_ENV)
+
+
+def python_m_levyspline(*argv, cpus=None):
+    """`python -m levyspline *argv` in a child without scipy."""
+    code = "import runpy\nrunpy.run_module('levyspline', run_name='__main__', alter_sys=True)"
+    return child(code, *argv, cpus=cpus)
+
+
 def test_import_does_not_load_scipy():
     # the package needs no scipy: only the tests and the benchmark import it
     code = (
         "import sys, levyspline, levyspline.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = os.path.dirname(os.path.dirname(levyspline.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=CHILD_ENV
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_python_m_levyspline_runs_main():
+    done = python_m_levyspline("--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: levyspline ")
+
+
+def test_readme_python_blocks_run_in_one_namespace():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    done = child("".join(blocks))
+    assert done.returncode == 0, done.stderr
+
+
+def test_headline_study_has_the_same_bytes_on_one_cpu(tmp_path):
+    # at the headline size each worker writes its block sums for the whole
+    # ladder (about 1,300 rows, 107 KB) into the shared table; on one CPU the
+    # study pairs every block in one process
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs 2 usable CPUs: with one, both runs would pair in one process")
+    args = ("verify", "--seed", "3", "--ensemble", "100000", "--step", "0.01")
+    for name, cpus in (("all", None), ("one", {min(os.sched_getaffinity(0))})):
+        done = python_m_levyspline(*args, "--outdir", str(tmp_path / name), cpus=cpus)
+        assert done.returncode == 0, done.stderr
+    for name in ("cfreport.csv", "summary.txt"):
+        assert filecmp.cmp(tmp_path / "all" / name, tmp_path / "one" / name, shallow=False)
 
 
 # The keys each subcommand reads; --exponent is the flag of key family.
@@ -654,7 +711,7 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
         ("-3", [], negative),
         ("abc", [], "config error: bad LEVYSPLINE_SEED value 'abc'\n"),
     )
-    for command in ("generate", "verify"):
+    for command in ("generate", "reference", "verify"):
         for env, args, said in cases:
             if env is None:
                 monkeypatch.delenv("LEVYSPLINE_SEED", raising=False)
@@ -684,7 +741,6 @@ def test_verify_guards_the_box_its_top_rung_draws_on(tmp_path, monkeypatch, caps
     # window) and reaches the study, stubbed here; 2.8e8 expects 1.008e9,
     # which the study's own draw refuses too, and exits 2 with no output
     from levyspline import cli
-    from levyspline.exponents import gaussian
     from levyspline.grid import Box, Grid
     from levyspline.noise import NoiseError
     from levyspline.operators import make_operator

@@ -153,6 +153,28 @@ def test_reader_errors_exit_2_without_warnings(tmp_path, capsys):
             hdr.write_text(hdr.read_text().replace(old, new, 1))
     binaries["no_hdr"].with_suffix(".bin.hdr").unlink()
     binaries["truncated"].write_bytes(binaries["truncated"].read_bytes()[:-8])
+    # csv headers whose grid has the file's node count but other nodes: x
+    # labels that end at 10 where the grid ends at 5, and y labels that start
+    # at -0.5 where the grid starts at 0
+    g = tmp_path / "g"
+    gen = ["generate", "--operator", "D", "--lambda", "3", "--seed", "1", "--outdir", str(g)]
+    assert main(gen) == 0 and main(gen + ["--format", "bin"]) == 0
+    half, shifted = tmp_path / "half.csv", tmp_path / "shifted.csv"
+    half.write_text((g / "realization.csv").read_text().replace(
+        "box=0..10 step=0.01 ", "box=0..5 step=0.005 ", 1))
+    write_realization_csv(frac[2], shifted)
+    shifted.write_text(shifted.read_text().replace(
+        "box=-0.5..2;-0.5..2 ", "box=-0.5..2;0..2.5 ", 1))
+    # headers whose box and step make no grid, in csv and .bin.hdr
+    no_grids = []
+    for k, (old, new) in enumerate((("step=0.01 ", "step=0 "), ("box=0..10 ", "box=5..5 "),
+                                    ("box=0..10 ", "box=zero "), ("step=0.01 ", "step=0.013 "))):
+        text, binary = tmp_path / f"grid{k}.csv", tmp_path / f"grid{k}.bin"
+        text.write_text((g / "realization.csv").read_text().replace(old, new, 1))
+        binary.write_bytes((g / "realization.bin").read_bytes())
+        hdr = (g / "realization.bin.hdr").read_text().replace(old, new, 1)
+        binary.with_suffix(".bin.hdr").write_text(hdr)
+        no_grids += [text, binary]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SynthesisError, match="no samples"):
@@ -163,9 +185,13 @@ def test_reader_errors_exit_2_without_warnings(tmp_path, capsys):
             read_realization_binary(binaries["two_dims"])
         with pytest.raises(SynthesisError, match="shape=251, not its grid's shape"):
             read_realization_binary(binaries["short_box"])
+        with pytest.raises(SynthesisError, match="labelled 10 where the header's grid has node 5$"):
+            read_realization_csv(half)
+        with pytest.raises(SynthesisError, match="labelled -0.5,-0.5 where .* has node -0.5,0$"):
+            read_realization_csv(shifted)
         capsys.readouterr()
-        for path in (empty, bad, flat, *binaries.values()):
-            out = tmp_path / ("plot_" + path.stem)
+        for path in (empty, bad, flat, half, shifted, *binaries.values(), *no_grids):
+            out = tmp_path / ("plot_" + path.name)
             assert main(["plotdata", "--input", str(path), "--outdir", str(out)]) == 2
             assert f"plotdata: cannot read {path}" in capsys.readouterr().err
             assert not out.exists()

@@ -51,6 +51,7 @@ from .operators import (
 from .synthesis import (
     SynthesisError,
     UnsupportedReference,
+    kernel_terms,
     read_realization_binary,
     read_realization_csv,
     reference_levy_path,
@@ -72,6 +73,12 @@ from .verify import (
 )
 
 SEED_ENV_VAR = "LEVYSPLINE_SEED"
+# The grids the size of its scatter grid that the memory guard counts for
+# a study: its bank functions, their pairing tables and the analytic
+# functional's arrays.  Peak RSS of `verify --ensemble 100` took 100-140 B
+# per window node for the causal operators and 170-180 B per torus node
+# for 1-D frac_laplacian, against 6 * 64 B.
+STUDY_GRID_COPIES = 6
 
 
 def float_list(text):
@@ -160,7 +167,7 @@ def parse_config_file(path):
     """Typed values of a key=value file, keyed by their run.cfg names."""
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -178,7 +185,7 @@ def parse_config_file(path):
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {name}: {text!r}") from exc
                 values[row.key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return values
 
@@ -272,12 +279,24 @@ def _resolve(ns):
                 f"{op.family} needs a margin of at least {fmt17(rule)} per side "
                 f"(its rule in whole steps); margin={fmt17(cfg['margin'])} is too small"
             )
-    if "lambda" in reads:
-        try:  # the impulse-count guard, on the box the run draws on
-            expected_count(cfg["lam"], sampling_box(op, grid.box, cfg["margin"]))
-        except NoiseError as exc:
-            raise ConfigError(str(exc)) from exc
+    # the memory guard, on the box the run draws on, before any allocation
+    # (a study's top rung is guarded in cmd_verify, on its own box)
+    box = sampling_box(op, grid.box, cfg["margin"] if "margin" in reads else grid_margin(op, grid))
+    lam = cfg["lam"] if "lambda" in reads else 0.0
+    try:
+        _guard_memory(op, grid, box, lam, STUDY_GRID_COPIES if "ladder" in reads else 1)
+    except NoiseError as exc:
+        raise ConfigError(str(exc)) from exc
     return RunConfig(**cfg), op, grid, f
+
+
+def _guard_memory(op, grid, box, lam, copies):
+    """noise.expected_count of rate `lam` on the field box `box`, for a run
+    that holds `copies` grids the size of its scatter grid: the window, or
+    for the spectral path the torus whose period is `box`."""
+    scatter = grid if op.causal else Grid(box, grid.step)
+    values = copies * math.prod(map(float, scatter.shape))
+    expected_count(lam, box, values, kernel_terms(op))
 
 
 def _write_cfg(cfg, outdir):
@@ -322,14 +341,14 @@ def cmd_reference(cfg, op, grid, f, ns):
 def cmd_verify(cfg, op, grid, f, ns):
     outdir = ns.outdir
     # refuse, before any output, what the study would refuse, the
-    # impulse-count guard at its top rung, on the box that rung draws on,
+    # memory guard at its top rung, on the box that rung draws on,
     # and a bank too coarse for apply_T included
     try:
         bank = build_cf_bank(grid)
         for phi in bank.phis:
             _check_support(phi)
         top = study_ladder(cfg.ladder, cfg.ensemble)[-1]
-        expected_count(top, _rung_engine(op, bank).box)
+        _guard_memory(op, grid, _rung_engine(op, bank).box, top, STUDY_GRID_COPIES)
     except (NoiseError, OperatorError, VerifyError) as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(outdir, exist_ok=True)

@@ -198,19 +198,25 @@ def grid_text(axes, values, sep, scan_breaks=False):
     """Yield the rows `x[<sep>y]<sep>v` of `values` sampled on the grid
     `axes`, in row-major order, each number as fmt17 writes it.
 
-    The axis labels are encoded once; each chunk of CHUNK_ROWS rows takes
-    its labels from them and encodes its samples.  With `scan_breaks`, a
-    blank line follows each run along the last axis of a grid with two or
-    more axes, as gnuplot separates scan lines.
+    Each chunk of CHUNK_ROWS rows encodes its samples.  A grid with two or
+    more axes encodes its axis labels once and each chunk takes its labels
+    from them; a 1-D chunk encodes its own labels with its samples, so the
+    writer holds a chunk's text, not the whole axis's.  With `scan_breaks`,
+    a blank line follows each run along the last axis of a grid with two
+    or more axes, as gnuplot separates scan lines.
     """
-    labels = [encode17(axis) for axis in axes]
+    labels = [encode17(axis) for axis in axes] if len(axes) > 1 else None
     shape = tuple(len(axis) for axis in axes)
     flat = np.reshape(values, -1)
     for a in range(0, flat.size, CHUNK_ROWS):
-        index = np.unravel_index(np.arange(a, min(a + CHUNK_ROWS, flat.size)), shape)
-        cells = [(t.take(i), slots.take(i, axis=1)) for (t, slots), i in zip(labels, index)]
-        cells.append(encode17(flat[a : a + CHUNK_ROWS]))
-        ends = index[-1] == shape[-1] - 1 if scan_breaks and len(axes) > 1 else None
+        rows, ends = slice(a, a + CHUNK_ROWS), None
+        if labels is None:
+            cells = [encode17(axes[0][rows])]
+        else:
+            index = np.unravel_index(np.arange(a, min(a + CHUNK_ROWS, flat.size)), shape)
+            cells = [(t.take(i), slots.take(i, axis=1)) for (t, slots), i in zip(labels, index)]
+            ends = index[-1] == shape[-1] - 1 if scan_breaks else None
+        cells.append(encode17(flat[rows]))
         yield text17(cells, sep, ends)
 
 
@@ -291,6 +297,8 @@ class Grid:
             raise GridSpecError("grid step must be positive and finite")
         for l, hi in zip(self.box.lo, self.box.hi):
             n = (hi - l) / h
+            if not math.isfinite(n):
+                raise GridSpecError("grid step is too fine for the box")
             if abs(n - round(n)) > 1e-6:
                 raise GridSpecError("grid step must tile the box exactly")
 

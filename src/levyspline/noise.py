@@ -18,8 +18,15 @@ import numpy as np
 from .exponents import JumpLaw
 from .grid import CHUNK_ROWS, Box, encode17, fmt17, text17
 
-# Resource guard: reject fields whose expected impulse count exceeds this.
-MAX_EXPECTED_COUNT = 1e9
+# Memory guard: a run is refused, before it allocates, when its expected
+# impulses per field plus the values of the grids it holds, each at
+# VALUE_BYTES per kernel term and one more, would pass MAX_RUN_BYTES.
+# Peak RSS of `generate --format bin` (x86-64, numpy 2.4), less the 45 MB
+# of the interpreter, took per impulse 30 B in 1-D, 53 B in 2-D and 83 B
+# for D n=8 (8 terms), and per scatter node 22 B for D, 50 B for D+alpha I,
+# 34-44 B on the spectral torus and 86 B for D n=8: each within its bound.
+MAX_RUN_BYTES = 2**30
+VALUE_BYTES = 32
 
 
 class NoiseError(Exception):
@@ -92,12 +99,19 @@ class ImpulseBlock:
         return self.amplitudes.shape[0]
 
 
-def expected_count(lam, box):
+def expected_count(lam, box, values=0.0, terms=1):
     """lam * box.volume, the expected impulse count of one field on `box`;
-    raises NoiseError above MAX_EXPECTED_COUNT."""
+    raises NoiseError when those impulses and `values` grid values, with
+    `terms` kernel terms, would take more memory than MAX_RUN_BYTES."""
     mean = lam * box.volume
-    if mean > MAX_EXPECTED_COUNT:
-        raise NoiseError(f"expected impulse count {mean:.3g} exceeds guard {MAX_EXPECTED_COUNT:g}")
+    each = VALUE_BYTES * (1 + terms)
+    need = each * (mean + values)
+    if not need <= MAX_RUN_BYTES:
+        raise NoiseError(
+            f"the run would take about {need / 2**20:.3g} MiB ({mean:.3g} expected impulses "
+            f"and {values:.3g} grid values at {each} B each), over the memory budget of "
+            f"{MAX_RUN_BYTES // 2**20} MiB"
+        )
     return mean
 
 

@@ -234,22 +234,21 @@ def green(op, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _support_spans(phi):
-    """Span in samples of the nonzero region along each axis."""
-    nz = phi != 0.0
-    spans = []
-    for axis in range(phi.ndim):
-        other = tuple(i for i in range(phi.ndim) if i != axis)
-        line = nz.any(axis=other) if other else nz
-        idx = np.nonzero(line)[0]
-        spans.append(0 if idx.size == 0 else int(idx[-1] - idx[0] + 1))
-    return spans
+def support_ends(a):
+    """(first, last) index of the nonzero entries of `a` on each axis, or
+    None when `a` is zero everywhere."""
+    nz = np.asarray(a) != 0
+    if not nz.any():
+        return None
+    lines = (nz.any(axis=tuple(i for i in range(nz.ndim) if i != axis)) for axis in range(nz.ndim))
+    return [(int(idx[0]), int(idx[-1])) for idx in map(np.flatnonzero, lines)]
 
 
 def _check_support(phi):
-    if not np.any(phi):
+    ends = support_ends(phi)
+    if ends is None:
         return False
-    if min(_support_spans(phi)) < MIN_SUPPORT_SPAN:
+    if min(last - first + 1 for first, last in ends) < MIN_SUPPORT_SPAN:
         raise GridTooCoarse(
             f"test function support spans fewer than {MIN_SUPPORT_SPAN} samples"
         )

@@ -220,6 +220,13 @@ def _factor_kernel(factor, h):
     return moments, [lambda arr, axis: one_pole(arr, r, axis)]
 
 
+def kernel_terms(op):
+    """The number of kernel terms of the engine of `op` (len of its filters):
+    over the axes the product of n for D^n and 1 for D + alpha I; 1 for the
+    spectral path."""
+    return math.prod(n if alpha is None else 1 for n, alpha in op.factors)
+
+
 def _offset(nodes, idx, x):
     """offset() -> nodes[idx] - x, a fresh array, for _factor_kernel's
     moments; clamped at 0, since an impulse _bin_ceil snaps back onto its

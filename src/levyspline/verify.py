@@ -48,7 +48,8 @@ from . import workers
 from .exponents import evaluate, exponent_to_kv, poissonize
 from .grid import Box, Grid, fmt17
 from .noise import RngStream, sample_impulse_block
-from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin, sampling_box
+from .operators import apply_adjoint, apply_T, format_operator_config, grid_margin
+from .operators import sampling_box, support_ends
 from .synthesis import BIN_SNAP, engine_for, limit_cell_sums
 
 # Minimum ensemble size for a trustworthy empirical functional.
@@ -80,33 +81,34 @@ SHARE_WORK = 2**21
 IMPULSE_WORK = 6
 MAX_WORKERS = 2
 
-# Test-function geometry, as fractions of the box length.  The bump
+# Test-function rows (name, centre fraction per axis, width fraction,
+# amplitude) of bumps, as fractions of the box length.  The study bank's
 # amplitudes are tuned so the rate-1 rung sits well inside the nonlinear
 # regime while mid-ladder rungs stay above the Monte Carlo noise floor at
-# ensemble sizes near 1e5.
-CF_BUMPS = (
-    (0.15, 0.12, 1.26),
-    (0.11, 0.08, 2.20),
-    (0.20, 0.16, 0.82),
-    (0.17, 0.10, 1.38),
+# ensemble sizes near 1e5; its plateau is CF_PLATEAU (start, end and edge
+# fractions, amplitude).  ID_ROWS: unit bumps, by (dimension, zero_mean).
+CF_ROWS = (
+    ("bump1", (0.15,), 0.12, 1.26),
+    ("bump2", (0.11,), 0.08, 2.20),
+    ("bump3", (0.20,), 0.16, 0.82),
+    ("bump4", (0.17,), 0.10, 1.38),
 )
 CF_PLATEAU = (0.05, 0.22, 0.04, 1.47)
 
-ID_BUMPS_1D = ((0.20, 0.060), (0.35, 0.080), (0.50, 0.100), (0.65, 0.120), (0.80, 0.090))
-ID_BUMPS_2D = (
-    ((0.46, 0.52), 0.36),
-    ((0.54, 0.48), 0.40),
-    ((0.50, 0.55), 0.42),
-    ((0.48, 0.46), 0.44),
-    ((0.52, 0.50), 0.38),
-)
-ZERO_MEAN_BUMPS_2D = (
-    ((0.45, 0.50), 0.13),
-    ((0.55, 0.48), 0.15),
-    ((0.50, 0.55), 0.17),
-    ((0.48, 0.45), 0.19),
-    ((0.52, 0.52), 0.16),
-)
+
+def _unit_rows(*geometry):
+    return tuple((f"bump{k}", c, w, 1.0) for k, (c, w) in enumerate(geometry, start=1))
+
+
+ID_ROWS = {
+    (1, False): _unit_rows(((0.20,), 0.060), ((0.35,), 0.080), ((0.50,), 0.100),
+                           ((0.65,), 0.120), ((0.80,), 0.090)),
+    (2, False): _unit_rows(((0.46, 0.52), 0.36), ((0.54, 0.48), 0.40), ((0.50, 0.55), 0.42),
+                           ((0.48, 0.46), 0.44), ((0.52, 0.50), 0.38)),
+    (2, True): _unit_rows(((0.45, 0.50), 0.13), ((0.55, 0.48), 0.15), ((0.50, 0.55), 0.17),
+                          ((0.48, 0.45), 0.19), ((0.52, 0.52), 0.16)),
+}
+ID_ROWS[1, True] = ID_ROWS[1, False]
 ZERO_MEAN_WIDEN = 1.6
 
 
@@ -140,19 +142,11 @@ def _smoothstep(u):
     return u * u * (3.0 - 2.0 * u)
 
 
-def _plateau_profile(x, a, b, edge):
-    x = np.asarray(x, dtype=float)
-    return _smoothstep((x - a) / edge) * _smoothstep((b - x) / edge)
-
-
 def _product_bump(grid, center_fracs, width_frac):
-    parts = []
-    for axis in range(grid.dim):
-        lo = grid.box.lo[axis]
-        length = grid.box.lengths[axis]
-        parts.append(
-            _bump_profile(grid.axis(axis), lo + center_fracs[axis] * length, width_frac * length)
-        )
+    parts = [
+        _bump_profile(x, lo + c * length, width_frac * length)
+        for x, lo, length, c in zip(grid.axes, grid.box.lo, grid.box.lengths, center_fracs)
+    ]
     out = parts[0]
     for p in parts[1:]:
         out = np.multiply.outer(out, p)
@@ -171,45 +165,44 @@ class TestFunctionBank:
         return len(self.phis)
 
 
+def _bump_bank(grid, rows, zero_mean=False):
+    """The bank of `rows` on `grid`: per row its amplitude times
+    _product_bump.  zero_mean=True subtracts from each a copy
+    ZERO_MEAN_WIDEN times as wide, scaled so the profile integrates to
+    zero (matching the DC-zeroed spectral left inverse), and names it
+    zm<name>."""
+    weights = grid.weight_array() if zero_mean else None
+    names, phis = [], []
+    for name, centres, width, amp in rows:
+        phi = amp * _product_bump(grid, centres, width)
+        if zero_mean:
+            wide = _product_bump(grid, centres, ZERO_MEAN_WIDEN * width)
+            phi = phi - (np.sum(weights * phi) / np.sum(weights * wide)) * wide
+            name = "zm" + name
+        names.append(name)
+        phis.append(phi)
+    return TestFunctionBank(grid=grid, names=names, phis=phis)
+
+
 def build_cf_bank(grid, op=None):
-    """Five-profile bank (four bumps and a plateau) for functional studies.
-    The profiles are the same for every operator; `op` is accepted and
-    not used."""
+    """Five-profile bank (the four CF_ROWS bumps and a plateau) for
+    functional studies.  The profiles are the same for every operator;
+    `op` is accepted and not used."""
     if grid.dim != 1:
         raise VerifyError("functional-study bank is one dimensional")
-    lo = grid.box.lo[0]
-    length = grid.box.lengths[0]
-    x = grid.axis(0)
-    names, phis = [], []
-    for k, (cf, wf, amp) in enumerate(CF_BUMPS, start=1):
-        names.append(f"bump{k}")
-        phis.append(amp * _bump_profile(x, lo + cf * length, wf * length))
+    bank = _bump_bank(grid, CF_ROWS)
+    lo, length, x = grid.box.lo[0], grid.box.lengths[0], grid.axis(0)
     a, b, edge, amp = CF_PLATEAU
-    names.append("plateau")
-    phis.append(amp * _plateau_profile(x, lo + a * length, lo + b * length, edge * length))
-    return TestFunctionBank(grid=grid, names=names, phis=phis)
+    a, b, edge = lo + a * length, lo + b * length, edge * length
+    bank.names.append("plateau")
+    bank.phis.append(amp * (_smoothstep((x - a) / edge) * _smoothstep((b - x) / edge)))
+    return bank
 
 
 def build_identity_bank(grid, zero_mean=False):
-    """Five unit bumps for left-inverse identity checks.
-
-    zero_mean=True subtracts a widened copy of each bump so the profile
-    integrates to zero, matching the DC-zeroed spectral left inverse.
-    """
-    weights = grid.weight_array()
-    names, phis = [], []
-    if grid.dim == 1:
-        geo = [((c,), w) for c, w in ID_BUMPS_1D]
-    else:
-        geo = list(ZERO_MEAN_BUMPS_2D if zero_mean else ID_BUMPS_2D)
-    for k, (cfs, wf) in enumerate(geo, start=1):
-        phi = _product_bump(grid, cfs, wf)
-        if zero_mean:
-            wide = _product_bump(grid, cfs, ZERO_MEAN_WIDEN * wf)
-            phi = phi - (np.sum(weights * phi) / np.sum(weights * wide)) * wide
-        names.append(f"zmbump{k}" if zero_mean else f"bump{k}")
-        phis.append(phi)
-    return TestFunctionBank(grid=grid, names=names, phis=phis)
+    """Five unit bumps (ID_ROWS) for left-inverse identity checks, in one
+    or two dimensions; zero_mean=True makes each integrate to zero."""
+    return _bump_bank(grid, ID_ROWS[grid.dim, zero_mean], zero_mean)
 
 
 def point_bank(grid, points):
@@ -400,14 +393,13 @@ def _support_grid(grid, phis):
     support = np.zeros(grid.shape, dtype=bool)
     for phi in phis:
         support |= phi != 0
-    if not support.any():
+    ends = support_ends(support)
+    if ends is None:
         return grid
     lo, hi, h = grid.box.lo, list(grid.box.hi), grid.step
-    for axis, n in enumerate(grid.shape):
-        others = tuple(a for a in range(grid.dim) if a != axis)
-        stop = int(np.flatnonzero(support.any(axis=others))[-1]) + 2
-        if stop < n:
-            hi[axis] = lo[axis] + (stop - 1) * h
+    for axis, ((_, last), n) in enumerate(zip(ends, grid.shape)):
+        if last + 2 < n:
+            hi[axis] = lo[axis] + (last + 1) * h
     return Grid(Box(lo, tuple(hi)), h)
 
 

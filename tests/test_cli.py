@@ -313,8 +313,14 @@ def test_usage_and_config_errors(tmp_path, capsys):
     cfg.write_text("operator\n")
     assert run("generate", "--config", str(cfg), "--outdir", str(tmp_path)) == 2
     assert run("generate", "--config", str(tmp_path / "missing.cfg")) == 2
-    # config-file values are checked like the matching flags
+    # a config file that is not UTF-8 cannot be read
     capsys.readouterr()
+    cfg.write_bytes(b"seed=\xff\xfe\n")
+    out = tmp_path / "utf8"
+    assert run("generate", "--config", str(cfg), "--outdir", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}: ")
+    assert not out.exists()
+    # config-file values are checked like the matching flags
     cfg.write_text("seed=abc\n")
     assert run("generate", "--config", str(cfg), "--outdir", str(tmp_path)) == 2
     assert "config error: " in capsys.readouterr().err
@@ -730,16 +736,56 @@ def test_impulse_count_guard_exits_2_before_any_output(tmp_path, capsys):
         out = tmp_path / "o"
         assert main(argv + ["--outdir", str(out)]) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("config error: expected impulse count "), err
-        assert "exceeds guard 1e+09" in err
+        assert err.startswith("config error: the run would take about "), err
+        assert "over the memory budget of 1024 MiB" in err
         assert not out.exists()
+
+
+# A child that maps at most 256 MiB more than the package takes once
+# imported, so that an allocation the memory guard should have refused
+# ends the run with a MemoryError (exit 1) instead of exit 2.
+LIMITED_MAIN = """\
+import resource
+from levyspline.cli import main
+mapped = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = mapped + 2**28 if hard == resource.RLIM_INFINITY else min(hard, mapped + 2**28)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.parametrize(
+    "argv, said",
+    [
+        (["generate", "--step", "1e-300"], "the run would take about "),
+        (["generate", "--step", "1e-320"], "grid step is too fine for the box"),
+        (["generate", "--step", "1e-9"], "the run would take about "),
+        (["reference", "--step", "1e-9"], "the run would take about "),
+        (["verify", "--step", "1e-9", "--ensemble", "100"], "the run would take about "),
+        (["generate", "--operator", "DxDy", "--step", "1e-4"], "the run would take about "),
+        (["generate", "--operator", "frac_laplacian", "--dim", "2", "--step", "1e-4"],
+         "the run would take about "),
+        (["generate", "--lambda", "1e8"], "the run would take about "),
+    ],
+    ids=" ".join,
+)
+def test_a_run_too_large_for_memory_exits_2_before_allocating(argv, said, tmp_path):
+    out = tmp_path / "o"
+    done = child(LIMITED_MAIN, *argv, "--outdir", str(out))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: " + said), done.stderr
+    assert not out.exists()
 
 
 def test_verify_guards_the_box_its_top_rung_draws_on(tmp_path, monkeypatch, capsys):
     # the default D study's bank ends before 3.6, so its rungs draw on 0:3.6:
-    # a top rung of 2.7e8 expects 9.7e8 impulses there (2.7e9 on the whole
-    # window) and reaches the study, stubbed here; 2.8e8 expects 1.008e9,
-    # which the study's own draw refuses too, and exits 2 with no output
+    # the budget holds 2**30 / 64 = 16,777,216 impulses and grid values, and
+    # the study's grid takes 6 * 1001 of them; a top rung of 4.6e6 expects
+    # 1.656e7 impulses there (4.6e7 on the whole window) and reaches the
+    # study, stubbed here; 4.7e6 expects 1.692e7, which the study's own draw
+    # refuses too, and exits 2 with no output
     from levyspline import cli
     from levyspline.grid import Box, Grid
     from levyspline.noise import NoiseError
@@ -751,12 +797,12 @@ def test_verify_guards_the_box_its_top_rung_draws_on(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(cli, "convergence_study", study)
     out = tmp_path / "o"
-    assert run("verify", "--ladder", "1,4,2.7e8", "--ensemble", "100", "--outdir", str(out)) == 3
+    assert run("verify", "--ladder", "1,4,4.6e6", "--ensemble", "100", "--outdir", str(out)) == 3
     assert capsys.readouterr().err == "error: study reached\n"
     out = tmp_path / "p"
-    assert run("verify", "--ladder", "1,4,2.8e8", "--ensemble", "100", "--outdir", str(out)) == 2
-    assert "exceeds guard 1e+09" in capsys.readouterr().err
+    assert run("verify", "--ladder", "1,4,4.7e6", "--ensemble", "100", "--outdir", str(out)) == 2
+    assert "over the memory budget of 1024 MiB" in capsys.readouterr().err
     assert not out.exists()
     bank = build_cf_bank(Grid(Box.cube(0.0, 10.0, 1), 0.01))
-    with pytest.raises(NoiseError, match="exceeds guard"):
-        next(block_pairings(gaussian(1.0), make_operator("D"), 2.8e8, 100, bank, 0))
+    with pytest.raises(NoiseError, match="over the memory budget"):
+        next(block_pairings(gaussian(1.0), make_operator("D"), 4.7e6, 100, bank, 0))

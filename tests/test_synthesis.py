@@ -33,6 +33,7 @@ from levyspline.synthesis import (
     _Engine,
     _factor_kernel,
     engine_for,
+    kernel_terms,
     write_realization_binary,
     write_realization_csv,
 )
@@ -537,6 +538,13 @@ SCATTER_CASES = (
     (make_operator("DaIxDaIy", alpha=0.5), GRID2_SMALL),
     (make_operator("frac_laplacian", gamma=1.5, dim=2), GRID2_SMALL),
 )
+
+
+def test_kernel_terms_counts_each_engine_s_terms():
+    # the memory guard counts an engine's terms before building it
+    for op, grid in SCATTER_CASES:
+        box = sampling_box(op, grid.box, margin_rule(op, grid.box))
+        assert kernel_terms(op) == len(_Engine(op, grid, box).filters), op
 
 
 def scatter_fields(grid, box, gen):

@@ -89,6 +89,103 @@ def test_identity_bank_zero_mean():
         assert abs(np.sum(w * phi)) < 1e-10 * np.abs(phi).max()
 
 
+def _bump(x, center, width):
+    r = (x - center) / width
+    out = np.zeros_like(r)
+    inside = np.abs(r) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - r[inside] ** 2))
+    return out
+
+
+def _smooth(u):
+    u = np.clip(u, 0.0, 1.0)
+    return u * u * (3.0 - 2.0 * u)
+
+
+def _bumps(grid, centers, width):
+    parts = [_bump(grid.axis(a), grid.box.lo[a] + c * grid.box.lengths[a],
+                   width * grid.box.lengths[a]) for a, c in enumerate(centers)]
+    return parts[0] if grid.dim == 1 else np.multiply.outer(*parts)
+
+
+# Grids for the bank test: the default window, and unit windows on which
+# a centre or width fraction is placed without rounding, so that a row
+# moved by one ulp moves some bit of its bank.
+BANK_GRIDS_1D = (Grid(Box.cube(0.0, 10.0, 1), 0.01), Grid(Box.cube(0.0, 1.0, 1), 2.0**-10))
+BANK_GRIDS_2D = (Grid(Box.cube(0.0, 10.0, 2), 0.05), Grid(Box.cube(0.0, 1.0, 2), 2.0**-6))
+
+
+def expected_banks():
+    """Every bank build_cf_bank and build_identity_bank make on the bank
+    test's grids, from the formulas and constants written out here:
+    {(grid, "cf" or zero_mean): (names, phis)}."""
+    geometry = {
+        (1, False): [((0.20,), 0.060), ((0.35,), 0.080), ((0.50,), 0.100), ((0.65,), 0.120),
+                     ((0.80,), 0.090)],
+        (2, False): [((0.46, 0.52), 0.36), ((0.54, 0.48), 0.40), ((0.50, 0.55), 0.42),
+                     ((0.48, 0.46), 0.44), ((0.52, 0.50), 0.38)],
+        (2, True): [((0.45, 0.50), 0.13), ((0.55, 0.48), 0.15), ((0.50, 0.55), 0.17),
+                    ((0.48, 0.45), 0.19), ((0.52, 0.52), 0.16)],
+    }
+    geometry[1, True] = geometry[1, False]
+    out = {}
+    for grid in BANK_GRIDS_1D:
+        x, lo, n = grid.axis(0), grid.box.lo[0], grid.box.lengths[0]
+        cf = [1.26 * _bump(x, lo + 0.15 * n, 0.12 * n), 2.20 * _bump(x, lo + 0.11 * n, 0.08 * n),
+              0.82 * _bump(x, lo + 0.20 * n, 0.16 * n), 1.38 * _bump(x, lo + 0.17 * n, 0.10 * n),
+              1.47 * (_smooth((x - (lo + 0.05 * n)) / (0.04 * n))
+                      * _smooth((lo + 0.22 * n - x) / (0.04 * n)))]
+        out[grid, "cf"] = ([f"bump{k}" for k in range(1, 5)] + ["plateau"], cf)
+    for grid in BANK_GRIDS_1D + BANK_GRIDS_2D:
+        w = grid.weight_array()
+        for zero_mean in (False, True):
+            phis = []
+            for centers, width in geometry[grid.dim, zero_mean]:
+                phi = _bumps(grid, centers, width)
+                if zero_mean:
+                    wide = _bumps(grid, centers, 1.6 * width)
+                    phi = phi - (np.sum(w * phi) / np.sum(w * wide)) * wide
+                phis.append(phi)
+            names = [("zmbump" if zero_mean else "bump") + str(k) for k in range(1, 6)]
+            out[grid, zero_mean] = (names, phis)
+    return out
+
+
+def _bank_bytes(grid, kind):
+    bank = build_cf_bank(grid) if kind == "cf" else build_identity_bank(grid, zero_mean=kind)
+    return bank.names, [phi.tobytes() for phi in bank.phis]
+
+
+def _moved_rows(rows):
+    """Each copy of `rows` with one row's first centre, width or amplitude
+    moved up by one ulp."""
+    for r, (name, centers, width, amp) in enumerate(rows):
+        up = float(np.nextafter(centers[0], 1.0))
+        for row in ((name, (up,) + centers[1:], width, amp),
+                    (name, centers, float(np.nextafter(width, 1.0)), amp),
+                    (name, centers, width, float(np.nextafter(amp, 2.0 * amp)))):
+            yield rows[:r] + (row,) + rows[r + 1:]
+
+
+def test_every_bank_keeps_its_names_and_bits(monkeypatch):
+    want = {key: (names, [phi.tobytes() for phi in phis])
+            for key, (names, phis) in expected_banks().items()}
+    for key, value in want.items():
+        assert _bank_bytes(*key) == value, key
+    # on the unit windows, a row moved by one ulp shows in its bank's bits
+    unit1, unit2 = BANK_GRIDS_1D[-1], BANK_GRIDS_2D[-1]
+    for moved in _moved_rows(verify.CF_ROWS):
+        monkeypatch.setattr(verify, "CF_ROWS", moved)
+        assert _bank_bytes(unit1, "cf") != want[unit1, "cf"], moved
+    monkeypatch.undo()
+    for grid in (unit1, unit2):
+        for zero_mean in (False, True):
+            for moved in _moved_rows(verify.ID_ROWS[grid.dim, zero_mean]):
+                monkeypatch.setitem(verify.ID_ROWS, (grid.dim, zero_mean), moved)
+                assert _bank_bytes(grid, zero_mean) != want[grid, zero_mean], moved
+            monkeypatch.undo()
+
+
 def test_empirical_cf_matches_manual_computation():
     # s_i constant c_i pairs to c_i * integral(phi)
     bank = build_cf_bank(GRID1)
